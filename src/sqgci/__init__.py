@@ -36,6 +36,7 @@ from .iteration import (
     IterationParams,
     StepState,
     build_f_next,
+    iterate,
     lambda_at,
     make_base,
     perfect_amplitude,

@@ -10,9 +10,11 @@ printed with 17 significant digits and every file is written atomically
 (temp + rename). A run emits ledger.jsonl (one JSON object per step),
 SQF1 checkpoints (f_leq_<n>.sqf1, q_<n>.sqf1, state_<n>.json), final
 theta.sqf1 / f.sqf1, CSV spectra, and run.json with the parameter echo
-and feasibility report. Rerunning on a directory holding a matching
-checkpoint resumes from it; the resumed ledger is identical to an
-unbroken run's.
+and feasibility report. The ledger is rewritten as each step completes,
+before that step's checkpoint, so a run that fails keeps the rows and
+checkpoints of its finished steps. Rerunning on a directory holding a
+matching checkpoint resumes from it; the resumed ledger is identical to
+an unbroken run's.
 
 Exit codes: 0 success, 2 config/validation failure, 3 numeric failure
 (broken positivity, separation, grid budget), 4 I/O failure. Errors are
@@ -26,22 +28,29 @@ import json
 import math
 import os
 import sys
-import tempfile
 
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .fields import TorusField, inner, multiply, random_field, read_sqf1, write_sqf1
+from .fields import (
+    TorusField,
+    _write_atomic,
+    inner,
+    multiply,
+    random_field,
+    read_sqf1,
+    write_sqf1,
+)
 from .iteration import (
     IterationParams,
     StepState,
+    iterate,
     lambda_at,
     make_base,
     params_hash,
     scales_for,
-    step,
 )
-from .multipliers import DIRECTIONS, L1, lambda_s, modulate, riesz, riesz_commutator
+from .multipliers import DIRECTIONS, L1, _kgrids, lambda_s, modulate, riesz, riesz_commutator
 from .norms import sobolev
 from .verify import (
     check_algebraic,
@@ -182,21 +191,8 @@ def render_json(obj) -> str:
     return _scalar(obj)
 
 
-def _write_bytes(path: str, blob: bytes):
-    d = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".out.")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(blob)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _write_text(path: str, text: str):
-    _write_bytes(path, text.encode("utf-8"))
+    _write_atomic(path, text.encode("utf-8"))
 
 
 # -- CSV exports -------------------------------------------------------
@@ -216,9 +212,7 @@ def export_spectrum(f: TorusField, path: str):
 
 def export_shells(f: TorusField, path: str):
     """Energy per integer radial shell (shell = nearest integer to |k|)."""
-    K = f.band
-    k = np.arange(-K, K + 1, dtype=np.float64)
-    kn = np.hypot(*np.meshgrid(k, k, indexing="ij"))
+    _, _, kn = _kgrids(f.band)
     shells = np.rint(kn).astype(np.int64).ravel()
     energy = np.bincount(shells, weights=(np.abs(f.coeffs) ** 2).ravel())
     lines = ["shell,energy"]
@@ -277,9 +271,18 @@ def cmd_run(cfg: RunConfig, quiet: bool = False) -> int:
     if not quiet and resumed:
         print(f"resuming from checkpoint step {state.n}")
 
-    while state.n < p.steps:
-        state, row = step(state, p, cfg.grid_cap)
+    def write_ledger():
+        if "ledger" in cfg.emit:
+            _write_text(os.path.join(cfg.out_dir, "ledger.jsonl"),
+                        "".join(line + "\n" for line in lines))
+
+    if state.n == p.steps:
+        write_ledger()  # nothing left to compute; a shorter rerun truncates
+    for state, row in iterate(state, p, cfg.grid_cap):
+        # the row lands before its checkpoint, so a checkpoint never
+        # outruns the ledger and a failed run can resume
         lines.append(render_json(row))
+        write_ledger()
         if "fields" in cfg.emit:
             fpath, qpath, spath = _checkpoint_paths(cfg.out_dir, state.n)
             write_sqf1(state.f_leq, fpath)
@@ -292,9 +295,6 @@ def cmd_run(cfg: RunConfig, quiet: bool = False) -> int:
             print(f"step {row['n']}: |q|_X/r = {row['ratio_q_over_r']:.6g}, "
                   f"master residual = {row['master_residual']:.3e}")
 
-    if "ledger" in cfg.emit:
-        _write_text(os.path.join(cfg.out_dir, "ledger.jsonl"),
-                    "".join(line + "\n" for line in lines))
     theta = lambda_s(state.f_leq, 1.0)
     if "fields" in cfg.emit:
         write_sqf1(theta, os.path.join(cfg.out_dir, "theta.sqf1"))

@@ -23,7 +23,8 @@ The binary field format SQF1 is implemented here:
     then (2K+1)^2 coefficients as (re, im) f64 LE pairs, row-major,
     k1 = -K..K outer, k2 = -K..K inner.
 
-Readers verify the Hermitian symmetry on load.
+Readers verify on load that the coefficients are finite and
+Hermitian-symmetric.
 """
 
 from __future__ import annotations
@@ -68,6 +69,9 @@ class TorusField:
             raise ValueError(f"coefficient array must be square odd-sized, got {c.shape}")
         K = c.shape[0] // 2
         maxc = float(np.abs(c).max()) if c.size else 0.0
+        # 2*maxc bounds every entry of the symmetrization below
+        if check and not np.isfinite(2.0 * maxc):
+            raise ValueError(f"non-finite or overflowing coefficient (max |c| = {maxc})")
         if check and maxc > 0.0:
             viol = hermitian_violation(c)
             if viol > HERMITIAN_RTOL * maxc:
@@ -215,10 +219,6 @@ class GridSamples:
 
     N: int
     values: np.ndarray
-    # Hermitian symmetry is enforced exactly at construction and the
-    # inverse transform is real, so the imaginary residue of evaluation
-    # is structurally zero; kept as a reported figure.
-    imag_residue: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -345,13 +345,11 @@ def inner(f: TorusField, g: TorusField) -> float:
     return float((2.0 * np.pi) ** 2 * np.sum(a * np.conj(b)).real)
 
 
-def random_field(band, rng, mean_zero=True, spectrum="flat"):
+def random_field(band, rng, mean_zero=True):
     """Seeded Gaussian random field: independent complex normal
     coefficients, flat over the Euclidean ball |k| <= band, Hermitian
     symmetrized. `rng` is a numpy Generator (pass default_rng(seed) for
     reproducibility)."""
-    if spectrum != "flat":
-        raise ValueError(f"unknown spectrum {spectrum!r}")
     n = 2 * band + 1
     z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     k = np.arange(-band, band + 1)
@@ -367,17 +365,15 @@ def random_field(band, rng, mean_zero=True, spectrum="flat"):
 
 # -- SQF1 serialization -----------------------------------------------
 
-def write_sqf1(f: TorusField, path):
-    """Write the field in the SQF1 layout (atomic: temp file + rename)."""
-    header = struct.pack("<4sIIq", _SQF1_MAGIC, _SQF1_VERSION, f.band,
-                         1 if f.mean_zero else 0)
-    payload = np.ascontiguousarray(f.coeffs, dtype="<c16").tobytes()
+def _write_atomic(path, *chunks):
+    """Write the byte chunks to path atomically: a temp file in the same
+    directory, then a rename. The temp file is removed on any error."""
     d = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".sqf1.")
+    fd, tmp = tempfile.mkstemp(dir=d, prefix=".part.")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(header)
-            fh.write(payload)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -385,9 +381,17 @@ def write_sqf1(f: TorusField, path):
         raise
 
 
+def write_sqf1(f: TorusField, path):
+    """Write the field in the SQF1 layout (atomic: temp file + rename)."""
+    header = struct.pack("<4sIIq", _SQF1_MAGIC, _SQF1_VERSION, f.band,
+                         1 if f.mean_zero else 0)
+    _write_atomic(path, header, np.ascontiguousarray(f.coeffs, dtype="<c16"))
+
+
 def read_sqf1(path) -> TorusField:
-    """Read an SQF1 field; verifies magic, version, size, and Hermitian
-    symmetry (ParseError on any mismatch)."""
+    """Read an SQF1 field; verifies magic, version, size, finite and
+    Hermitian-symmetric coefficients, and the meanZero flag against c(0)
+    (ParseError on any mismatch)."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < 20:
@@ -404,7 +408,12 @@ def read_sqf1(path) -> TorusField:
     if len(raw) != want:
         raise ParseError(f"{path}: expected {want} bytes for band {band}, got {len(raw)}")
     c = np.frombuffer(raw[20:], dtype="<c16").reshape(n, n).astype(np.complex128)
-    maxc = float(np.abs(c).max()) if c.size else 0.0
+    maxc = float(np.abs(c).max())
+    if not np.isfinite(2.0 * maxc):
+        raise ParseError(f"{path}: non-finite or overflowing coefficient (max |c| = {maxc})")
     if maxc > 0.0 and hermitian_violation(c) > HERMITIAN_RTOL * maxc:
         raise ParseError(f"{path}: coefficients are not Hermitian-symmetric")
-    return TorusField(c, mean_zero=bool(mz), check=False)
+    try:
+        return TorusField(c, mean_zero=bool(mz), check=False)
+    except NonZeroMean as e:
+        raise ParseError(f"{path}: {e}") from None

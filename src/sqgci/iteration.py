@@ -52,6 +52,7 @@ from .multipliers import (
     t_op,
 )
 from .norms import holder_besov, linf, sobolev, x_norm
+from .verify import check_support
 
 SUPPORT_RTOL = 1e-13
 
@@ -82,6 +83,10 @@ class IterationParams:
         if not 0.0 < self.beta < beta_cap:
             p.append(f"beta must lie in (0, min(1/3, 3-2*gamma)) = (0, {beta_cap:g}), "
                      f"got {self.beta}")
+        for name in ("b", "beta", "nu", "gamma", "c0", "eps0"):
+            v = getattr(self, name)
+            if not math.isfinite(v):
+                p.append(f"{name} must be finite, got {v}")
         if self.nu < 0.0:
             p.append(f"nu must be >= 0, got {self.nu}")
         if self.c0 < 2.0:
@@ -149,16 +154,6 @@ class StepState:
     q: TorusField
 
 
-def _out_of_band(f: TorusField, radius: float) -> float:
-    K = f.band
-    k = np.arange(-K, K + 1, dtype=np.float64)
-    kn = np.hypot(*np.meshgrid(k, k, indexing="ij"))
-    outside = kn > radius
-    if not outside.any():
-        return 0.0
-    return float(np.abs(f.coeffs[outside]).max())
-
-
 def perfect_amplitude(q: TorusField, r_n: float, lambda_next: int, c0: float,
                       j: int, oversample: int = 4, kout=None):
     """Amplitude 2 sqrt(r_n/(5 lambda_next)) sqrt(c0 + m_j q / r_n) for
@@ -203,17 +198,6 @@ def build_f_next(q: TorusField, scales: DerivedScales, c0: float = 2.0,
         f = f + modulate(amp, l.wave(lam5), "cos")
     f = TorusField(f.coeffs, mean_zero=True)
     return Perturbation(f_next=f, a=a, a_perfect=tuple(ap), alias_tail=max(als))
-
-
-def leibniz_terms(a: TorusField, lam5: int, l):
-    """The three correction fields in
-
-        Lambda(a cos(lam5 l.x)) = lam5 a cos + ((l.grad)a) sin
-                                  + (T1 a) cos + (T2 a) sin.
-    """
-    return (directional_grad(a, l),
-            t_op(a, 1, lam5, l),
-            t_op(a, 2, lam5, l))
 
 
 def _scaled_perp(f: TorusField, l, scale: float) -> VectorField:
@@ -433,7 +417,7 @@ def step(state: StepState, params: IterationParams, grid_cap: int = 4096):
     f_total = state.f_leq + f1
     for fld, radius, name in ((f_total, 6.0 * sc.lambda_next, "f"),
                               (q_next, 12.0 * sc.lambda_next, "q")):
-        leak = _out_of_band(fld, radius)
+        leak = check_support(fld, radius)
         top = fld.max_abs_coeff()
         if top > 0.0 and leak > SUPPORT_RTOL * top:
             raise ArithmeticError(
@@ -499,7 +483,14 @@ class RunResult:
     f: TorusField
     q: TorusField
     rows: list
-    series: dict
+
+
+def iterate(state: StepState, params: IterationParams, grid_cap: int = 4096):
+    """Step from `state` until n reaches params.steps, yielding
+    (new state, ledger row) after each step."""
+    while state.n < params.steps:
+        state, row = step(state, params, grid_cap)
+        yield state, row
 
 
 def run(params: IterationParams, seed: int = 0, base: str = "zero",
@@ -509,23 +500,12 @@ def run(params: IterationParams, seed: int = 0, base: str = "zero",
     state). theta = Lambda(f)."""
     state = start if start is not None else make_base(params, seed, base)
     rows = [] if rows is None else list(rows)
-    while state.n < params.steps:
-        state, row = step(state, params, grid_cap)
+    for state, row in iterate(state, params, grid_cap):
         rows.append(row)
     theta = lambda_s(state.f_leq, 1.0)
     if params.steps >= 1 and not sobolev(theta, -0.5) > 0.0:
         raise ArithmeticError("iterate collapsed to zero")
-    series = {
-        "form": "f = sum_n sum_j lowpass(2 sqrt(r_n/(5 lambda_next)) "
-                "sqrt(c0 + m_j q_n / r_n), mu_next) cos(5 lambda_next l_j . x)",
-        "directions": [{"l": l.vec, "l_perp": l.perp.vec} for l in DIRECTIONS],
-        "lambdas": [lambda_at(params.lambda0, params.b, m)
-                    for m in range(params.steps + 1)],
-        "steps": params.steps,
-        "base": base,
-        "seed": seed,
-    }
-    return RunResult(theta=theta, f=state.f_leq, q=state.q, rows=rows, series=series)
+    return RunResult(theta=theta, f=state.f_leq, q=state.q, rows=rows)
 
 
 def params_hash(params: IterationParams, seed: int, base: str) -> str:

@@ -1,41 +1,16 @@
-"""Low-level lattice kernels, numba-accelerated when available.
+"""Low-level lattice kernels in plain numpy.
 
-Three inner loops in this package run outside scipy's FFTs often enough
-to matter: the smooth cutoff profile evaluated on wavenumber grids, the
-shifted-symbol pair for the modulated-wave operators, and the Hermitian
-symmetry scan that runs after every field operation. Each has a numba
-@njit implementation and a pure-numpy fallback.
-
-Set SQGCI_NUMBA=0 in the environment to force the numpy fallbacks
-(selection happens once at import time). `python -m sqgci.bench` times
-both paths.
+Three inner loops run outside scipy's FFTs: the smooth cutoff profile
+evaluated on wavenumber grids, the shifted-symbol pair for the
+modulated-wave operators, and the Hermitian symmetry scan. The scan
+runs only on checked construction (external coefficient arrays and
+SQF1 reads); fields built by the package's own operations skip it.
 """
-
-import os
 
 import numpy as np
 
-_want_numba = os.environ.get("SQGCI_NUMBA", "1") != "0"
-try:
-    if not _want_numba:
-        raise ImportError
-    from numba import njit
-    HAVE_NUMBA = True
-except ImportError:
-    HAVE_NUMBA = False
 
-    def njit(*args, **kwargs):
-        # no-op decorator so the same source works without numba
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(func):
-            return func
-
-        return wrap
-
-
-def cutoff_profile_numpy(r):
+def cutoff_profile(r):
     """Smooth radial cutoff: 1 for r <= 1/2, 0 for r >= 1, glued by
     g(2(1-r)) / (g(2(1-r)) + g(2(r-1/2))) with g(t) = exp(-1/t)."""
     r = np.asarray(r, dtype=np.float64)
@@ -53,24 +28,7 @@ def cutoff_profile_numpy(r):
     return out.reshape(shape)
 
 
-@njit(cache=True)
-def _cutoff_profile_nb(r):
-    out = np.empty(r.size, dtype=np.float64)
-    flat = r.ravel()
-    for i in range(flat.size):
-        x = flat[i]
-        if x <= 0.5:
-            out[i] = 1.0
-        elif x >= 1.0:
-            out[i] = 0.0
-        else:
-            ga = np.exp(-1.0 / (2.0 * (1.0 - x)))
-            gb = np.exp(-1.0 / (2.0 * (x - 0.5)))
-            out[i] = ga / (ga + gb)
-    return out
-
-
-def t_symbols_numpy(lam, n1, n2, d, K):
+def t_symbols(lam, n1, n2, d, K):
     """Symbol grids for the two carrier-correction operators at carrier
     lam*l, l = (n1, n2)/d exactly rational with n1^2 + n2^2 = d^2.
 
@@ -107,67 +65,7 @@ def t_symbols_numpy(lam, n1, n2, d, K):
     return t1, t2f
 
 
-@njit(cache=True)
-def _t_symbols_nb(lam, n1, n2, d, K):
-    M = 2 * K + 1
-    t1 = np.empty((M, M), dtype=np.float64)
-    t2f = np.empty((M, M), dtype=np.float64)
-    dd = float(d)
-    fl = float(lam)
-    for i in range(M):
-        k1 = i - K
-        for j in range(M):
-            k2 = j - K
-            ldk = n1 * k1 + n2 * k2
-            ksq = k1 * k1 + k2 * k2
-            a1 = lam * n1 + d * k1
-            a2 = lam * n2 + d * k2
-            b1 = lam * n1 - d * k1
-            b2 = lam * n2 - d * k2
-            A = np.sqrt(float(a1 * a1 + a2 * a2)) / dd
-            B = np.sqrt(float(b1 * b1 + b2 * b2)) / dd
-            lk = float(ldk) / dd
-            v1 = 0.5 * ((2.0 * fl * lk + ksq) / (A + fl)
-                        + (-2.0 * fl * lk + ksq) / (B + fl))
-            t1[i, j] = v1
-            t2f[i, j] = -2.0 * lk * v1 / (A + B)
-    return t1, t2f
-
-
-def hermitian_violation_numpy(c):
+def hermitian_violation(c):
     """Max |c(k) - conj(c(-k))| over the coefficient array (index
     [k1+K, k2+K], so -k is the double flip)."""
     return float(np.abs(c - np.conj(c[::-1, ::-1])).max())
-
-
-@njit(cache=True)
-def _hermitian_violation_nb(c):
-    M = c.shape[0]
-    worst = 0.0
-    for i in range(M):
-        for j in range(M):
-            z = c[i, j] - np.conj(c[M - 1 - i, M - 1 - j])
-            v = abs(z)
-            if v > worst:
-                worst = v
-    return worst
-
-
-if HAVE_NUMBA:
-    def cutoff_profile(r):
-        r = np.asarray(r, dtype=np.float64)
-        flat = np.ascontiguousarray(np.atleast_1d(r).ravel())
-        return _cutoff_profile_nb(flat).reshape(r.shape)
-
-    def t_symbols(lam, n1, n2, d, K):
-        return _t_symbols_nb(int(lam), int(n1), int(n2), int(d), int(K))
-
-    def hermitian_violation(c):
-        return float(_hermitian_violation_nb(np.ascontiguousarray(c)))
-else:
-    cutoff_profile = cutoff_profile_numpy
-    t_symbols = t_symbols_numpy
-    hermitian_violation = hermitian_violation_numpy
-
-cutoff_profile.__doc__ = cutoff_profile_numpy.__doc__
-t_symbols.__doc__ = t_symbols_numpy.__doc__

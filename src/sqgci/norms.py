@@ -13,40 +13,34 @@ cross-check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import GridBudgetExceeded
 from .fields import TorusField, good_grid, to_grid
-from .multipliers import require_mean_zero, riesz_odd
+from .multipliers import _kgrids, require_mean_zero, riesz_odd
 
 
-def _linf_with_grid(f: TorusField, oversample: int, grid_cap=None):
-    """Grid max and the grid actually used. When a cap is given the
-    oversampling degrades one notch at a time down to the minimal
-    alias-free grid before giving up."""
+def linf(f: TorusField, oversample: int = 4, grid_cap=None) -> float:
+    """Max of |f| over an oversampled collocation grid (a lower bound
+    on the true sup). When a cap is given the oversampling degrades one
+    notch at a time down to the minimal alias-free grid before giving
+    up."""
     if oversample < 2:
         raise ValueError(f"oversample must be >= 2, got {oversample}")
     K = f.band
     if K == 0:
-        return abs(f.coeffs[0, 0].real), 1
+        return abs(f.coeffs[0, 0].real)
     minimal = 2 * K + 2
     candidates = [good_grid(s * minimal) for s in range(oversample, 1, -1)]
     candidates.append(minimal)
     for N in candidates:
         if grid_cap is None or N <= grid_cap:
             vals = to_grid(f, N).values
-            return float(np.abs(vals).max()), N
+            return float(np.abs(vals).max())
     raise GridBudgetExceeded(
         f"band {K} needs a {minimal}-point axis, cap is {grid_cap}")
-
-
-def linf(f: TorusField, oversample: int = 4, grid_cap=None) -> float:
-    """Max of |f| over an oversampled collocation grid (a lower bound
-    on the true sup)."""
-    val, _ = _linf_with_grid(f, oversample, grid_cap)
-    return val
 
 
 def x_norm(q: TorusField, oversample: int = 4, grid_cap=None) -> float:
@@ -64,9 +58,7 @@ def sobolev(f: TorusField, s: float) -> float:
     s = float(s)
     if s < 0:
         require_mean_zero(f, f"sobolev s={s:g}")
-    K = f.band
-    k = np.arange(-K, K + 1, dtype=np.float64)
-    kn = np.hypot(*np.meshgrid(k, k, indexing="ij"))
+    _, _, kn = _kgrids(f.band)
     mask = kn > 0
     if not mask.any():
         return 0.0
@@ -86,8 +78,7 @@ class DyadicBlock:
 def dyadic_blocks(f: TorusField) -> list[DyadicBlock]:
     """Split f into its dyadic annuli (empty blocks are skipped)."""
     K = f.band
-    k = np.arange(-K, K + 1, dtype=np.float64)
-    kn = np.hypot(*np.meshgrid(k, k, indexing="ij"))
+    _, _, kn = _kgrids(K)
     jmax = 0 if K == 0 else max(0, math.ceil(math.log2(math.hypot(K, K))))
     out = []
     for j in range(jmax + 1):
@@ -143,28 +134,3 @@ def holder_quotient(f: TorusField, alpha: float, samples: int = 200,
     ok = dist > 0
     quot = float(np.max(np.abs(fx - fy)[ok] / dist[ok] ** alpha)) if ok.any() else 0.0
     return quot + linf(f)
-
-
-@dataclass
-class NormReport:
-    """Bundle of the standard measurements for one field."""
-
-    linf: float
-    xnorm: float
-    grid_used: int
-    sobolev: dict = field(default_factory=dict)
-    holder_besov: dict = field(default_factory=dict)
-    holder_quotient: dict = field(default_factory=dict)
-
-
-def norm_report(f: TorusField, sobolev_orders=(), alphas=(),
-                oversample: int = 4, grid_cap=None,
-                quotient_samples: int = 200) -> NormReport:
-    val, grid = _linf_with_grid(f, oversample, grid_cap)
-    rep = NormReport(linf=val, xnorm=x_norm(f, oversample, grid_cap), grid_used=grid)
-    for s in sobolev_orders:
-        rep.sobolev[float(s)] = sobolev(f, s)
-    for a in alphas:
-        rep.holder_besov[float(a)] = holder_besov(f, a, oversample, grid_cap)
-        rep.holder_quotient[float(a)] = holder_quotient(f, a, quotient_samples)
-    return rep

@@ -26,6 +26,7 @@ from .multipliers import (
     DIRECTIONS,
     L1,
     L2,
+    _kgrids,
     directional_grad,
     lambda_s,
     modulate,
@@ -113,9 +114,7 @@ def check_algebraic(kmax: int) -> float:
 
 def check_support(f: TorusField, radius: float) -> float:
     """Largest coefficient magnitude beyond |k| > radius."""
-    K = f.band
-    k = np.arange(-K, K + 1, dtype=np.float64)
-    kn = np.hypot(*np.meshgrid(k, k, indexing="ij"))
+    _, _, kn = _kgrids(f.band)
     outside = kn > radius
     if not outside.any():
         return 0.0

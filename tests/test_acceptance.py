@@ -2,8 +2,6 @@
 
 The heavy shared state (the seeded lambda1=96 step, the lambda1=96 vs
 192 scaling runs) lives in module fixtures so each is computed once.
-Timed gates run after the kernel warm-up fixture so JIT compilation
-never leaks into a budget.
 """
 
 from __future__ import annotations
@@ -29,7 +27,6 @@ from sqgci.iteration import (
     scales_for,
     step,
 )
-from sqgci.kernels import cutoff_profile, hermitian_violation, t_symbols
 from sqgci.multipliers import DIRECTIONS, inv_div, lambda_s, multiply
 from sqgci.norms import linf
 from sqgci.verify import (
@@ -44,13 +41,6 @@ from sqgci.verify import (
 )
 
 R1 = 96.0 ** -0.25
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _warm_kernels():
-    cutoff_profile(np.linspace(0.0, 2.0, 64))
-    t_symbols(16, 3, 4, 5, 4)
-    hermitian_violation(np.zeros((3, 3), dtype=np.complex128))
 
 
 @pytest.fixture(scope="module")

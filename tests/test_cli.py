@@ -8,7 +8,10 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from sqgci import iteration
 from sqgci.cli import main, parse_config, render_json
 from sqgci.errors import ParseError, ValidationError
 from sqgci.fields import TorusField, read_sqf1, write_sqf1
@@ -75,6 +78,22 @@ def test_parse_error_carries_line_number():
     assert "line 1" in str(ei.value)
     with pytest.raises(ParseError):
         parse_config("b = 1.2\n")  # missing required keys
+
+
+@settings(max_examples=200, deadline=None)
+@given(nu=st.floats(), c0=st.floats())
+@example(nu=math.nan, c0=math.inf)
+def test_parse_config_float_values_valid_or_rejected(nu, c0):
+    text = f"lambda0=2\nb=5\nbeta=0.25\ngamma=1\nnu = {nu!r}\nc0 = {c0!r}\n"
+    try:
+        cfg = parse_config(text)
+    except ValidationError as e:
+        # every non-finite value is reported, not only the first
+        for name, v in (("nu", nu), ("c0", c0)):
+            assert math.isfinite(v) or f"{name} must be finite" in str(e)
+        return
+    assert math.isfinite(cfg.params.nu) and cfg.params.nu >= 0.0
+    assert math.isfinite(cfg.params.c0) and cfg.params.c0 >= 2.0
 
 
 def test_validation_collects_everything():
@@ -244,3 +263,25 @@ def test_cli_run_echo_roundtrip(tmp_path):
     assert echo["lambda0"] == 4
     assert echo["emit"] == ["ledger", "reports"]
     assert echo["separation"] == "warn"
+
+
+def test_failed_run_keeps_ledger_and_resumes(tmp_path, monkeypatch):
+    two = _write(tmp_path, TINY, "two.cfg")
+    fresh = str(tmp_path / "fresh")
+    assert main(["run", "--config", two, "--out", fresh, "--quiet"]) == 0
+    # the third step of this config breaks positivity (exit 3)
+    out = str(tmp_path / "failed")
+    three = _write(tmp_path, TINY.replace("steps = 2", "steps = 3"), "three.cfg")
+    assert main(["run", "--config", three, "--out", out, "--quiet"]) == 3
+    ledger = open(os.path.join(out, "ledger.jsonl"), "rb").read()
+    assert ledger == open(os.path.join(fresh, "ledger.jsonl"), "rb").read()
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("a resumed run recomputed a finished step")
+
+    monkeypatch.setattr(iteration, "step", no_step)
+    assert main(["run", "--config", two, "--out", out, "--quiet"]) == 0
+    for name in ("ledger.jsonl", "theta.sqf1", "f.sqf1"):
+        a = open(os.path.join(fresh, name), "rb").read()
+        b = open(os.path.join(out, name), "rb").read()
+        assert a == b, name

@@ -12,6 +12,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sqgci.errors import GridTooSmall, NonZeroMean, NotPositive, ParseError
 from sqgci.fields import (
@@ -150,6 +152,14 @@ def test_hermitian_symmetrization_and_rejection():
     assert sym.coeff(-1, 0) == np.conj(sym.coeff(1, 0))
 
 
+def test_checked_construction_rejects_non_finite():
+    for bad in (np.nan, np.inf, complex(0.0, -np.inf), 1.7e308):
+        c = np.zeros((3, 3), dtype=np.complex128)
+        c[1, 1] = bad
+        with pytest.raises(ValueError, match="non-finite or overflowing"):
+            TorusField(c)
+
+
 def test_mean_zero_flag_enforced():
     c = np.zeros((3, 3), dtype=np.complex128)
     c[1, 1] = 0.7
@@ -243,6 +253,41 @@ def test_sqf1_corruption_detected(tmp_path):
     _expect_fail(bytes(broken))
     flag = raw[:12] + struct.pack("<q", 5) + bytes(raw[20:])
     _expect_fail(flag)                               # meanZero flag
+    for value in (np.nan, 1.7e308):                  # non-finite, overflowing
+        big = bytearray(raw)
+        for off in (36, 132):                        # modes (-1, 0) and (1, 0)
+            big[off:off + 16] = struct.pack("<dd", value, 0.0)
+        _expect_fail(bytes(big))
+
+
+@st.composite
+def _sqf1_blobs(draw):
+    """A valid header with an arbitrary payload of the right length, or
+    arbitrary short bytes (optionally behind the magic)."""
+    if draw(st.booleans()):
+        band = draw(st.integers(0, 2))
+        n = 2 * band + 1
+        header = struct.pack("<4sIIq", b"SQF1", 1, band, draw(st.integers(0, 1)))
+        return header + draw(st.binary(min_size=16 * n * n, max_size=16 * n * n))
+    return draw(st.sampled_from([b"", b"SQF1"])) + draw(st.binary(max_size=64))
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("fuzz") / "f.sqf1")
+
+
+@settings(max_examples=200, deadline=None)
+@given(blob=_sqf1_blobs())
+def test_read_sqf1_fuzz_field_or_parse_error(fuzz_path, blob):
+    with open(fuzz_path, "wb") as fh:
+        fh.write(blob)
+    with np.errstate(all="ignore"):
+        try:
+            f = read_sqf1(fuzz_path)
+        except ParseError:
+            return
+    assert np.all(np.isfinite(f.coeffs))
 
 
 def test_sqf1_atomic_write_leaves_no_temp(tmp_path):

@@ -22,7 +22,6 @@ from sqgci.iteration import (
     assemble_osc,
     build_f_next,
     lambda_at,
-    leibniz_terms,
     make_base,
     nonlinear_flux,
     params_hash,
@@ -124,20 +123,6 @@ def test_qm1_zero_when_stress_zero():
     ap = TorusField.constant(0.3)
     qm1 = q_m1(ap, ap, TorusField.zero(), sc)
     assert qm1.max_abs_coeff() == 0.0
-
-
-def test_leibniz_reconstruction():
-    # Lambda(a cos(lam5 l.x)) splits into three exactly computable terms
-    rng = np.random.default_rng(5)
-    for l, lam5 in ((L1, 40), (L2, 56)):
-        a = random_field(4, rng)
-        dg, t1, t2 = leibniz_terms(a, lam5, l)
-        lhs = lambda_s(modulate(a, l.wave(lam5), "cos"), 1.0)
-        rhs = (modulate(a, l.wave(lam5), "cos") * float(lam5)
-               + modulate(t1, l.wave(lam5), "cos")
-               + modulate(dg + t2, l.wave(lam5), "sin"))
-        diff = lhs - rhs
-        assert diff.max_abs_coeff() < 1e-13 * lhs.max_abs_coeff()
 
 
 def test_decomposition_closure_generic_amplitudes():

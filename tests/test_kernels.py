@@ -1,4 +1,4 @@
-"""Kernel profiles and the numba/numpy agreement contract."""
+"""Cutoff profile, carrier symbol grids and the Hermitian scan."""
 
 from __future__ import annotations
 
@@ -7,15 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from sqgci.kernels import (
-    HAVE_NUMBA,
-    cutoff_profile,
-    cutoff_profile_numpy,
-    hermitian_violation,
-    hermitian_violation_numpy,
-    t_symbols,
-    t_symbols_numpy,
-)
+from sqgci.kernels import cutoff_profile, hermitian_violation, t_symbols
 
 
 def test_cutoff_plateau_and_tail():
@@ -99,20 +91,3 @@ def test_hermitian_violation_detects_perturbation():
     # the (2,3)/(−2,−3) pair now disagrees by exactly the bump
     assert hermitian_violation(sym) == pytest.approx(4e-7, rel=1e-9)
 
-
-@pytest.mark.skipif(not HAVE_NUMBA, reason="numba path not active")
-def test_numba_matches_numpy():
-    rng = np.random.default_rng(11)
-    r = np.abs(rng.normal(scale=0.6, size=513))
-    np.testing.assert_allclose(cutoff_profile(r), cutoff_profile_numpy(r),
-                               rtol=0, atol=1e-15)
-
-    for lam, n1, n2, d in ((96, 3, 4, 5), (480, 1, 0, 1), (13, 1, 0, 1)):
-        a1, a2 = t_symbols(lam, n1, n2, d, 8)
-        b1, b2 = t_symbols_numpy(lam, n1, n2, d, 8)
-        np.testing.assert_array_equal(a1, b1)
-        np.testing.assert_array_equal(a2, b2)
-
-    c = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
-    assert hermitian_violation(c) == pytest.approx(
-        hermitian_violation_numpy(c), rel=0, abs=0)

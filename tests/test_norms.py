@@ -13,7 +13,6 @@ from sqgci.norms import (
     holder_besov,
     holder_quotient,
     linf,
-    norm_report,
     sobolev,
     x_norm,
 )
@@ -128,15 +127,3 @@ def test_grid_budget_cap():
         linf(f, oversample=4, grid_cap=64)
     # generous cap falls back to the largest fitting grid
     assert abs(linf(f, oversample=4, grid_cap=256) - 1.0) < 1e-13
-
-
-def test_norm_report_shape():
-    rng = np.random.default_rng(23)
-    f = random_field(4, rng)
-    rep = norm_report(f, sobolev_orders=(0.0, -0.5), alphas=(0.5,))
-    assert rep.linf > 0.0
-    assert rep.xnorm >= rep.linf
-    assert rep.grid_used >= 10
-    assert set(rep.sobolev) == {0.0, -0.5}
-    assert set(rep.holder_besov) == {0.5}
-    assert rep.holder_quotient[0.5] >= rep.linf

@@ -12,9 +12,10 @@ SQF1 checkpoints (f_leq_<n>.sqf1, q_<n>.sqf1, state_<n>.json), final
 theta.sqf1 / f.sqf1, CSV spectra, and run.json with the parameter echo
 and feasibility report. The ledger is rewritten as each step completes,
 before that step's checkpoint, so a run that fails keeps the rows and
-checkpoints of its finished steps. Rerunning on a directory holding a
-matching checkpoint resumes from it; the resumed ledger is identical to
-an unbroken run's.
+checkpoints of its finished steps. Each state_<n>.json records the
+sha256 of ledger rows 1..n. Rerunning on a directory holding a matching
+checkpoint, whose ledger still starts with those rows, resumes from it;
+the resumed ledger is identical to an unbroken run's.
 
 Exit codes: 0 success, 2 config/validation failure, 3 numeric failure
 (broken positivity, separation, grid budget), 4 I/O failure. Errors are
@@ -24,6 +25,7 @@ reported as one JSON object on stderr.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -230,9 +232,18 @@ def _checkpoint_paths(out_dir: str, n: int):
             os.path.join(out_dir, f"state_{n}.json"))
 
 
+def _ledger_text(lines) -> str:
+    return "".join(line + "\n" for line in lines)
+
+
+def _ledger_sha256(lines) -> str:
+    return hashlib.sha256(_ledger_text(lines).encode("utf-8")).hexdigest()
+
+
 def _find_resume(cfg: RunConfig, digest: str):
     """Locate the newest usable checkpoint: its sidecar must match the
-    parameter digest and the ledger must already contain its rows."""
+    parameter digest, and the ledger's first n rows must be the ones the
+    sidecar recorded (so rows another config wrote are never kept)."""
     ledger_path = os.path.join(cfg.out_dir, "ledger.jsonl")
     try:
         with open(ledger_path, "r", encoding="utf-8") as fh:
@@ -251,7 +262,7 @@ def _find_resume(cfg: RunConfig, digest: str):
             continue
         if meta.get("params_hash") != digest or meta.get("n") != n:
             continue
-        if len(ledger_lines) < n:
+        if meta.get("ledger_sha256") != _ledger_sha256(ledger_lines[:n]):
             continue
         state = StepState(n=n, f_leq=read_sqf1(fpath), q=read_sqf1(qpath))
         return state, ledger_lines[:n]
@@ -273,8 +284,7 @@ def cmd_run(cfg: RunConfig, quiet: bool = False) -> int:
 
     def write_ledger():
         if "ledger" in cfg.emit:
-            _write_text(os.path.join(cfg.out_dir, "ledger.jsonl"),
-                        "".join(line + "\n" for line in lines))
+            _write_text(os.path.join(cfg.out_dir, "ledger.jsonl"), _ledger_text(lines))
 
     if state.n == p.steps:
         write_ledger()  # nothing left to compute; a shorter rerun truncates
@@ -290,7 +300,7 @@ def cmd_run(cfg: RunConfig, quiet: bool = False) -> int:
             sc = scales_for(p, state.n)
             _write_text(spath, render_json({
                 "n": state.n, "lambda_n": sc.lambda_n, "r_n": sc.r_n,
-                "params_hash": digest}) + "\n")
+                "params_hash": digest, "ledger_sha256": _ledger_sha256(lines)}) + "\n")
         if not quiet:
             print(f"step {row['n']}: |q|_X/r = {row['ratio_q_over_r']:.6g}, "
                   f"master residual = {row['master_residual']:.3e}")

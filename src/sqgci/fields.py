@@ -5,9 +5,15 @@ A TorusField stores the Fourier coefficients c(k) of
     f(x) = sum_{|k|_inf <= K} c(k) exp(i k.x)
 
 densely as a (2K+1) x (2K+1) complex array indexed [k1+K, k2+K]. Every
-field is real-valued, so c(-k) = conj(c(k)); construction checks that
-symmetry (tolerance 1e-13 relative to the largest coefficient) and then
-enforces it exactly, and the array is frozen afterwards.
+field is real-valued, so c(-k) = conj(c(k)), and its array is frozen.
+
+Construction depends on where coefficients come from. Outside data
+(user arrays, `from_modes`, `constant`, SQF1 reads) and FFT output in
+`from_grid` go through the checked constructor `TorusField(coeffs,
+mean_zero)`: copy, finite and Hermitian checks (1e-13 relative to the
+largest coefficient), exact symmetrisation. Arrays that exact operations
+produce (multipliers, lattice shifts, sums, scalar multiples, pad, trim)
+are Hermitian bit for bit; `TorusField._exact` freezes them unchecked.
 
 Collocation uses the nodes x_ij = 2*pi*(i, j)/N - (pi, pi) and real
 transforms. Products of band-limited fields are band-limited, so they
@@ -22,9 +28,6 @@ The binary field format SQF1 is implemented here:
     i64 LE      meanZero flag (0 or 1)
     then (2K+1)^2 coefficients as (re, im) f64 LE pairs, row-major,
     k1 = -K..K outer, k2 = -K..K inner.
-
-Readers verify on load that the coefficients are finite and
-Hermitian-symmetric.
 """
 
 from __future__ import annotations
@@ -47,60 +50,59 @@ _SQF1_VERSION = 1
 
 
 class TorusField:
-    """Immutable band-limited real scalar field.
-
-    Parameters
-    ----------
-    coeffs : (2K+1, 2K+1) complex array
-        Fourier coefficients, index [k1+K, k2+K].
-    mean_zero : bool
-        Declares a vanishing mean; c(0) must already be negligible and
-        is then zeroed exactly.
-    check : bool
-        Verify Hermitian symmetry (skipped only by internal callers
-        that construct symmetric data by design).
-    """
+    """Immutable band-limited real scalar field, built by the checked
+    constructor from a (2K+1, 2K+1) complex array indexed [k1+K, k2+K].
+    mean_zero declares a vanishing mean: c(0) must be negligible and is
+    then zeroed exactly."""
 
     __slots__ = ("coeffs", "band", "mean_zero")
 
-    def __init__(self, coeffs, mean_zero=False, check=True):
+    def __init__(self, coeffs, mean_zero=False):
         c = np.array(coeffs, dtype=np.complex128)
         if c.ndim != 2 or c.shape[0] != c.shape[1] or c.shape[0] % 2 != 1:
             raise ValueError(f"coefficient array must be square odd-sized, got {c.shape}")
         K = c.shape[0] // 2
-        maxc = float(np.abs(c).max()) if c.size else 0.0
+        maxc = float(np.abs(c).max())
         # 2*maxc bounds every entry of the symmetrization below
-        if check and not np.isfinite(2.0 * maxc):
+        if not np.isfinite(2.0 * maxc):
             raise ValueError(f"non-finite or overflowing coefficient (max |c| = {maxc})")
-        if check and maxc > 0.0:
+        if maxc > 0.0:
             viol = hermitian_violation(c)
             if viol > HERMITIAN_RTOL * maxc:
-                raise ValueError(
-                    f"Hermitian symmetry violated: {viol:.3e} > {HERMITIAN_RTOL:g} * {maxc:.3e}"
-                )
+                raise ValueError(f"Hermitian symmetry violated: {viol:.3e} > "
+                                 f"{HERMITIAN_RTOL:g} * {maxc:.3e}")
         # enforce exactly so realness never drifts
-        c = 0.5 * (c + np.conj(c[::-1, ::-1]))
+        c += np.conj(c[::-1, ::-1])
+        c *= 0.5
         if mean_zero:
             if maxc > 0.0 and abs(c[K, K]) > HERMITIAN_RTOL * maxc:
-                raise NonZeroMean(
-                    f"declared mean-zero but c(0) = {c[K, K]:.3e} (max {maxc:.3e})"
-                )
+                raise NonZeroMean(f"declared mean-zero but c(0) = {c[K, K]:.3e} "
+                                  f"(max {maxc:.3e})")
             c[K, K] = 0.0
+        self._freeze(c, mean_zero)
+
+    def _freeze(self, c, mean_zero):
         c.flags.writeable = False
-        self.coeffs = c
-        self.band = K
-        self.mean_zero = bool(mean_zero)
+        self.coeffs, self.band, self.mean_zero = c, c.shape[0] // 2, bool(mean_zero)
+
+    @classmethod
+    def _exact(cls, c, mean_zero):
+        """Wrap a fresh array that is Hermitian by construction, with
+        c(0) == 0 when mean_zero; c is frozen in place, not copied."""
+        f = cls.__new__(cls)
+        f._freeze(c, mean_zero)
+        return f
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def zero(cls, band=0, mean_zero=True):
         n = 2 * band + 1
-        return cls(np.zeros((n, n), dtype=np.complex128), mean_zero=mean_zero, check=False)
+        return cls._exact(np.zeros((n, n), dtype=np.complex128), mean_zero=mean_zero)
 
     @classmethod
     def constant(cls, value):
-        return cls(np.array([[complex(value)]]), check=False)
+        return cls(np.array([[complex(value)]]))
 
     @classmethod
     def from_modes(cls, band, modes, mean_zero=False):
@@ -114,7 +116,7 @@ class TorusField:
             c[k1 + band, k2 + band] += amp
             if (k1, k2) != (0, 0):
                 c[-k1 + band, -k2 + band] += np.conj(amp)
-        return cls(c, mean_zero=mean_zero, check=False)
+        return cls(c, mean_zero=mean_zero)
 
     # -- basic accessors ----------------------------------------------
 
@@ -137,15 +139,11 @@ class TorusField:
             raise ValueError(f"cannot pad band {self.band} down to {band}")
         if band == self.band:
             return self
-        n = 2 * band + 1
-        c = np.zeros((n, n), dtype=np.complex128)
-        lo = band - self.band
-        hi = band + self.band + 1
-        c[lo:hi, lo:hi] = self.coeffs
-        return TorusField(c, mean_zero=self.mean_zero, check=False)
+        return TorusField._exact(np.pad(self.coeffs, band - self.band), mean_zero=self.mean_zero)
 
     def trim(self):
-        """Smallest band holding all nonzero coefficients."""
+        """Smallest band holding all nonzero coefficients. The slice is
+        copied, so the result never keeps this field's box alive."""
         nz = np.argwhere(self.coeffs != 0)
         if nz.size == 0:
             return TorusField.zero(0, mean_zero=self.mean_zero)
@@ -153,29 +151,29 @@ class TorusField:
         b = int(np.abs(nz - K).max())
         if b == K:
             return self
-        return TorusField(self.coeffs[K - b:K + b + 1, K - b:K + b + 1],
-                          mean_zero=self.mean_zero, check=False)
+        return TorusField._exact(self.coeffs[K - b:K + b + 1, K - b:K + b + 1].copy(),
+                                 mean_zero=self.mean_zero)
 
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other):
         if not isinstance(other, TorusField):
             return NotImplemented
-        K = max(self.band, other.band)
-        a = self.pad_to(K)
-        b = other.pad_to(K)
-        return TorusField(a.coeffs + b.coeffs,
-                          mean_zero=self.mean_zero and other.mean_zero, check=False)
+        big, small = (self, other) if self.band >= other.band else (other, self)
+        c = big.coeffs.copy()
+        lo, hi = big.band - small.band, big.band + small.band + 1
+        c[lo:hi, lo:hi] += small.coeffs
+        return TorusField._exact(c, mean_zero=self.mean_zero and other.mean_zero)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return TorusField(-self.coeffs, mean_zero=self.mean_zero, check=False)
+        return TorusField._exact(-self.coeffs, mean_zero=self.mean_zero)
 
     def __mul__(self, scalar):
         s = float(scalar)
-        return TorusField(self.coeffs * s, mean_zero=self.mean_zero, check=False)
+        return TorusField._exact(self.coeffs * s, mean_zero=self.mean_zero)
 
     __rmul__ = __mul__
 
@@ -259,28 +257,27 @@ def to_grid(f: TorusField, N: int) -> GridSamples:
     return GridSamples(N=N, values=vals)
 
 
-def from_grid(s: GridSamples, K: int, mean_zero=False) -> TorusField:
+def from_grid(s: GridSamples, K: int) -> TorusField:
     """Band-K truncation of the discrete transform of the samples.
 
-    Exact (to rounding) when the samples came from a band-K field.
+    Exact (to rounding) when the samples came from a band-K field; the
+    transform is Hermitian only to rounding, so the result goes through
+    the checked constructor.
     Requires N >= 2K+2 so the requested modes occupy distinct bins.
     """
     N = s.N
     if N < 2 * K + 2:
         raise GridTooSmall(f"grid {N} < 2*{K}+2 required to read band {K}")
     H = scipy.fft.rfft2(s.values, norm="forward")
-    n = 2 * K + 1
-    c = np.zeros((n, n), dtype=np.complex128)
-    k1 = np.arange(-K, K + 1)
-    for k2 in range(-K, K + 1):
-        b2 = k2 % N
-        if b2 <= N // 2:
-            col = H[k1 % N, b2]
-        else:
-            col = np.conj(H[(-k1) % N, N - b2])
-        c[:, k2 + K] = col
+    # k2 >= 0 sits in half-spectrum column k2; k2 < 0 is the conjugate of
+    # the bin at -k, row (-k1) mod N, column -k2
+    rows = np.arange(-K, K + 1) % N
+    cols = np.arange(K + 1)
+    c = np.empty((2 * K + 1, 2 * K + 1), dtype=np.complex128)
+    c[:, K:] = H[rows[:, None], cols]
+    c[:, :K] = np.conj(H[rows[::-1, None], cols[K:0:-1]])
     c *= _phase(K)
-    return TorusField(c, mean_zero=mean_zero)
+    return TorusField(c)
 
 
 def multiply(f: TorusField, g: TorusField) -> TorusField:
@@ -355,12 +352,10 @@ def random_field(band, rng, mean_zero=True):
     k = np.arange(-band, band + 1)
     outside = (k[:, None] ** 2 + k[None, :] ** 2) > band * band
     z[outside] = 0.0
-    z = 0.5 * (z + np.conj(z[::-1, ::-1]))
+    z = 0.5 * (z + np.conj(z[::-1, ::-1]))  # this leaves c(0) real
     if mean_zero:
         z[band, band] = 0.0
-    else:
-        z[band, band] = z[band, band].real
-    return TorusField(z, mean_zero=mean_zero, check=False)
+    return TorusField._exact(z, mean_zero=mean_zero)
 
 
 # -- SQF1 serialization -----------------------------------------------
@@ -389,9 +384,9 @@ def write_sqf1(f: TorusField, path):
 
 
 def read_sqf1(path) -> TorusField:
-    """Read an SQF1 field; verifies magic, version, size, finite and
-    Hermitian-symmetric coefficients, and the meanZero flag against c(0)
-    (ParseError on any mismatch)."""
+    """Read an SQF1 field; verifies magic, version and size, and, through
+    the checked constructor, finite and Hermitian-symmetric coefficients
+    and the meanZero flag against c(0) (ParseError on any mismatch)."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < 20:
@@ -407,13 +402,8 @@ def read_sqf1(path) -> TorusField:
     want = 20 + 16 * n * n
     if len(raw) != want:
         raise ParseError(f"{path}: expected {want} bytes for band {band}, got {len(raw)}")
-    c = np.frombuffer(raw[20:], dtype="<c16").reshape(n, n).astype(np.complex128)
-    maxc = float(np.abs(c).max())
-    if not np.isfinite(2.0 * maxc):
-        raise ParseError(f"{path}: non-finite or overflowing coefficient (max |c| = {maxc})")
-    if maxc > 0.0 and hermitian_violation(c) > HERMITIAN_RTOL * maxc:
-        raise ParseError(f"{path}: coefficients are not Hermitian-symmetric")
+    c = np.frombuffer(raw, dtype="<c16", offset=20).reshape(n, n)
     try:
-        return TorusField(c, mean_zero=bool(mz), check=False)
-    except NonZeroMean as e:
+        return TorusField(c, mean_zero=bool(mz))
+    except ValueError as e:  # NonZeroMean included
         raise ParseError(f"{path}: {e}") from None

@@ -432,13 +432,14 @@ def step(state: StepState, params: IterationParams, grid_cap: int = 4096):
         gp = grad_perp(f1)
         denom = linf(lambda_s(f1, 1.0), os, grid_cap) * max(
             linf(gp.comp1, os, grid_cap), linf(gp.comp2, os, grid_cap))
-    direct_all = inv_div(nonlinear_flux(f1, f1)
+    self_flux = nonlinear_flux(f1, f1)
+    direct_all = inv_div(self_flux
                          + nonlinear_flux(state.f_leq, f1)
                          + nonlinear_flux(f1, state.f_leq))
     diss = lambda_s(f1, params.gamma - 1.0) * params.nu if params.nu else TorusField.zero()
     master = _rel_linf(direct_all + state.q - q_next - diss, denom, os, grid_cap)
 
-    direct_new = inv_div(nonlinear_flux(f1, f1)) + state.q
+    direct_new = inv_div(self_flux) + state.q
     decomp = _rel_linf((qm1 + qm2 + qm3) - direct_new, denom, os, grid_cap)
 
     xq = x_norm(q_next, os, grid_cap)

@@ -3,8 +3,8 @@
 Three inner loops run outside scipy's FFTs: the smooth cutoff profile
 evaluated on wavenumber grids, the shifted-symbol pair for the
 modulated-wave operators, and the Hermitian symmetry scan. The scan
-runs only on checked construction (external coefficient arrays and
-SQF1 reads); fields built by the package's own operations skip it.
+runs only in the checked constructor (external arrays, SQF1 reads and
+`fields.from_grid`); fields built by exact operations skip it.
 """
 
 import numpy as np

@@ -120,7 +120,7 @@ def lambda_s(f: TorusField, s: float) -> TorusField:
         m[K, K] = 0.0
     else:
         m = kn ** s
-    return TorusField(f.coeffs * m, mean_zero=True, check=False)
+    return TorusField._exact(f.coeffs * m, mean_zero=True)
 
 
 def _riesz_raw(f: TorusField, j: int) -> TorusField:
@@ -131,7 +131,7 @@ def _riesz_raw(f: TorusField, j: int) -> TorusField:
     with np.errstate(invalid="ignore"):
         m = kj / kn
     m[K, K] = 0.0
-    return TorusField(f.coeffs * (1j * m), mean_zero=True, check=False)
+    return TorusField._exact(f.coeffs * (1j * m), mean_zero=True)
 
 
 def riesz(f: TorusField, j: int) -> TorusField:
@@ -164,7 +164,7 @@ def riesz_odd(f: TorusField, j: int) -> TorusField:
     K = f.band
     k1, k2, _ = _kgrids(K)
     m = riesz_odd_symbol(j, k1, k2)
-    return TorusField(f.coeffs * m, mean_zero=True, check=False)
+    return TorusField._exact(f.coeffs * m, mean_zero=True)
 
 
 def t_op(f: TorusField, order: int, lam: int, l: Direction) -> TorusField:
@@ -184,7 +184,7 @@ def t_op(f: TorusField, order: int, lam: int, l: Direction) -> TorusField:
         c = f.coeffs * (1j * t2f)
     else:
         raise ValueError(f"order must be 1 or 2, got {order}")
-    return TorusField(c, mean_zero=True, check=False)
+    return TorusField._exact(c, mean_zero=True)
 
 
 def lowpass(f: TorusField, mu: float) -> TorusField:
@@ -194,8 +194,7 @@ def lowpass(f: TorusField, mu: float) -> TorusField:
         raise ValueError(f"lowpass cutoff must be >= 1, got {mu}")
     _, _, kn = _kgrids(f.band)
     m = cutoff_profile(kn / mu)
-    g = TorusField(f.coeffs * m, mean_zero=f.mean_zero, check=False)
-    return g.trim()
+    return TorusField._exact(f.coeffs * m, mean_zero=f.mean_zero).trim()
 
 
 def fat_lowpass(f: TorusField, mu: float) -> TorusField:
@@ -205,8 +204,7 @@ def fat_lowpass(f: TorusField, mu: float) -> TorusField:
         raise ValueError(f"fat_lowpass cutoff must be >= 1, got {mu}")
     _, _, kn = _kgrids(f.band)
     m = cutoff_profile(kn / (4.0 * mu))
-    g = TorusField(f.coeffs * m, mean_zero=f.mean_zero, check=False)
-    return g.trim()
+    return TorusField._exact(f.coeffs * m, mean_zero=f.mean_zero).trim()
 
 
 def inv_div(v: VectorField) -> TorusField:
@@ -221,14 +219,14 @@ def inv_div(v: VectorField) -> TorusField:
     den[K, K] = 1.0
     c = num / den
     c[K, K] = 0.0
-    return TorusField(c, mean_zero=True, check=False)
+    return TorusField._exact(c, mean_zero=True)
 
 
 def partial(f: TorusField, j: int) -> TorusField:
     """d/dx_j, symbol i k_j."""
     k1, k2, _ = _kgrids(f.band)
     kj = k1 if j == 1 else k2
-    return TorusField(f.coeffs * (1j * kj), mean_zero=True, check=False)
+    return TorusField._exact(f.coeffs * (1j * kj), mean_zero=True)
 
 
 def grad(f: TorusField) -> VectorField:
@@ -244,7 +242,7 @@ def directional_grad(f: TorusField, l: Direction) -> TorusField:
     """(l . grad) f, exact rational symbol i (n1 k1 + n2 k2)/d."""
     k1, k2, _ = _kgrids(f.band)
     m = 1j * ((l.n1 * k1 + l.n2 * k2) / l.d)
-    return TorusField(f.coeffs * m, mean_zero=True, check=False)
+    return TorusField._exact(f.coeffs * m, mean_zero=True)
 
 
 def riesz_commutator(psi: TorusField, theta: TorusField, j: int) -> TorusField:
@@ -274,23 +272,21 @@ def modulate(a: TorusField, p, trig: str) -> TorusField:
 
     Band grows by max(|p1|, |p2|).
     """
+    if trig not in ("cos", "sin"):
+        raise ValueError(f"trig must be 'cos' or 'sin', got {trig!r}")
     p1, p2 = int(p[0]), int(p[1])
     Ka = a.band
     Kout = Ka + max(abs(p1), abs(p2))
     n = 2 * Kout + 1
     w = 2 * Ka + 1
-    plus = np.zeros((n, n), dtype=np.complex128)
-    lo1 = Kout + p1 - Ka
-    lo2 = Kout + p2 - Ka
-    plus[lo1:lo1 + w, lo2:lo2 + w] = a.coeffs
-    minus = np.zeros((n, n), dtype=np.complex128)
-    lo1 = Kout - p1 - Ka
-    lo2 = Kout - p2 - Ka
-    minus[lo1:lo1 + w, lo2:lo2 + w] = a.coeffs
+    c = np.zeros((n, n), dtype=np.complex128)
+    lo1, lo2 = Kout + p1 - Ka, Kout + p2 - Ka
+    c[lo1:lo1 + w, lo2:lo2 + w] = a.coeffs
+    lo1, lo2 = Kout - p1 - Ka, Kout - p2 - Ka
     if trig == "cos":
-        c = 0.5 * (plus + minus)
-    elif trig == "sin":
-        c = (plus - minus) / 2j
+        c[lo1:lo1 + w, lo2:lo2 + w] += a.coeffs
+        c *= 0.5
     else:
-        raise ValueError(f"trig must be 'cos' or 'sin', got {trig!r}")
-    return TorusField(c, mean_zero=False, check=False)
+        c[lo1:lo1 + w, lo2:lo2 + w] -= a.coeffs
+        c /= 2j
+    return TorusField._exact(c, mean_zero=False)

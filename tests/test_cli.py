@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sqgci import iteration
+from sqgci import cli, iteration
 from sqgci.cli import main, parse_config, render_json
 from sqgci.errors import ParseError, ValidationError
 from sqgci.fields import TorusField, read_sqf1, write_sqf1
@@ -94,6 +94,29 @@ def test_parse_config_float_values_valid_or_rejected(nu, c0):
         return
     assert math.isfinite(cfg.params.nu) and cfg.params.nu >= 0.0
     assert math.isfinite(cfg.params.c0) and cfg.params.c0 >= 2.0
+
+
+_CONFIG_VALUES = st.one_of(
+    st.text(max_size=12),
+    st.integers(-10 ** 6, 10 ** 6).map(str),
+    st.floats().map(repr),
+    st.sampled_from(["nan", "-inf", "1e400", "0x10", "1_000", "all", "ledger, csv",
+                     "warn", "strict48", "synthetic", "zero", "."]),
+)
+_CONFIG_LINES = st.one_of(
+    st.tuples(st.sampled_from(sorted(cli._ALL_KEYS) + ["zeta"]), _CONFIG_VALUES)
+    .map(lambda kv: f"{kv[0]} = {kv[1]}"),
+    st.text(max_size=20),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=st.lists(_CONFIG_LINES, max_size=14))
+def test_parse_config_fuzz_raises_only_config_errors(lines):
+    try:
+        parse_config("\n".join(lines))
+    except (ParseError, ValidationError):
+        pass
 
 
 def test_validation_collects_everything():
@@ -285,3 +308,19 @@ def test_failed_run_keeps_ledger_and_resumes(tmp_path, monkeypatch):
         a = open(os.path.join(fresh, name), "rb").read()
         b = open(os.path.join(out, name), "rb").read()
         assert a == b, name
+
+
+def test_resume_rejects_a_ledger_another_config_wrote(tmp_path):
+    text = SYNTH.replace("steps = 1", "steps = 2")
+    own = _write(tmp_path, text + "seed = 0\n", "own.cfg")
+    out = str(tmp_path / "mix")
+    ledger_path = os.path.join(out, "ledger.jsonl")
+    assert main(["run", "--config", own, "--out", out, "--quiet"]) == 0
+    own_ledger = open(ledger_path, "rb").read()
+    # another seed overwrites the ledger but leaves the checkpoints alone
+    other = _write(tmp_path, text + "seed = 9\nemit = ledger\n", "other.cfg")
+    assert main(["run", "--config", other, "--out", out, "--quiet"]) == 0
+    assert open(ledger_path, "rb").read() != own_ledger
+    # the checkpoints still match the config, but the ledger rows do not
+    assert main(["run", "--config", own, "--out", out, "--quiet"]) == 0
+    assert open(ledger_path, "rb").read() == own_ledger

@@ -19,6 +19,7 @@ from sqgci.errors import GridTooSmall, NonZeroMean, NotPositive, ParseError
 from sqgci.fields import (
     GridSamples,
     TorusField,
+    VectorField,
     from_grid,
     good_grid,
     inner,
@@ -29,6 +30,20 @@ from sqgci.fields import (
     to_grid,
     write_sqf1,
 )
+from sqgci.multipliers import (
+    DIRECTIONS,
+    directional_grad,
+    fat_lowpass,
+    inv_div,
+    lambda_s,
+    lowpass,
+    modulate,
+    partial,
+    riesz,
+    riesz_odd,
+    t_op,
+)
+from sqgci.norms import dyadic_blocks
 
 
 def _direct_sum(f: TorusField, N: int) -> np.ndarray:
@@ -60,7 +75,7 @@ def _conv_oracle(f: TorusField, g: TorusField) -> TorusField:
                     cg = g.coeff(p1, p2)
                     if cg != 0.0:
                         acc[Kout + m1 + p1, Kout + m2 + p2] += cf * cg
-    return TorusField(acc, check=False)
+    return TorusField(acc)
 
 
 def test_to_grid_matches_direct_summation():
@@ -148,7 +163,7 @@ def test_hermitian_symmetrization_and_rejection():
     c[2, 1] = 1.0 + 2.0j  # mode (1, 0) without its mirror
     with pytest.raises(ValueError):
         TorusField(c)
-    sym = TorusField(0.5 * (c + np.conj(c[::-1, ::-1])), check=False)
+    sym = TorusField(0.5 * (c + np.conj(c[::-1, ::-1])))
     assert sym.coeff(-1, 0) == np.conj(sym.coeff(1, 0))
 
 
@@ -306,6 +321,64 @@ def test_random_field_reproducible_and_banded():
     k = np.arange(-5, 6)
     outside = (k[:, None] ** 2 + k[None, :] ** 2) > 25
     assert np.all(a.coeffs[outside] == 0.0)
+
+
+def _exact_outputs(band, seed, p, trig, lam_gap, scale):
+    """(name, field) for every producer that builds its field through the
+    exact path, applied to seeded random fields of the given band."""
+    rng = np.random.default_rng(seed)
+    f = random_field(band, rng, mean_zero=True)
+    g = random_field(band + 1, rng, mean_zero=True)
+    h = random_field(band, rng, mean_zero=False)
+    lam = band + lam_gap
+    out = [("zero", TorusField.zero(band)), ("random_field", f),
+           ("random_field mean", h), ("add", h + g), ("add mean-zero", f + g),
+           ("sub", f - g), ("neg", -h), ("mul", h * scale),
+           ("pad_to", h.pad_to(band + 2)), ("trim", h.pad_to(band + 2).trim()),
+           ("modulate", modulate(h, p, trig)),
+           ("inv_div", inv_div(VectorField(f, g)))]
+    out += [(f"lambda_s {s}", lambda_s(f, s)) for s in (-0.5, 0.5, 1.0)]
+    for j in (1, 2):
+        out += [(f"riesz {j}", riesz(f, j)), (f"riesz_odd {j}", riesz_odd(f, j)),
+                (f"partial {j}", partial(h, j))]
+    for l in DIRECTIONS:
+        out += [(f"t_op {k} {l}", t_op(f, k, lam, l)) for k in (1, 2)]
+        out.append((f"directional_grad {l}", directional_grad(h, l)))
+    out += [("lowpass", lowpass(h, 1.0 + band / 2)),
+            ("fat_lowpass", fat_lowpass(h, 1.0 + band / 8))]
+    out += [(f"dyadic block {b.j}", b.part) for b in dyadic_blocks(h)]
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(band=st.integers(0, 6), seed=st.integers(0, 2 ** 32 - 1),
+       p=st.tuples(st.integers(-9, 9), st.integers(-9, 9)),
+       trig=st.sampled_from(["cos", "sin"]), lam_gap=st.integers(1, 20),
+       scale=st.floats(-1e3, 1e3))
+def test_exact_producers_are_hermitian_and_frozen(band, seed, p, trig, lam_gap, scale):
+    for name, fld in _exact_outputs(band, seed, p, trig, lam_gap, scale):
+        c = fld.coeffs
+        assert np.array_equal(c, np.conj(c[::-1, ::-1])), name
+        with pytest.raises(ValueError):  # frozen
+            c[0, 0] = 1.0
+        if fld.mean_zero:
+            assert c[fld.band, fld.band] == 0, name
+
+
+def test_checked_construction_copies_its_input():
+    c = np.zeros((3, 3), dtype=np.complex128)
+    c[2, 1] = c[0, 1] = 0.5
+    f = TorusField(c)
+    c[2, 1] = c[0, 1] = 7.0
+    assert f.coeff(1, 0) == 0.5 and f.coeff(-1, 0) == 0.5
+    assert not np.shares_memory(f.coeffs, c)
+
+
+def test_trim_does_not_view_its_parent():
+    f = TorusField.from_modes(2, {(1, 0): 0.5}).pad_to(9)
+    t = f.trim()
+    assert t.band == 1
+    assert not np.shares_memory(t.coeffs, f.coeffs)
 
 
 def test_from_grid_rejects_non_representable():

@@ -335,10 +335,11 @@ def sqrt_pointwise(f: TorusField, oversample: int = 4, kout: int | None = None):
 
 
 def inner(f: TorusField, g: TorusField) -> float:
-    """L2 pairing <f, g> = int f g dx = (2 pi)^2 sum_k c_f(k) conj(c_g(k))."""
-    K = max(f.band, g.band)
-    a = f.pad_to(K).coeffs
-    b = g.pad_to(K).coeffs
+    """L2 pairing <f, g> = int f g dx = (2 pi)^2 sum_k c_f(k) conj(c_g(k)),
+    summed over the modes both fields hold."""
+    K = min(f.band, g.band)
+    a = f.coeffs[f.band - K:f.band + K + 1, f.band - K:f.band + K + 1]
+    b = g.coeffs[g.band - K:g.band + K + 1, g.band - K:g.band + K + 1]
     return float((2.0 * np.pi) ** 2 * np.sum(a * np.conj(b)).real)
 
 

@@ -41,6 +41,7 @@ from .multipliers import (
     DIRECTIONS,
     L1,
     L2,
+    ModulatedField,
     directional_grad,
     fat_lowpass,
     grad_perp,
@@ -200,9 +201,13 @@ def build_f_next(q: TorusField, scales: DerivedScales, c0: float = 2.0,
     return Perturbation(f_next=f, a=a, a_perfect=tuple(ap), alias_tail=max(als))
 
 
-def _scaled_perp(f: TorusField, l, scale: float) -> VectorField:
+def _scaled_perp(f, l, scale: float):
+    """(scale f) l_perp for a TorusField or a scalar ModulatedField f."""
     lp = l.perp
-    return VectorField(f * (scale * lp.n1 / lp.d), f * (scale * lp.n2 / lp.d))
+    x, y = f * (scale * lp.n1 / lp.d), f * (scale * lp.n2 / lp.d)
+    if isinstance(f, ModulatedField):
+        return ModulatedField.pair(x, y)
+    return VectorField(x, y)
 
 
 def nonlinear_flux(f: TorusField, g: TorusField) -> VectorField:
@@ -234,24 +239,31 @@ def assemble_nonosc(a1: TorusField, a2: TorusField, lam5: int) -> VectorField:
     return out
 
 
-def _mod2(g: TorusField, pa, pb, ta: str, tb: str) -> TorusField:
-    """g(x) trig_a(pa.x) trig_b(pb.x) expanded by product-to-sum."""
+def _mod2(g, pa, pb, ta: str, tb: str) -> ModulatedField:
+    """g(x) trig_a(pa.x) trig_b(pb.x) expanded by product-to-sum, for a
+    TorusField or VectorField g."""
+    wave = ModulatedField.wave
     ps = (pa[0] + pb[0], pa[1] + pb[1])
     pd = (pa[0] - pb[0], pa[1] - pb[1])
     if (ta, tb) == ("sin", "sin"):
-        return 0.5 * (modulate(g, pd, "cos") - modulate(g, ps, "cos"))
+        return 0.5 * (wave(g, pd, "cos") - wave(g, ps, "cos"))
     if (ta, tb) == ("sin", "cos"):
-        return 0.5 * (modulate(g, ps, "sin") + modulate(g, pd, "sin"))
+        return 0.5 * (wave(g, ps, "sin") + wave(g, pd, "sin"))
     if (ta, tb) == ("cos", "sin"):
-        return 0.5 * (modulate(g, ps, "sin") - modulate(g, pd, "sin"))
+        return 0.5 * (wave(g, ps, "sin") - wave(g, pd, "sin"))
     if (ta, tb) == ("cos", "cos"):
-        return 0.5 * (modulate(g, ps, "cos") + modulate(g, pd, "cos"))
+        return 0.5 * (wave(g, ps, "cos") + wave(g, pd, "cos"))
     raise ValueError(f"bad trig pair {(ta, tb)!r}")
 
 
-def assemble_osc(a1: TorusField, a2: TorusField, lam5: int) -> VectorField:
+def _times(s: TorusField, v: VectorField) -> VectorField:
+    return VectorField(multiply(s, v.comp1), multiply(s, v.comp2))
+
+
+def assemble_osc(a1: TorusField, a2: TorusField, lam5: int) -> ModulatedField:
     """The six oscillatory families left after removing the mean
-    (non-oscillatory) part of the quadratic self-interaction.
+    (non-oscillatory) part of the quadratic self-interaction, kept
+    factored by carrier (2 p_l and p_1 +/- p_2, with their negatives).
 
     With s_l = (l.grad)a_l + T2 a_l and c_l = T1 a_l, p_l = lam5*l:
 
@@ -262,6 +274,7 @@ def assemble_osc(a1: TorusField, a2: TorusField, lam5: int) -> VectorField:
       - lam5 sum_{l != l'} c_l a_l' l'_perp cos(p_l.x) sin(p_l'.x)
       +      sum_{l != l'} c_l grad_perp(a_l') cos(p_l.x) cos(p_l'.x)
     """
+    wave = ModulatedField.wave
     amps = (a1, a2)
     waves = tuple(l.wave(lam5) for l in DIRECTIONS)
     s = []
@@ -269,35 +282,26 @@ def assemble_osc(a1: TorusField, a2: TorusField, lam5: int) -> VectorField:
     for a, l in zip(amps, DIRECTIONS):
         s.append(directional_grad(a, l) + t_op(a, 2, lam5, l))
         c.append(t_op(a, 1, lam5, l))
-    out = VectorField(TorusField.zero(), TorusField.zero())
+    terms = []
     for i, l in enumerate(DIRECTIONS):
         a = amps[i]
         p2 = (2 * waves[i][0], 2 * waves[i][1])
         gp = grad_perp(a)
-        sa = multiply(s[i], a)
-        ca = multiply(c[i], a)
-        out = out + _scaled_perp(modulate(sa, p2, "cos"), l, 0.5 * lam5)
-        out = out + VectorField(modulate(multiply(s[i], gp.comp1), p2, "sin") * 0.5,
-                                modulate(multiply(s[i], gp.comp2), p2, "sin") * 0.5)
-        out = out + _scaled_perp(modulate(ca, p2, "sin"), l, -0.5 * lam5)
-        out = out + VectorField(modulate(multiply(c[i], gp.comp1), p2, "cos") * 0.5,
-                                modulate(multiply(c[i], gp.comp2), p2, "cos") * 0.5)
-    for i in (0, 1):
-        for ip in (0, 1):
-            if i == ip:
-                continue
-            lq = DIRECTIONS[ip]
-            pa, pb = waves[i], waves[ip]
-            gpp = grad_perp(amps[ip])
-            sa = multiply(s[i], amps[ip])
-            ca = multiply(c[i], amps[ip])
-            out = out + _scaled_perp(_mod2(sa, pa, pb, "sin", "sin"), lq, -float(lam5))
-            out = out + VectorField(_mod2(multiply(s[i], gpp.comp1), pa, pb, "sin", "cos"),
-                                    _mod2(multiply(s[i], gpp.comp2), pa, pb, "sin", "cos"))
-            out = out + _scaled_perp(_mod2(ca, pa, pb, "cos", "sin"), lq, -float(lam5))
-            out = out + VectorField(_mod2(multiply(c[i], gpp.comp1), pa, pb, "cos", "cos"),
-                                    _mod2(multiply(c[i], gpp.comp2), pa, pb, "cos", "cos"))
-    return out
+        terms += [_scaled_perp(wave(multiply(s[i], a), p2, "cos"), l, 0.5 * lam5),
+                  wave(_times(s[i], gp), p2, "sin") * 0.5,
+                  _scaled_perp(wave(multiply(c[i], a), p2, "sin"), l, -0.5 * lam5),
+                  wave(_times(c[i], gp), p2, "cos") * 0.5]
+    for i, ip in ((0, 1), (1, 0)):
+        lq = DIRECTIONS[ip]
+        pa, pb = waves[i], waves[ip]
+        gpp = grad_perp(amps[ip])
+        terms += [_scaled_perp(_mod2(multiply(s[i], amps[ip]), pa, pb, "sin", "sin"),
+                               lq, -float(lam5)),
+                  _mod2(_times(s[i], gpp), pa, pb, "sin", "cos"),
+                  _scaled_perp(_mod2(multiply(c[i], amps[ip]), pa, pb, "cos", "sin"),
+                               lq, -float(lam5)),
+                  _mod2(_times(c[i], gpp), pa, pb, "cos", "cos")]
+    return sum(terms[1:], terms[0])
 
 
 def q_m1(a1p: TorusField, a2p: TorusField, q: TorusField,
@@ -327,14 +331,18 @@ def q_m2(a1: TorusField, a2: TorusField, lam5: int) -> TorusField:
 
 
 def q_m3(a1: TorusField, a2: TorusField, lam5: int) -> TorusField:
-    return inv_div(assemble_osc(a1, a2, lam5))
+    """Oscillatory stress, inverted per carrier on the amplitude grids."""
+    return assemble_osc(a1, a2, lam5).inv_div().to_dense()
 
 
-def q_t(f_next: TorusField, f_leq: TorusField) -> TorusField:
-    """Transport stress invdiv(Lambda(f_next) grad_perp(f_leq)
-    + Lambda(f_leq) grad_perp(f_next))."""
-    v = nonlinear_flux(f_next, f_leq) + nonlinear_flux(f_leq, f_next)
-    return inv_div(v)
+def q_t(f_next: TorusField, f_leq: TorusField):
+    """Transport stress invdiv(nl + ln) from the cross fluxes
+    nl = Lambda(f_next) grad_perp(f_leq) and ln = Lambda(f_leq)
+    grad_perp(f_next). Returns (stress, nl, ln), so that `step` can
+    reuse the fluxes in its master check."""
+    nl = nonlinear_flux(f_next, f_leq)
+    ln = nonlinear_flux(f_leq, f_next)
+    return inv_div(nl + ln), nl, ln
 
 
 def q_d(f_next: TorusField, nu: float, gamma: float) -> TorusField:
@@ -406,11 +414,21 @@ def step(state: StepState, params: IterationParams, grid_cap: int = 4096):
     pert = build_f_next(state.q, sc, params.c0, params.oversample)
     f1 = pert.f_next
     a1, a2 = pert.a
+    # the checks' direct flux is the step's largest product: it is formed
+    # while few fields are alive, and each flux is released once the
+    # checks' sums, (self + ln) + nl and self alone, hold it
+    self_flux = nonlinear_flux(f1, f1)
 
     qm1 = q_m1(pert.a_perfect[0], pert.a_perfect[1], state.q, sc)
     qm2 = q_m2(a1, a2, lam5)
     qm3 = q_m3(a1, a2, lam5)
-    qt = q_t(f1, state.f_leq)
+    qt, nl, ln = q_t(f1, state.f_leq)
+    flux = self_flux + ln + nl
+    del nl, ln
+    direct_all = inv_div(flux)
+    del flux
+    direct_new = inv_div(self_flux) + state.q
+    del self_flux
     qd = q_d(f1, params.nu, params.gamma)
     q_next = qm1 + qm2 + qm3 + qt + qd
 
@@ -425,24 +443,19 @@ def step(state: StepState, params: IterationParams, grid_cap: int = 4096):
                 f"(max coeff {top:.3e})")
 
     os = params.oversample
-    denom = max(linf(state.q, os, grid_cap), linf(q_next, os, grid_cap))
+    sup_q_next = linf(q_next, os, grid_cap)
+    denom = max(linf(state.q, os, grid_cap), sup_q_next)
     if denom == 0.0:
         # zero-stress step (free-wave stacking): measure cancellation
         # against the flux product scale instead of 0/0
         gp = grad_perp(f1)
         denom = linf(lambda_s(f1, 1.0), os, grid_cap) * max(
             linf(gp.comp1, os, grid_cap), linf(gp.comp2, os, grid_cap))
-    self_flux = nonlinear_flux(f1, f1)
-    direct_all = inv_div(self_flux
-                         + nonlinear_flux(state.f_leq, f1)
-                         + nonlinear_flux(f1, state.f_leq))
     diss = lambda_s(f1, params.gamma - 1.0) * params.nu if params.nu else TorusField.zero()
     master = _rel_linf(direct_all + state.q - q_next - diss, denom, os, grid_cap)
-
-    direct_new = inv_div(self_flux) + state.q
     decomp = _rel_linf((qm1 + qm2 + qm3) - direct_new, denom, os, grid_cap)
 
-    xq = x_norm(q_next, os, grid_cap)
+    xq = x_norm(q_next, os, grid_cap, sup=sup_q_next)
     row = {
         "n": state.n,
         "lambda_n": sc.lambda_n,

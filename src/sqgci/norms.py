@@ -43,10 +43,11 @@ def linf(f: TorusField, oversample: int = 4, grid_cap=None) -> float:
         f"band {K} needs a {minimal}-point axis, cap is {grid_cap}")
 
 
-def x_norm(q: TorusField, oversample: int = 4, grid_cap=None) -> float:
-    """‖q‖∞ + ‖m_1 q‖∞ + ‖m_2 q‖∞ with the even rational multipliers."""
+def x_norm(q: TorusField, oversample: int = 4, grid_cap=None, sup=None) -> float:
+    """‖q‖∞ + ‖m_1 q‖∞ + ‖m_2 q‖∞ with the even rational multipliers.
+    `sup` passes linf(q, oversample, grid_cap) when it is already known."""
     require_mean_zero(q, "x_norm")
-    total = linf(q, oversample, grid_cap)
+    total = linf(q, oversample, grid_cap) if sup is None else sup
     for j in (1, 2):
         total += linf(riesz_odd(q, j), oversample, grid_cap)
     return total

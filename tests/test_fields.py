@@ -225,6 +225,20 @@ def test_inner_matches_grid_quadrature():
     assert abs(inner(f, g) - quad) < 1e-12 * max(1.0, abs(quad))
 
 
+@settings(max_examples=40, deadline=None)
+@given(band_f=st.integers(0, 12), band_g=st.integers(0, 12), seed=st.integers(0, 2 ** 32 - 1))
+def test_inner_sums_common_modes_and_is_symmetric(band_f, band_g, seed):
+    rng = np.random.default_rng(seed)
+    f = random_field(band_f, rng, mean_zero=False)
+    g = random_field(band_g, rng, mean_zero=False)
+    K = max(band_f, band_g)
+    padded = (2.0 * np.pi) ** 2 * np.sum(f.pad_to(K).coeffs * np.conj(g.pad_to(K).coeffs)).real
+    # relative to the Cauchy-Schwarz bound: the pairing itself may cancel
+    scale = np.sqrt(inner(f, f) * inner(g, g))
+    assert abs(inner(f, g) - padded) <= 1e-14 * max(scale, 1e-300)
+    assert inner(f, g) == inner(g, f)
+
+
 def test_sqf1_header_layout(tmp_path):
     f = TorusField.from_modes(1, {(1, 0): 0.25 - 0.125j}, mean_zero=True)
     path = str(tmp_path / "one.sqf1")

@@ -11,12 +11,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from sqgci.errors import GridBudgetExceeded, SeparationViolated
-from sqgci.fields import TorusField, multiply, random_field
+from sqgci.errors import GridBudgetExceeded, NonZeroMean, SeparationViolated
+from sqgci.fields import TorusField, VectorField, multiply, random_field
 from sqgci.iteration import (
     IterationParams,
     StepState,
+    _scaled_perp,
     assemble_main,
     assemble_nonosc,
     assemble_osc,
@@ -28,12 +31,25 @@ from sqgci.iteration import (
     perfect_amplitude,
     q_d,
     q_m1,
+    q_m3,
     q_t,
     run,
     scales_for,
     step,
 )
-from sqgci.multipliers import L1, L2, inv_div, lambda_s, lowpass, modulate
+from sqgci.multipliers import (
+    DIRECTIONS,
+    L1,
+    L2,
+    ModulatedField,
+    directional_grad,
+    grad_perp,
+    inv_div,
+    lambda_s,
+    lowpass,
+    modulate,
+    t_op,
+)
 from sqgci.norms import linf, sobolev
 from sqgci.verify import check_support
 
@@ -137,9 +153,133 @@ def test_decomposition_closure_generic_amplitudes():
     lhs = inv_div(nonlinear_flux(f, f))
     rhs = inv_div(assemble_main(a1, a2, lam5)
                   + assemble_nonosc(a1, a2, lam5)
-                  + assemble_osc(a1, a2, lam5))
+                  + assemble_osc(a1, a2, lam5).to_dense())
     scale = max(linf(lhs), 1e-30)
     assert linf(lhs - rhs) / scale < 1e-10
+
+
+def _dense_mod2(g, pa, pb, ta, tb):
+    """g(x) trig_a(pa.x) trig_b(pb.x) on dense boxes (oracle)."""
+    ps = (pa[0] + pb[0], pa[1] + pb[1])
+    pd = (pa[0] - pb[0], pa[1] - pb[1])
+    if (ta, tb) == ("sin", "sin"):
+        return 0.5 * (modulate(g, pd, "cos") - modulate(g, ps, "cos"))
+    if (ta, tb) == ("sin", "cos"):
+        return 0.5 * (modulate(g, ps, "sin") + modulate(g, pd, "sin"))
+    if (ta, tb) == ("cos", "sin"):
+        return 0.5 * (modulate(g, ps, "sin") - modulate(g, pd, "sin"))
+    return 0.5 * (modulate(g, ps, "cos") + modulate(g, pd, "cos"))
+
+
+def _dense_assemble_osc(a1, a2, lam5):
+    """The oscillatory families summed term by term on dense boxes: the
+    assembly `assemble_osc` keeps factored by carrier (oracle)."""
+    amps = (a1, a2)
+    waves = tuple(l.wave(lam5) for l in DIRECTIONS)
+    s = [directional_grad(a, l) + t_op(a, 2, lam5, l) for a, l in zip(amps, DIRECTIONS)]
+    c = [t_op(a, 1, lam5, l) for a, l in zip(amps, DIRECTIONS)]
+    out = VectorField(TorusField.zero(), TorusField.zero())
+    for i, l in enumerate(DIRECTIONS):
+        a = amps[i]
+        p2 = (2 * waves[i][0], 2 * waves[i][1])
+        gp = grad_perp(a)
+        out = out + _scaled_perp(modulate(multiply(s[i], a), p2, "cos"), l, 0.5 * lam5)
+        out = out + VectorField(modulate(multiply(s[i], gp.comp1), p2, "sin") * 0.5,
+                                modulate(multiply(s[i], gp.comp2), p2, "sin") * 0.5)
+        out = out + _scaled_perp(modulate(multiply(c[i], a), p2, "sin"), l, -0.5 * lam5)
+        out = out + VectorField(modulate(multiply(c[i], gp.comp1), p2, "cos") * 0.5,
+                                modulate(multiply(c[i], gp.comp2), p2, "cos") * 0.5)
+    for i, ip in ((0, 1), (1, 0)):
+        lq = DIRECTIONS[ip]
+        pa, pb = waves[i], waves[ip]
+        gpp = grad_perp(amps[ip])
+        out = out + _scaled_perp(_dense_mod2(multiply(s[i], amps[ip]), pa, pb, "sin", "sin"),
+                                 lq, -float(lam5))
+        out = out + VectorField(_dense_mod2(multiply(s[i], gpp.comp1), pa, pb, "sin", "cos"),
+                                _dense_mod2(multiply(s[i], gpp.comp2), pa, pb, "sin", "cos"))
+        out = out + _scaled_perp(_dense_mod2(multiply(c[i], amps[ip]), pa, pb, "cos", "sin"),
+                                 lq, -float(lam5))
+        out = out + VectorField(_dense_mod2(multiply(c[i], gpp.comp1), pa, pb, "cos", "cos"),
+                                _dense_mod2(multiply(c[i], gpp.comp2), pa, pb, "cos", "cos"))
+    return out
+
+
+def _amplitudes(band1, band2, seed):
+    rng = np.random.default_rng(seed)
+    return (random_field(band1, rng, mean_zero=False),
+            random_field(band2, rng, mean_zero=False))
+
+
+def _blocks_separated(a1, a2, lam5):
+    """True when no two carrier blocks of the oscillatory channel share a
+    mode and none covers k = 0."""
+    spans = [(p, b.shape[-1] // 2)
+             for p, b in assemble_osc(a1, a2, lam5).blocks.items()]
+    spans.append(((0, 0), 0))
+    return all(max(abs(p[0] - r[0]), abs(p[1] - r[1])) > K + J
+               for i, (p, K) in enumerate(spans) for r, J in spans[:i])
+
+
+@settings(max_examples=25, deadline=None)
+@given(band1=st.integers(0, 6), band2=st.integers(0, 6), seed=st.integers(0, 2 ** 32 - 1),
+       lam=st.integers(7, 12))
+def test_factored_qm3_equals_dense_oracle_when_carriers_separate(band1, band2, seed, lam):
+    a1, a2 = _amplitudes(band1, band2, seed)
+    lam5 = 5 * lam
+    assert _blocks_separated(a1, a2, lam5)
+    got = q_m3(a1, a2, lam5)
+    want = inv_div(_dense_assemble_osc(a1, a2, lam5))
+    assert got.band == want.band
+    assert got.mean_zero and want.mean_zero
+    assert np.array_equal(got.coeffs, want.coeffs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(band1=st.integers(1, 6), band2=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1),
+       lam=st.integers(2, 6))
+@example(band1=6, band2=6, seed=662, lam=2)  # three blocks meet: symmetrised
+def test_factored_qm3_matches_dense_oracle_when_blocks_overlap(band1, band2, seed, lam):
+    a1, a2 = _amplitudes(band1, band2, seed)
+    lam5 = 5 * lam
+    assume(not _blocks_separated(a1, a2, lam5))
+    try:
+        want = inv_div(_dense_assemble_osc(a1, a2, lam5))
+    except NonZeroMean:  # a block covers k = 0 and leaves a mean there
+        with pytest.raises(NonZeroMean):
+            q_m3(a1, a2, lam5)
+        return
+    got = q_m3(a1, a2, lam5)
+    assert got.band == want.band
+    assert got.mean_zero and got.coeff(0, 0) == 0.0
+    c = got.coeffs
+    assert np.array_equal(c, np.conj(c[::-1, ::-1]))
+    scale = max(np.abs(want.coeffs).max(), 1e-300)
+    assert np.abs(c - want.coeffs).max() <= 1e-13 * scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(band=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1),
+       p=st.tuples(st.integers(-6, 6), st.integers(-6, 6)),
+       trig=st.sampled_from(["cos", "sin"]))
+def test_factored_inv_div_rejects_a_mean_at_the_origin(band, seed, p, trig):
+    # plant the mode p: the blocks at p and -p then meet at k = 0 with
+    # mean Re c(p) = 1 (cos) or -Im c(p) = -1 (sin)
+    rng = np.random.default_rng(seed)
+    p = (max(-band, min(band, p[0])), max(-band, min(band, p[1])))
+    if p == (0, 0) and trig == "sin":
+        p = (band, 0)
+    amp = 1.0 if trig == "cos" else 1.0j
+    planted = TorusField.from_modes(band, {p: amp}) if p != (0, 0) else TorusField.constant(2.0)
+    a = random_field(band, rng, mean_zero=True) * 1e-3 + planted
+    v = VectorField(a, a * 0.5)
+    f = ModulatedField.wave(v, p, trig)
+    with pytest.raises(NonZeroMean):
+        f.inv_div()
+    with pytest.raises(NonZeroMean):
+        inv_div(f.to_dense())
+    # the same amplitude on a far carrier has no mean to reject
+    far = ModulatedField.wave(v, (3 * band + 1, 0), trig).inv_div().to_dense()
+    assert far.mean_zero and far.coeff(0, 0) == 0.0
 
 
 def test_channel_zero_cases():
@@ -147,7 +287,7 @@ def test_channel_zero_cases():
     pert = build_f_next(st.q, sc)
     f1 = pert.f_next
     assert q_d(f1, 0.0, 1.0).max_abs_coeff() == 0.0
-    assert q_t(f1, TorusField.zero()).max_abs_coeff() == 0.0
+    assert q_t(f1, TorusField.zero())[0].max_abs_coeff() == 0.0
     # gamma = 1 makes the dissipation channel -nu f1 exactly
     qd = q_d(f1, 1.0, 1.0)
     np.testing.assert_allclose(qd.coeffs, -f1.coeffs, atol=1e-15)
@@ -157,11 +297,11 @@ def test_channels_are_mean_zero():
     st, sc = _seeded_state()
     pert = build_f_next(st.q, sc)
     qm1 = q_m1(pert.a_perfect[0], pert.a_perfect[1], st.q, sc)
-    from sqgci.iteration import q_m2, q_m3
+    from sqgci.iteration import q_m2
     a1, a2 = pert.a
     lam5 = 5 * sc.lambda_next
     for ch in (qm1, q_m2(a1, a2, lam5), q_m3(a1, a2, lam5),
-               q_t(pert.f_next, st.f_leq), q_d(pert.f_next, 1.0, 1.5)):
+               q_t(pert.f_next, st.f_leq)[0], q_d(pert.f_next, 1.0, 1.5)):
         assert ch.coeff(0, 0) == 0.0
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from sqgci.fields import TorusField, random_field
-from sqgci.iteration import IterationParams, nonlinear_flux
+from sqgci.iteration import IterationParams, make_base, nonlinear_flux, step
 from sqgci.multipliers import L1, L2, inv_div, lambda_s, riesz_odd_symbol
 from sqgci.verify import (
     check_algebraic,
@@ -88,6 +88,20 @@ def test_weak_residual_dissipation_term():
     assert abs(by_mode[((1, 0), "cos")].dissipation - half) < 1e-12 * half
     assert abs(by_mode[((1, 1), "cos")].dissipation) < 1e-14
     assert by_mode[((0, 0), "sin")].total == 0.0
+
+
+def test_weak_residual_cancels_after_a_step():
+    # gate 6 at lambda1 = 32: the pairings of a stepped state against
+    # band-8 test modes (q has band 384) cancel to rounding
+    p = IterationParams(lambda0=2, b=5.0, beta=0.25, nu=0.0, gamma=1.0)
+    state, row = step(make_base(p, seed=0, kind="synthetic"), p, grid_cap=1024)
+    theta = lambda_s(state.f_leq, 1.0)
+    modes = [(k1, k2) for k1 in range(0, 9) for k2 in range(-8, 9)
+             if (k1 > 0 or k2 > 0) and k1 * k1 + k2 * k2 <= 64]
+    reps = weak_residual(theta, state.q, p.nu, p.gamma, modes)
+    assert state.q.band > 300
+    assert max(abs(r.total) for r in reps) / row["r_next"] < 1e-8
+    assert max(abs(r.pressure) for r in reps) < row["r_next"]
 
 
 def test_leibniz_residual_bound():

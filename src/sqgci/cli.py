@@ -242,8 +242,10 @@ def _ledger_sha256(lines) -> str:
 
 def _find_resume(cfg: RunConfig, digest: str):
     """Locate the newest usable checkpoint: its sidecar must match the
-    parameter digest, and the ledger's first n rows must be the ones the
-    sidecar recorded (so rows another config wrote are never kept)."""
+    parameter digest, the ledger's first n rows must be the ones the
+    sidecar recorded (so rows another config wrote are never kept), and
+    both SQF1 files must read back. Anything else falls back to an older
+    checkpoint or a fresh base."""
     ledger_path = os.path.join(cfg.out_dir, "ledger.jsonl")
     try:
         with open(ledger_path, "r", encoding="utf-8") as fh:
@@ -264,7 +266,10 @@ def _find_resume(cfg: RunConfig, digest: str):
             continue
         if meta.get("ledger_sha256") != _ledger_sha256(ledger_lines[:n]):
             continue
-        state = StepState(n=n, f_leq=read_sqf1(fpath), q=read_sqf1(qpath))
+        try:
+            state = StepState(n=n, f_leq=read_sqf1(fpath), q=read_sqf1(qpath))
+        except (ParseError, OSError):
+            continue
         return state, ledger_lines[:n]
     return None, []
 

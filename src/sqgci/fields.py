@@ -228,11 +228,42 @@ class AliasReport:
     kout: int        # truncation band of the returned field
 
 
-def _phase(K):
-    """(-1)^(k1+k2) grid translating between x in [-pi,pi)^2 and the
-    FFT's [0,2pi)^2 origin."""
-    s = np.where(np.arange(-K, K + 1) % 2 == 0, 1.0, -1.0)
-    return s[:, None] * s[None, :]
+# Grid side from which the transforms split their lines over every CPU
+# the process may use. Timing the FFT passes alone on a 2-core box, two
+# workers took 1.1-1.5x the one-worker time at N = 160-300, were mixed
+# at N = 320-400, mostly faster at N = 432-600 and took 0.55-0.7x of it
+# from N = 640 on.
+THREADED_GRID_MIN = 432
+
+
+def _cpu_count():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without affinity masks
+        return os.cpu_count() or 1
+
+
+def _workers(N):
+    """FFT worker count for an N x N grid. pocketfft's threads split the
+    lines of a pass, so each line's arithmetic and the output bits do
+    not depend on it."""
+    return _cpu_count() if N >= THREADED_GRID_MIN else 1
+
+
+def _phase(out, c, k1_first, sgn):
+    """out = c * (-1)^(k1+k2), the phase translating between x in
+    [-pi,pi)^2 and the FFT's [0,2pi)^2 origin. Row i of c has
+    k1 = k1_first + i; sgn holds (-1)^k2 over c's columns. Each entry is
+    multiplied once, by sgn on even-k1 rows and by -sgn on odd ones, so
+    the bits (signed zeros included) are those of c times the phase grid."""
+    e = k1_first % 2
+    np.multiply(c[e::2], sgn, out=out[e::2])
+    np.multiply(c[1 - e::2], -sgn, out=out[1 - e::2])
+
+
+def _signs(K):
+    """(-1)^k for k = -K..K."""
+    return np.where(np.arange(-K, K + 1) % 2 == 0, 1.0, -1.0)
 
 
 def good_grid(n):
@@ -249,11 +280,17 @@ def to_grid(f: TorusField, N: int) -> GridSamples:
     K = f.band
     if N < 2 * K + 2:
         raise GridTooSmall(f"grid {N} < 2*{K}+2 required for band {K}")
-    ct = f.coeffs * _phase(K)
+    sgn = _signs(K)[K:]
+    w = _workers(N)
+    # Only half-spectrum columns 0..K hold coefficients: run the axis-0
+    # pass on those, then the real pass along axis 1 (irfft2 makes the
+    # same two passes, over every column).
+    A = np.zeros((N, K + 1), dtype=np.complex128)
+    _phase(A[:K + 1], f.coeffs[K:, K:], 0, sgn)
+    _phase(A[N - K:], f.coeffs[:K, K:], -K, sgn)
     H = np.zeros((N, N // 2 + 1), dtype=np.complex128)
-    rows = np.arange(-K, K + 1) % N
-    H[rows[:, None], np.arange(0, K + 1)[None, :]] = ct[:, K:]
-    vals = scipy.fft.irfft2(H, s=(N, N), norm="forward")
+    H[:, :K + 1] = scipy.fft.ifft(A, axis=0, norm="forward", workers=w, overwrite_x=True)
+    vals = scipy.fft.irfft(H, n=N, axis=1, norm="forward", workers=w)
     return GridSamples(N=N, values=vals)
 
 
@@ -268,7 +305,7 @@ def from_grid(s: GridSamples, K: int) -> TorusField:
     N = s.N
     if N < 2 * K + 2:
         raise GridTooSmall(f"grid {N} < 2*{K}+2 required to read band {K}")
-    H = scipy.fft.rfft2(s.values, norm="forward")
+    H = scipy.fft.rfft2(s.values, norm="forward", workers=_workers(N))
     # k2 >= 0 sits in half-spectrum column k2; k2 < 0 is the conjugate of
     # the bin at -k, row (-k1) mod N, column -k2
     rows = np.arange(-K, K + 1) % N
@@ -276,7 +313,7 @@ def from_grid(s: GridSamples, K: int) -> TorusField:
     c = np.empty((2 * K + 1, 2 * K + 1), dtype=np.complex128)
     c[:, K:] = H[rows[:, None], cols]
     c[:, :K] = np.conj(H[rows[::-1, None], cols[K:0:-1]])
-    c *= _phase(K)
+    _phase(c, c, -K, _signs(K))
     return TorusField(c)
 
 
@@ -317,7 +354,7 @@ def sqrt_pointwise(f: TorusField, oversample: int = 4, kout: int | None = None):
     if m <= 0.0:
         raise NotPositive(f"grid minimum {m:.6e} <= 0 on {N}x{N} grid")
     vals = np.sqrt(g.values)
-    H = scipy.fft.rfft2(vals, norm="forward")
+    H = scipy.fft.rfft2(vals, norm="forward", workers=_workers(N))
     # energy in the top dyadic shell (N/4, N/2] of the sampling grid;
     # columns 1..N//2-1 of the half-spectrum stand for a mirrored pair
     b1 = np.arange(N)

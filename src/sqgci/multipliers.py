@@ -149,17 +149,21 @@ def riesz(f: TorusField, j: int) -> TorusField:
 def riesz_odd_symbol(j, k1, k2):
     """Evaluate the even rational symbol m_j at wave vectors (vectorized);
     0 at k = 0."""
+    if j not in (1, 2):
+        raise ValueError(f"index must be 1 or 2, got {j}")
     k1 = np.asarray(k1, dtype=np.float64)
     k2 = np.asarray(k2, dtype=np.float64)
     n2 = k1 * k1 + k2 * k2
+    m = np.asarray(k2 * k2 - k1 * k1)
     with np.errstate(invalid="ignore", divide="ignore"):
-        if j == 1:
-            m = 25.0 * (k2 * k2 - k1 * k1) / (12.0 * n2)
-        elif j == 2:
-            m = 7.0 * (k2 * k2 - k1 * k1) / (12.0 * n2) + 4.0 * k1 * k2 / n2
-        else:
-            raise ValueError(f"index must be 1 or 2, got {j}")
-    return np.where(n2 == 0.0, 0.0, m)
+        # in place, in the order of 25(k2^2-k1^2)/(12|k|^2) and
+        # 7(k2^2-k1^2)/(12|k|^2) + 4 k1 k2/|k|^2
+        m *= 25.0 if j == 1 else 7.0
+        m /= 12.0 * n2
+        if j == 2:
+            m += 4.0 * k1 * k2 / n2
+    m[n2 == 0.0] = 0.0
+    return m
 
 
 def riesz_odd(f: TorusField, j: int) -> TorusField:

@@ -310,6 +310,25 @@ def test_failed_run_keeps_ledger_and_resumes(tmp_path, monkeypatch):
         assert a == b, name
 
 
+@pytest.mark.parametrize("broken", ["q_1.sqf1", "f_leq_1.sqf1"])
+def test_resume_skips_a_corrupt_checkpoint(tmp_path, broken):
+    two = _write(tmp_path, SYNTH.replace("steps = 1", "steps = 2"), "two.cfg")
+    fresh = str(tmp_path / "fresh")
+    assert main(["run", "--config", two, "--out", fresh, "--quiet"]) == 0
+    out = str(tmp_path / "broken")
+    one = _write(tmp_path, SYNTH, "one.cfg")
+    assert main(["run", "--config", one, "--out", out, "--quiet"]) == 0
+    path = os.path.join(out, broken)
+    with open(path, "r+b") as fh:
+        fh.truncate(100)
+    # the checkpoint no longer reads: start again from the base
+    assert main(["run", "--config", two, "--out", out, "--quiet"]) == 0
+    for name in ("ledger.jsonl", "theta.sqf1", "f.sqf1", broken):
+        a = open(os.path.join(fresh, name), "rb").read()
+        b = open(os.path.join(out, name), "rb").read()
+        assert a == b, name
+
+
 def test_resume_rejects_a_ledger_another_config_wrote(tmp_path):
     text = SYNTH.replace("steps = 1", "steps = 2")
     own = _write(tmp_path, text + "seed = 0\n", "own.cfg")

@@ -12,11 +12,14 @@ import struct
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sqgci import fields
 from sqgci.errors import GridTooSmall, NonZeroMean, NotPositive, ParseError
 from sqgci.fields import (
+    THREADED_GRID_MIN,
     GridSamples,
     TorusField,
     VectorField,
@@ -108,6 +111,68 @@ def test_grid_too_small_raises():
     f = TorusField.from_modes(4, {(4, 0): 1.0})
     with pytest.raises(GridTooSmall):
         to_grid(f, 9)
+
+
+def _phase_grid(K):
+    s = np.where(np.arange(-K, K + 1) % 2 == 0, 1.0, -1.0)
+    return s[:, None] * s[None, :]
+
+
+def _irfft2_oracle(f: TorusField, N: int) -> np.ndarray:
+    """Inverse transform over the whole half spectrum: the coefficients
+    placed by a fancy index, then one irfft2."""
+    K = f.band
+    H = np.zeros((N, N // 2 + 1), dtype=np.complex128)
+    rows = np.arange(-K, K + 1) % N
+    H[rows[:, None], np.arange(K + 1)[None, :]] = (f.coeffs * _phase_grid(K))[:, K:]
+    return scipy.fft.irfft2(H, s=(N, N), norm="forward")
+
+
+def _rfft2_oracle(values: np.ndarray, K: int) -> TorusField:
+    """Band-K read of one rfft2, mode by mode."""
+    N = values.shape[0]
+    H = scipy.fft.rfft2(values, norm="forward")
+    c = np.empty((2 * K + 1, 2 * K + 1), dtype=np.complex128)
+    for k2 in range(-K, K + 1):
+        for k1 in range(-K, K + 1):
+            h = H[k1 % N, k2] if k2 >= 0 else np.conj(H[-k1 % N, -k2])
+            c[k1 + K, k2 + K] = h
+    return TorusField(c * _phase_grid(K))
+
+
+def _grid_side(band, kind, extra):
+    return {"minimal": 2 * band + 2,
+            "oversampled": 2 * band + 2 + 2 * extra,
+            "odd": 2 * band + 3 + 2 * extra,
+            "below_crossover": THREADED_GRID_MIN - 1,
+            "at_crossover": THREADED_GRID_MIN,
+            "above_crossover": THREADED_GRID_MIN + 1 + 2 * extra}[kind]
+
+
+@settings(max_examples=60, deadline=None)
+@given(band=st.integers(0, 40),
+       kind=st.sampled_from(["minimal", "oversampled", "odd", "below_crossover",
+                             "at_crossover", "above_crossover"]),
+       extra=st.integers(1, 20),
+       seed=st.integers(0, 2**32 - 1))
+def test_transforms_equal_the_full_spectrum_oracles(band, kind, extra, seed):
+    rng = np.random.default_rng(seed)
+    f = random_field(band, rng, mean_zero=bool(seed % 2))
+    N = _grid_side(band, kind, extra)
+    values = rng.standard_normal((N, N))
+    want_grid = _irfft2_oracle(f, N)
+    want_read = _rfft2_oracle(values, band)
+    for cpus in (1, 2):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fields, "_cpu_count", lambda: cpus)
+            assert np.array_equal(to_grid(f, N).values, want_grid)
+            got = from_grid(GridSamples(N=N, values=values), band)
+            assert np.array_equal(got.coeffs, want_read.coeffs)
+            with pytest.raises(GridTooSmall):
+                to_grid(f, 2 * band + 1)
+            with pytest.raises(GridTooSmall):
+                from_grid(GridSamples(N=2 * band + 1, values=values[:2 * band + 1,
+                                                                   :2 * band + 1]), band)
 
 
 def test_multiply_matches_convolution_oracle():

@@ -98,6 +98,33 @@ def test_riesz_odd_symbol_hand_values():
     assert riesz_odd_symbol(1, 0.0, 0.0) == 0.0
 
 
+def _riesz_odd_symbol_oracle(j, k1, k2):
+    """The symbol as one expression per index, masked by np.where."""
+    n2 = k1 * k1 + k2 * k2
+    with np.errstate(invalid="ignore", divide="ignore"):
+        if j == 1:
+            m = 25.0 * (k2 * k2 - k1 * k1) / (12.0 * n2)
+        else:
+            m = 7.0 * (k2 * k2 - k1 * k1) / (12.0 * n2) + 4.0 * k1 * k2 / n2
+    return np.where(n2 == 0.0, 0.0, m)
+
+
+@pytest.mark.parametrize("j", [1, 2])
+def test_riesz_odd_symbol_equals_the_oracle_bit_for_bit(j):
+    for K in (0, 1, 2, 7, 40, 137):
+        k = np.arange(-K, K + 1, dtype=np.float64)
+        for k1, k2 in ((k[:, None], k[None, :]),
+                       tuple(np.meshgrid(k, k, indexing="ij"))):
+            got = riesz_odd_symbol(j, k1, k2)
+            want = _riesz_odd_symbol_oracle(j, k1, k2)
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), K
+    k1, k2 = np.float64(3.0), np.float64(-2.0)
+    assert riesz_odd_symbol(j, k1, k2) == _riesz_odd_symbol_oracle(j, k1, k2)
+    with pytest.raises(ValueError):
+        riesz_odd_symbol(3, k1, k2)
+
+
 def test_riesz_odd_field_real_even():
     rng = np.random.default_rng(23)
     q = random_field(6, rng)

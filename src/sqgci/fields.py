@@ -11,7 +11,8 @@ Construction depends on where coefficients come from. Outside data
 (user arrays, `from_modes`, `constant`, SQF1 reads) and FFT output in
 `from_grid` go through the checked constructor `TorusField(coeffs,
 mean_zero)`: copy, finite and Hermitian checks (1e-13 relative to the
-largest coefficient), exact symmetrisation. Arrays that exact operations
+largest coefficient, or for an FFT read to the largest sample if that
+is larger), exact symmetrisation. Arrays that exact operations
 produce (multipliers, lattice shifts, sums, scalar multiples, pad, trim)
 are Hermitian bit for bit; `TorusField._exact` freezes them unchecked.
 
@@ -61,6 +62,11 @@ class TorusField:
         c = np.array(coeffs, dtype=np.complex128)
         if c.ndim != 2 or c.shape[0] != c.shape[1] or c.shape[0] % 2 != 1:
             raise ValueError(f"coefficient array must be square odd-sized, got {c.shape}")
+        self._check_and_freeze(c, mean_zero)
+
+    def _check_and_freeze(self, c, mean_zero, samples=None):
+        """Check, symmetrise and freeze the owned array c in place.
+        `samples` are the real grid values c was read from, if any."""
         K = c.shape[0] // 2
         maxc = float(np.abs(c).max())
         # 2*maxc bounds every entry of the symmetrization below
@@ -68,9 +74,14 @@ class TorusField:
             raise ValueError(f"non-finite or overflowing coefficient (max |c| = {maxc})")
         if maxc > 0.0:
             viol = hermitian_violation(c)
-            if viol > HERMITIAN_RTOL * maxc:
+            scale = maxc
+            if viol > HERMITIAN_RTOL * scale and samples is not None:
+                # a transform rounds relative to its input, which bounds
+                # every bin (forward norm), not to the modes kept
+                scale = max(maxc, float(np.abs(samples).max()))
+            if viol > HERMITIAN_RTOL * scale:
                 raise ValueError(f"Hermitian symmetry violated: {viol:.3e} > "
-                                 f"{HERMITIAN_RTOL:g} * {maxc:.3e}")
+                                 f"{HERMITIAN_RTOL:g} * {scale:.3e}")
         # enforce exactly so realness never drifts
         c += np.conj(c[::-1, ::-1])
         c *= 0.5
@@ -84,6 +95,14 @@ class TorusField:
     def _freeze(self, c, mean_zero):
         c.flags.writeable = False
         self.coeffs, self.band, self.mean_zero = c, c.shape[0] // 2, bool(mean_zero)
+
+    @classmethod
+    def _read(cls, c, samples):
+        """Checked constructor for a fresh array c read off the forward
+        transform of the real grid values `samples`; c is not copied."""
+        f = cls.__new__(cls)
+        f._check_and_freeze(c, False, samples)
+        return f
 
     @classmethod
     def _exact(cls, c, mean_zero):
@@ -298,8 +317,8 @@ def from_grid(s: GridSamples, K: int) -> TorusField:
     """Band-K truncation of the discrete transform of the samples.
 
     Exact (to rounding) when the samples came from a band-K field; the
-    transform is Hermitian only to rounding, so the result goes through
-    the checked constructor.
+    transform is Hermitian only to rounding, relative to the samples, so
+    the result goes through the checked constructor at that scale.
     Requires N >= 2K+2 so the requested modes occupy distinct bins.
     """
     N = s.N
@@ -314,7 +333,7 @@ def from_grid(s: GridSamples, K: int) -> TorusField:
     c[:, K:] = H[rows[:, None], cols]
     c[:, :K] = np.conj(H[rows[::-1, None], cols[K:0:-1]])
     _phase(c, c, -K, _signs(K))
-    return TorusField(c)
+    return TorusField._read(c, s.values)
 
 
 def multiply(f: TorusField, g: TorusField) -> TorusField:

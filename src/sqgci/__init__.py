@@ -19,7 +19,6 @@ from .errors import (
     ValidationError,
 )
 from .fields import (
-    GridSamples,
     TorusField,
     VectorField,
     from_grid,
@@ -61,7 +60,7 @@ from .multipliers import (
     rperp_grad_commutator,
     t_op,
 )
-from .norms import holder_besov, holder_quotient, linf, sobolev, x_norm
+from .norms import holder_besov, linf, sobolev, x_norm
 from .verify import (
     FeasibilityReport,
     ResidualReport,

@@ -366,7 +366,7 @@ def _verify_checks(cfg: RunConfig) -> list:
     checks.append(report("riesz_pairing", {"band": 6, "trials": 5}, worst, 1e-11))
 
     wave = modulate(TorusField.constant(1.0), L1.wave(5 * 8), "cos")
-    th = lambda_s(TorusField(wave.coeffs, mean_zero=True), 1.0)
+    th = lambda_s(wave, 1.0)
     reps = weak_residual(th, None, 0.0, 1.0,
                          [(1, 0), (0, 1), (1, 1), (2, 1)])
     scale = max(sobolev(th, 0.0) ** 2, 1e-30)

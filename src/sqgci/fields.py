@@ -7,14 +7,15 @@ A TorusField stores the Fourier coefficients c(k) of
 densely as a (2K+1) x (2K+1) complex array indexed [k1+K, k2+K]. Every
 field is real-valued, so c(-k) = conj(c(k)), and its array is frozen.
 
-Construction depends on where coefficients come from. Outside data
-(user arrays, `from_modes`, `constant`, SQF1 reads) and FFT output in
-`from_grid` go through the checked constructor `TorusField(coeffs,
-mean_zero)`: copy, finite and Hermitian checks (1e-13 relative to the
-largest coefficient, or for an FFT read to the largest sample if that
-is larger), exact symmetrisation. Arrays that exact operations
-produce (multipliers, lattice shifts, sums, scalar multiples, pad, trim)
-are Hermitian bit for bit; `TorusField._exact` freezes them unchecked.
+Only outside data (user arrays, `from_modes`, `constant`, SQF1 reads)
+goes through the checked constructor `TorusField(coeffs, mean_zero)`:
+copy, finite check, Hermitian check over the whole box (1e-13 relative
+to the largest coefficient), exact symmetrisation. Every field the
+program computes is frozen in place by `TorusField._exact`: exact
+operations (multipliers, lattice shifts, sums, scalar multiples, pad,
+trim) are Hermitian bit for bit, and so is a transform read everywhere
+but on its k2 = 0 column, the only part `from_grid` checks (at the
+scale of the samples) and symmetrises.
 
 Collocation uses the nodes x_ij = 2*pi*(i, j)/N - (pi, pi) and real
 transforms. Products of band-limited fields are band-limited, so they
@@ -62,11 +63,6 @@ class TorusField:
         c = np.array(coeffs, dtype=np.complex128)
         if c.ndim != 2 or c.shape[0] != c.shape[1] or c.shape[0] % 2 != 1:
             raise ValueError(f"coefficient array must be square odd-sized, got {c.shape}")
-        self._check_and_freeze(c, mean_zero)
-
-    def _check_and_freeze(self, c, mean_zero, samples=None):
-        """Check, symmetrise and freeze the owned array c in place.
-        `samples` are the real grid values c was read from, if any."""
         K = c.shape[0] // 2
         maxc = float(np.abs(c).max())
         # 2*maxc bounds every entry of the symmetrization below
@@ -74,14 +70,9 @@ class TorusField:
             raise ValueError(f"non-finite or overflowing coefficient (max |c| = {maxc})")
         if maxc > 0.0:
             viol = hermitian_violation(c)
-            scale = maxc
-            if viol > HERMITIAN_RTOL * scale and samples is not None:
-                # a transform rounds relative to its input, which bounds
-                # every bin (forward norm), not to the modes kept
-                scale = max(maxc, float(np.abs(samples).max()))
-            if viol > HERMITIAN_RTOL * scale:
+            if viol > HERMITIAN_RTOL * maxc:
                 raise ValueError(f"Hermitian symmetry violated: {viol:.3e} > "
-                                 f"{HERMITIAN_RTOL:g} * {scale:.3e}")
+                                 f"{HERMITIAN_RTOL:g} * {maxc:.3e}")
         # enforce exactly so realness never drifts
         c += np.conj(c[::-1, ::-1])
         c *= 0.5
@@ -95,14 +86,6 @@ class TorusField:
     def _freeze(self, c, mean_zero):
         c.flags.writeable = False
         self.coeffs, self.band, self.mean_zero = c, c.shape[0] // 2, bool(mean_zero)
-
-    @classmethod
-    def _read(cls, c, samples):
-        """Checked constructor for a fresh array c read off the forward
-        transform of the real grid values `samples`; c is not copied."""
-        f = cls.__new__(cls)
-        f._check_and_freeze(c, False, samples)
-        return f
 
     @classmethod
     def _exact(cls, c, mean_zero):
@@ -229,15 +212,6 @@ class VectorField:
     __rmul__ = __mul__
 
 
-@dataclass
-class GridSamples:
-    """Real samples at the N x N collocation nodes
-    x_ij = 2*pi*(i, j)/N - (pi, pi)."""
-
-    N: int
-    values: np.ndarray
-
-
 @dataclass(frozen=True)
 class AliasReport:
     """Truncation diagnostics from a pointwise nonlinear evaluation."""
@@ -290,8 +264,9 @@ def good_grid(n):
     return scipy.fft.next_fast_len(int(n), real=True)
 
 
-def to_grid(f: TorusField, N: int) -> GridSamples:
-    """Evaluate f at the N x N collocation nodes.
+def to_grid(f: TorusField, N: int) -> np.ndarray:
+    """Real samples of f at the N x N collocation nodes
+    x_ij = 2*pi*(i, j)/N - (pi, pi).
 
     Requires N >= 2*band+2 so every mode is represented without
     aliasing (raises GridTooSmall otherwise).
@@ -309,22 +284,24 @@ def to_grid(f: TorusField, N: int) -> GridSamples:
     _phase(A[N - K:], f.coeffs[:K, K:], -K, sgn)
     H = np.zeros((N, N // 2 + 1), dtype=np.complex128)
     H[:, :K + 1] = scipy.fft.ifft(A, axis=0, norm="forward", workers=w, overwrite_x=True)
-    vals = scipy.fft.irfft(H, n=N, axis=1, norm="forward", workers=w)
-    return GridSamples(N=N, values=vals)
+    return scipy.fft.irfft(H, n=N, axis=1, norm="forward", workers=w)
 
 
-def from_grid(s: GridSamples, K: int) -> TorusField:
-    """Band-K truncation of the discrete transform of the samples.
+def _truncate(H, values, K):
+    """Band-K field read off H = rfft2(values, norm="forward").
 
-    Exact (to rounding) when the samples came from a band-K field; the
-    transform is Hermitian only to rounding, relative to the samples, so
-    the result goes through the checked constructor at that scale.
-    Requires N >= 2K+2 so the requested modes occupy distinct bins.
+    The k2 < 0 half is gathered as the conjugate of the same bins and
+    the phase multiplies k and -k by the same sign, so every entry off
+    the k2 = 0 column is the exact conjugate of its mirror. That column
+    is Hermitian only to rounding, relative to the samples (which bound
+    every bin); it alone is checked at their scale and symmetrised.
     """
-    N = s.N
-    if N < 2 * K + 2:
-        raise GridTooSmall(f"grid {N} < 2*{K}+2 required to read band {K}")
-    H = scipy.fft.rfft2(s.values, norm="forward", workers=_workers(N))
+    N = H.shape[0]
+    # max and min propagate NaN and allocate no grid, unlike np.abs(values)
+    scale = float(np.abs([values.max(), values.min()]).max())
+    # no partial sum of the transform can overflow below this bound
+    if not np.isfinite(2.0 * N * N * scale):
+        raise ValueError(f"non-finite or overflowing sample (max |x| = {scale})")
     # k2 >= 0 sits in half-spectrum column k2; k2 < 0 is the conjugate of
     # the bin at -k, row (-k1) mod N, column -k2
     rows = np.arange(-K, K + 1) % N
@@ -333,7 +310,30 @@ def from_grid(s: GridSamples, K: int) -> TorusField:
     c[:, K:] = H[rows[:, None], cols]
     c[:, :K] = np.conj(H[rows[::-1, None], cols[K:0:-1]])
     _phase(c, c, -K, _signs(K))
-    return TorusField._read(c, s.values)
+    col = c[:, K]
+    viol = float(np.abs(col - np.conj(col[::-1])).max())
+    if viol > HERMITIAN_RTOL * scale:
+        raise ValueError(f"Hermitian symmetry violated: {viol:.3e} > "
+                         f"{HERMITIAN_RTOL:g} * {scale:.3e}")
+    col += np.conj(col[::-1])
+    col *= 0.5
+    return TorusField._exact(c, mean_zero=False)
+
+
+def from_grid(values: np.ndarray, K: int) -> TorusField:
+    """Band-K truncation of the discrete transform of real samples at
+    the N x N collocation nodes, N read from the square array.
+
+    Exact (to rounding) when the samples came from a band-K field.
+    Requires N >= 2K+2 so the requested modes occupy distinct bins.
+    """
+    if values.ndim != 2 or values.shape[0] != values.shape[1]:
+        raise ValueError(f"samples must be a square N x N grid, got {values.shape}")
+    N = values.shape[0]
+    if N < 2 * K + 2:
+        raise GridTooSmall(f"grid {N} < 2*{K}+2 required to read band {K}")
+    return _truncate(scipy.fft.rfft2(values, norm="forward", workers=_workers(N)),
+                     values, K)
 
 
 def multiply(f: TorusField, g: TorusField) -> TorusField:
@@ -348,9 +348,7 @@ def multiply(f: TorusField, g: TorusField) -> TorusField:
         return f * g.coeffs[0, 0].real
     Kout = f.band + g.band
     N = good_grid(2 * Kout + 2)
-    vf = to_grid(f, N).values
-    vg = to_grid(g, N).values
-    return from_grid(GridSamples(N=N, values=vf * vg), Kout)
+    return from_grid(to_grid(f, N) * to_grid(g, N), Kout)
 
 
 def sqrt_pointwise(f: TorusField, oversample: int = 4, kout: int | None = None):
@@ -358,8 +356,9 @@ def sqrt_pointwise(f: TorusField, oversample: int = 4, kout: int | None = None):
 
     Samples f on a grid of size >= oversample*(2*band+2) (and large
     enough to read kout coefficients back), takes the square root, and
-    truncates at kout. The returned AliasReport carries the l2 mass in
-    the top dyadic shell of the sampled transform as the tail estimate.
+    truncates its transform at kout. The returned AliasReport carries
+    the l2 mass in the top dyadic shell of that transform as the tail
+    estimate.
 
     Raises NotPositive if the sampled minimum is <= 0.
     """
@@ -369,10 +368,10 @@ def sqrt_pointwise(f: TorusField, oversample: int = 4, kout: int | None = None):
         raise ValueError("oversample must be >= 1")
     N = good_grid(max(oversample * (2 * f.band + 2), 2 * kout + 2))
     g = to_grid(f, N)
-    m = float(g.values.min())
+    m = float(g.min())
     if m <= 0.0:
         raise NotPositive(f"grid minimum {m:.6e} <= 0 on {N}x{N} grid")
-    vals = np.sqrt(g.values)
+    vals = np.sqrt(g)
     H = scipy.fft.rfft2(vals, norm="forward", workers=_workers(N))
     # energy in the top dyadic shell (N/4, N/2] of the sampling grid;
     # columns 1..N//2-1 of the half-spectrum stand for a mirrored pair
@@ -386,8 +385,7 @@ def sqrt_pointwise(f: TorusField, oversample: int = 4, kout: int | None = None):
         w[-1] = 1.0
     shell = norm2 > (N / 4.0) ** 2
     tail = float(np.sqrt(np.sum((np.abs(H) ** 2 * w[None, :])[shell])))
-    root = from_grid(GridSamples(N=N, values=vals), kout)
-    return root, AliasReport(tail=tail, grid=N, kout=kout)
+    return _truncate(H, vals, kout), AliasReport(tail=tail, grid=N, kout=kout)
 
 
 def inner(f: TorusField, g: TorusField) -> float:

@@ -42,6 +42,7 @@ from .multipliers import (
     L1,
     L2,
     ModulatedField,
+    _kgrids,
     directional_grad,
     fat_lowpass,
     grad_perp,
@@ -197,7 +198,6 @@ def build_f_next(q: TorusField, scales: DerivedScales, c0: float = 2.0,
     f = TorusField.zero()
     for amp, l in zip(a, DIRECTIONS):
         f = f + modulate(amp, l.wave(lam5), "cos")
-    f = TorusField(f.coeffs, mean_zero=True)
     return Perturbation(f_next=f, a=a, a_perfect=tuple(ap), alias_tail=max(als))
 
 
@@ -398,6 +398,9 @@ def step(state: StepState, params: IterationParams, grid_cap: int = 4096):
     flux, regularity monitors, and the sqrt alias tail.
     """
     sc = scales_for(params, state.n)
+    # k-grids cached before this step are of other bands; left in the
+    # heap, they fragment it under this step's grids
+    _kgrids.cache_clear()
     sep_ok = 48 * sc.lambda_n <= sc.lambda_next
     if not sep_ok and params.separation == "strict48":
         raise SeparationViolated(

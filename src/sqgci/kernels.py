@@ -3,8 +3,9 @@
 Three inner loops run outside scipy's FFTs: the smooth cutoff profile
 evaluated on wavenumber grids, the shifted-symbol pair for the
 modulated-wave operators, and the Hermitian symmetry scan. The scan
-runs only in the checked constructor (external arrays, SQF1 reads and
-`fields.from_grid`); fields built by exact operations skip it.
+runs only in the checked constructor, on outside data (user arrays,
+`from_modes`, `constant`, SQF1 reads); fields the program computes,
+transform reads included, skip it.
 """
 
 import numpy as np

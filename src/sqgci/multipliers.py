@@ -319,6 +319,9 @@ class ModulatedField:
 
             cos: a/2 at carrier p and at -p
             sin: a/(2i) at p and -a/(2i) at -p
+
+        It is flagged mean-zero when p clears the band of a: no block
+        then covers k = 0, so c(0) is exactly 0.
         """
         if trig not in ("cos", "sin"):
             raise ValueError(f"trig must be 'cos' or 'sin', got {trig!r}")
@@ -328,10 +331,11 @@ class ModulatedField:
             c = a.coeffs[None]
         p = (int(p[0]), int(p[1]))
         m = (-p[0], -p[1])
+        clear = max(abs(p[0]), abs(p[1])) > c.shape[-1] // 2
         if trig == "cos":
             half = c * 0.5
-            return cls({p: half}) + cls({m: half})
-        return cls({p: c / 2j}) + cls({m: -c / 2j})
+            return cls({p: half}, clear) + cls({m: half}, clear)
+        return cls({p: c / 2j}, clear) + cls({m: -c / 2j}, clear)
 
     @classmethod
     def pair(cls, x: "ModulatedField", y: "ModulatedField") -> "ModulatedField":

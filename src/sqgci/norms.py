@@ -4,10 +4,8 @@ L-infinity is measured as a grid maximum on an oversampled collocation
 grid, so every reported value is a certified lower bound on the true
 norm. The X-norm stacks L-infinity of the field and of its two images
 under the even rational multipliers. Homogeneous Sobolev norms come
-straight from coefficients. Holder regularity is tracked two ways: a
-dyadic-block (Besov-type) proxy, which is the canonical number, and a
-brute-force difference quotient over random point pairs as a
-cross-check.
+straight from coefficients. Holder regularity is tracked by a
+dyadic-block (Besov-type) proxy.
 """
 
 from __future__ import annotations
@@ -37,8 +35,7 @@ def linf(f: TorusField, oversample: int = 4, grid_cap=None) -> float:
     candidates.append(minimal)
     for N in candidates:
         if grid_cap is None or N <= grid_cap:
-            vals = to_grid(f, N).values
-            return float(np.abs(vals).max())
+            return float(np.abs(to_grid(f, N)).max())
     raise GridBudgetExceeded(
         f"band {K} needs a {minimal}-point axis, cap is {grid_cap}")
 
@@ -104,34 +101,3 @@ def holder_besov(f: TorusField, alpha: float, oversample: int = 4,
     for blk in dyadic_blocks(f):
         best = max(best, 2.0 ** (blk.j * alpha) * linf(blk.part, oversample, grid_cap))
     return best
-
-
-def _eval_points(f: TorusField, pts: np.ndarray) -> np.ndarray:
-    """Direct evaluation of f at arbitrary points, vectorized over
-    points via two small matmuls."""
-    K = f.band
-    k = np.arange(-K, K + 1, dtype=np.float64)
-    e1 = np.exp(1j * pts[:, 0:1] * k[None, :])
-    e2 = np.exp(1j * pts[:, 1:2] * k[None, :])
-    return np.real(np.sum((e1 @ f.coeffs) * e2, axis=1))
-
-
-def holder_quotient(f: TorusField, alpha: float, samples: int = 200,
-                    seed: int = 1234) -> float:
-    """Brute-force C^alpha estimate: max over random point pairs of
-    |f(x)-f(y)| / dist(x,y)^alpha (torus distance) plus ‖f‖∞."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    rng = np.random.default_rng(seed)
-    x = rng.uniform(-np.pi, np.pi, size=(samples, 2))
-    y = rng.uniform(-np.pi, np.pi, size=(samples, 2))
-    fx = _eval_points(f, x)
-    fy = _eval_points(f, y)
-    d = np.abs(x - y)
-    d = np.minimum(d, 2.0 * np.pi - d)
-    dist = np.hypot(d[:, 0], d[:, 1])
-    ok = dist > 0
-    quot = float(np.max(np.abs(fx - fy)[ok] / dist[ok] ** alpha)) if ok.any() else 0.0
-    return quot + linf(f)

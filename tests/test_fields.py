@@ -20,7 +20,6 @@ from sqgci import fields
 from sqgci.errors import GridTooSmall, NonZeroMean, NotPositive, ParseError
 from sqgci.fields import (
     THREADED_GRID_MIN,
-    GridSamples,
     TorusField,
     VectorField,
     from_grid,
@@ -85,7 +84,7 @@ def test_to_grid_matches_direct_summation():
     rng = np.random.default_rng(11)
     for band, N in ((3, 16), (5, 18), (1, 4)):
         f = random_field(band, rng)
-        got = to_grid(f, N).values
+        got = to_grid(f, N)
         want = _direct_sum(f, N)
         np.testing.assert_allclose(got, want, atol=1e-13)
 
@@ -95,7 +94,7 @@ def test_cosine_exact_on_nodes():
     N = 32
     x = 2.0 * np.pi * np.arange(N) / N - np.pi
     want = np.cos(3 * x[:, None] - x[None, :])
-    np.testing.assert_allclose(to_grid(f, N).values, want, atol=1e-14)
+    np.testing.assert_allclose(to_grid(f, N), want, atol=1e-14)
 
 
 def test_grid_roundtrip():
@@ -128,9 +127,9 @@ def _irfft2_oracle(f: TorusField, N: int) -> np.ndarray:
     return scipy.fft.irfft2(H, s=(N, N), norm="forward")
 
 
-def _rfft2_oracle(values: np.ndarray, K: int) -> TorusField:
-    """Band-K read of one rfft2, mode by mode, checked at the scale of
-    the samples as `from_grid` is."""
+def _rfft2_oracle(values: np.ndarray, K: int) -> np.ndarray:
+    """Band-K read of one rfft2, mode by mode, with the whole box
+    symmetrised."""
     N = values.shape[0]
     H = scipy.fft.rfft2(values, norm="forward")
     c = np.empty((2 * K + 1, 2 * K + 1), dtype=np.complex128)
@@ -138,7 +137,10 @@ def _rfft2_oracle(values: np.ndarray, K: int) -> TorusField:
         for k1 in range(-K, K + 1):
             h = H[k1 % N, k2] if k2 >= 0 else np.conj(H[-k1 % N, -k2])
             c[k1 + K, k2 + K] = h
-    return TorusField._read(c * _phase_grid(K), values)
+    c *= _phase_grid(K)
+    c += np.conj(c[::-1, ::-1])
+    c *= 0.5
+    return c
 
 
 def _grid_side(band, kind, extra):
@@ -169,14 +171,12 @@ def test_transforms_equal_the_full_spectrum_oracles(band, kind, extra, seed):
     for cpus in (1, 2):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(fields, "_cpu_count", lambda: cpus)
-            assert np.array_equal(to_grid(f, N).values, want_grid)
-            got = from_grid(GridSamples(N=N, values=values), band)
-            assert np.array_equal(got.coeffs, want_read.coeffs)
+            assert np.array_equal(to_grid(f, N), want_grid)
+            assert np.array_equal(from_grid(values, band).coeffs, want_read)
             with pytest.raises(GridTooSmall):
                 to_grid(f, 2 * band + 1)
             with pytest.raises(GridTooSmall):
-                from_grid(GridSamples(N=2 * band + 1, values=values[:2 * band + 1,
-                                                                   :2 * band + 1]), band)
+                from_grid(values[:2 * band + 1, :2 * band + 1], band)
 
 
 def test_multiply_matches_convolution_oracle():
@@ -211,7 +211,7 @@ def test_multiply_constant_shortcut():
 def test_sqrt_squares_back():
     rng = np.random.default_rng(5)
     bump = random_field(3, rng)
-    sup = float(np.abs(to_grid(bump, 32).values).max())
+    sup = float(np.abs(to_grid(bump, 32)).max())
     f = TorusField.constant(2.0) + bump * (0.5 / sup)
     root, rep = sqrt_pointwise(f, oversample=4, kout=24)
     sq = multiply(root, root)
@@ -236,15 +236,45 @@ def test_hermitian_symmetrization_and_rejection():
     assert sym.coeff(-1, 0) == np.conj(sym.coeff(1, 0))
 
 
-def test_grid_read_is_checked_at_the_scale_of_its_samples():
-    samples = np.ones((4, 4))
+def _read_spoiled(monkeypatch, samples, K, bins):
+    """from_grid(samples, K) with the rfft2 bins (k1, k2), k2 >= 0, set
+    to the values `bins` maps them to."""
+    N = samples.shape[0]
+    rfft2 = scipy.fft.rfft2
+
+    def spoiled(x, *args, **kwargs):
+        H = rfft2(x, *args, **kwargs)
+        for (k1, k2), v in bins.items():
+            H[k1 % N, k2] = v
+        return H
+
+    monkeypatch.setattr(scipy.fft, "rfft2", spoiled)
+    return from_grid(samples, K)
+
+
+def test_grid_read_is_checked_at_the_scale_of_its_samples(monkeypatch):
+    # a rounding-sized imaginary part of c(0) is far above 1e-13 of the
+    # largest coefficient, but not of the largest sample
+    ones = np.ones((4, 4))
     rounded = np.array([[1e-6 + 1e-18j]])
     with pytest.raises(ValueError):
         TorusField(rounded)
-    read = TorusField._read(rounded.copy(), samples)
+    read = _read_spoiled(monkeypatch, ones, 0, {(0, 0): 1e-6 + 1e-18j})
     assert read.coeff(0, 0) == 1e-6
-    with pytest.raises(ValueError):
-        TorusField._read(np.array([[1e-6 + 1e-12j]]), samples)
+    for bins in ({(0, 0): 1.0 + 1e-12j}, {(1, 0): 1e-12}, {(-1, 0): 1e-12j}):
+        with pytest.raises(ValueError, match="Hermitian"):
+            _read_spoiled(monkeypatch, ones, 1, bins)
+
+
+def test_grid_read_rejects_non_finite_and_non_square_samples():
+    for bad in (np.nan, np.inf, -np.inf, 1e307):
+        values = np.ones((8, 8))
+        values[3, 5] = bad
+        with pytest.raises(ValueError, match="non-finite or overflowing"):
+            from_grid(values, 2)
+    for shape in ((8, 9), (8,), (2, 8, 8)):
+        with pytest.raises(ValueError, match="square"):
+            from_grid(np.ones(shape), 2)
 
 
 def test_checked_construction_rejects_non_finite():
@@ -267,7 +297,7 @@ def test_mean_zero_flag_enforced():
 def test_from_modes_autoconjugates():
     f = TorusField.from_modes(2, {(1, 2): 0.25 - 0.5j})
     assert f.coeff(-1, -2) == 0.25 + 0.5j
-    g = to_grid(f, 16).values
+    g = to_grid(f, 16)
     assert np.max(np.abs(np.imag(g))) == 0.0  # real by construction
 
 
@@ -301,7 +331,7 @@ def test_inner_matches_grid_quadrature():
     g = random_field(3, rng, mean_zero=False)
     N = good_grid(2 * (5 + 3) + 2)
     quad = (2.0 * np.pi / N) ** 2 * np.sum(
-        to_grid(f, N).values * to_grid(g, N).values)
+        to_grid(f, N) * to_grid(g, N))
     assert abs(inner(f, g) - quad) < 1e-12 * max(1.0, abs(quad))
 
 
@@ -417,6 +447,11 @@ def test_random_field_reproducible_and_banded():
     assert np.all(a.coeffs[outside] == 0.0)
 
 
+def _carriers(band, p):
+    """p, then carriers that cover k = 0 and that clear a band-`band` amplitude."""
+    return [p, (band, -band), (band + 1, 0), (-2, band + 1)]
+
+
 def _exact_outputs(band, seed, p, trig, lam_gap, scale):
     """(name, field) for every producer that builds its field through the
     exact path, applied to seeded random fields of the given band."""
@@ -425,12 +460,18 @@ def _exact_outputs(band, seed, p, trig, lam_gap, scale):
     g = random_field(band + 1, rng, mean_zero=True)
     h = random_field(band, rng, mean_zero=False)
     lam = band + lam_gap
+    N = 2 * band + 2 + lam_gap
+    # the Wiener bound keeps this radicand at least 1
+    radicand = TorusField.constant(2.0) + f * (1.0 / max(np.abs(f.coeffs).sum(), 1.0))
     out = [("zero", TorusField.zero(band)), ("random_field", f),
            ("random_field mean", h), ("add", h + g), ("add mean-zero", f + g),
            ("sub", f - g), ("neg", -h), ("mul", h * scale),
            ("pad_to", h.pad_to(band + 2)), ("trim", h.pad_to(band + 2).trim()),
-           ("modulate", modulate(h, p, trig)),
-           ("inv_div", inv_div(VectorField(f, g)))]
+           ("inv_div", inv_div(VectorField(f, g))),
+           ("from_grid", from_grid(rng.standard_normal((N, N)), band)),
+           ("multiply", multiply(h, g)),
+           ("sqrt_pointwise", sqrt_pointwise(radicand, kout=band + 2)[0])]
+    out += [(f"modulate {q}", modulate(h, q, trig)) for q in _carriers(band, p)]
     out += [(f"lambda_s {s}", lambda_s(f, s)) for s in (-0.5, 0.5, 1.0)]
     for j in (1, 2):
         out += [(f"riesz {j}", riesz(f, j)), (f"riesz_odd {j}", riesz_odd(f, j)),
@@ -450,7 +491,11 @@ def _exact_outputs(band, seed, p, trig, lam_gap, scale):
        trig=st.sampled_from(["cos", "sin"]), lam_gap=st.integers(1, 20),
        scale=st.floats(-1e3, 1e3))
 def test_exact_producers_are_hermitian_and_frozen(band, seed, p, trig, lam_gap, scale):
-    for name, fld in _exact_outputs(band, seed, p, trig, lam_gap, scale):
+    outputs = _exact_outputs(band, seed, p, trig, lam_gap, scale)
+    waves = [fld for name, fld in outputs if name.startswith("modulate")]
+    for q, fld in zip(_carriers(band, p), waves, strict=True):
+        assert fld.mean_zero == (max(abs(q[0]), abs(q[1])) > band), q
+    for name, fld in outputs:
         c = fld.coeffs
         assert np.array_equal(c, np.conj(c[::-1, ::-1])), name
         with pytest.raises(ValueError):  # frozen
@@ -478,4 +523,4 @@ def test_trim_does_not_view_its_parent():
 def test_from_grid_rejects_non_representable():
     vals = np.zeros((8, 8))
     with pytest.raises(GridTooSmall):
-        from_grid(GridSamples(N=8, values=vals), 4)
+        from_grid(vals, 4)

@@ -342,6 +342,23 @@ def test_step_full_bookkeeping():
     assert check_support(new.q, 12.0 * 32) == 0.0
 
 
+def test_step_checks_only_outside_data(monkeypatch):
+    # every field a step computes is frozen unchecked; the Hermitian scan
+    # runs only on the radicand constants c0 of the two amplitudes
+    from sqgci import fields
+    st, _ = _seeded_state()
+    scanned = []
+    scan = fields.hermitian_violation
+
+    def counting(c):
+        scanned.append(c.shape)
+        return scan(c)
+
+    monkeypatch.setattr(fields, "hermitian_violation", counting)
+    step(st, WORKHORSE, grid_cap=1024)
+    assert scanned == [(1, 1), (1, 1)]
+
+
 def test_step_respects_strict_separation():
     p = IterationParams(lambda0=2, b=5.0, beta=0.25, nu=0.0, gamma=1.0,
                         separation="strict48")

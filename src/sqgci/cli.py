@@ -25,6 +25,7 @@ reported as one JSON object on stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -318,16 +319,10 @@ def cmd_run(cfg: RunConfig, quiet: bool = False) -> int:
         export_spectrum(theta, os.path.join(cfg.out_dir, "theta.spectrum.csv"))
         export_shells(theta, os.path.join(cfg.out_dir, "theta.shells.csv"))
     if "reports" in cfg.emit:
-        fz = feasibility(p)
         _write_text(os.path.join(cfg.out_dir, "run.json"), render_json({
             "config": cfg.echo(),
             "params_hash": digest,
-            "feasibility": {
-                "alpha": fz.alpha,
-                "exponents": fz.exponents,
-                "verdicts": fz.verdicts,
-                "constraints": fz.constraints,
-            },
+            "feasibility": dataclasses.asdict(feasibility(p)),
         }) + "\n")
     if not quiet:
         print(f"done: {p.steps} step(s), outputs in {cfg.out_dir}")
@@ -398,13 +393,7 @@ def cmd_verify(cfg: RunConfig, quiet: bool = False) -> int:
 
 def cmd_feasibility(cfg: RunConfig) -> int:
     fz = feasibility(cfg.params)
-    print(render_json({
-        "alpha": fz.alpha,
-        "exponents": fz.exponents,
-        "verdicts": fz.verdicts,
-        "constraints": fz.constraints,
-        "all_pass": fz.all_pass,
-    }))
+    print(render_json({**dataclasses.asdict(fz), "all_pass": fz.all_pass}))
     return 0
 
 

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 
-from .errors import GridTooSmall, NonZeroMean, NotPositive, ParseError
+from .errors import GridBudgetExceeded, GridTooSmall, NonZeroMean, NotPositive, ParseError
 from .kernels import hermitian_violation
 
 HERMITIAN_RTOL = 1e-13
@@ -186,19 +186,12 @@ class TorusField:
 
 @dataclass
 class VectorField:
-    """Pair of scalar fields sharing a band."""
+    """Pair of scalar fields, dense (TorusField) or factored by carrier
+    (multipliers.ModulatedField); sums and scalar multiples act
+    component by component."""
 
     comp1: TorusField
     comp2: TorusField
-
-    def __post_init__(self):
-        K = max(self.comp1.band, self.comp2.band)
-        self.comp1 = self.comp1.pad_to(K)
-        self.comp2 = self.comp2.pad_to(K)
-
-    @property
-    def band(self):
-        return self.comp1.band
 
     def __add__(self, other):
         return VectorField(self.comp1 + other.comp1, self.comp2 + other.comp2)
@@ -351,7 +344,8 @@ def multiply(f: TorusField, g: TorusField) -> TorusField:
     return from_grid(to_grid(f, N) * to_grid(g, N), Kout)
 
 
-def sqrt_pointwise(f: TorusField, oversample: int = 4, kout: int | None = None):
+def sqrt_pointwise(f: TorusField, oversample: int = 4, kout: int | None = None,
+                   grid_cap: int | None = None):
     """Band-limited pointwise square root.
 
     Samples f on a grid of size >= oversample*(2*band+2) (and large
@@ -360,13 +354,17 @@ def sqrt_pointwise(f: TorusField, oversample: int = 4, kout: int | None = None):
     the l2 mass in the top dyadic shell of that transform as the tail
     estimate.
 
-    Raises NotPositive if the sampled minimum is <= 0.
+    Raises GridBudgetExceeded if that grid's side exceeds grid_cap, and
+    NotPositive if the sampled minimum is <= 0.
     """
     if kout is None:
         kout = f.band
     if oversample < 1:
         raise ValueError("oversample must be >= 1")
     N = good_grid(max(oversample * (2 * f.band + 2), 2 * kout + 2))
+    if grid_cap is not None and N > grid_cap:
+        raise GridBudgetExceeded(f"sqrt sampling of band {f.band} needs a {N}-point "
+                                 f"axis, cap is {grid_cap}")
     g = to_grid(f, N)
     m = float(g.min())
     if m <= 0.0:

@@ -157,14 +157,16 @@ class StepState:
 
 
 def perfect_amplitude(q: TorusField, r_n: float, lambda_next: int, c0: float,
-                      j: int, oversample: int = 4, kout=None):
+                      j: int, oversample: int = 4, kout=None, grid_cap=None):
     """Amplitude 2 sqrt(r_n/(5 lambda_next)) sqrt(c0 + m_j q / r_n) for
     direction j, truncated at kout (band of q by default). Returns the
     field and the sqrt alias report. NotPositive propagates when the
     radicand dips below zero, i.e. the induction bound ‖q‖_X <= r_n
-    failed."""
+    failed, and GridBudgetExceeded when its sampling grid exceeds
+    grid_cap."""
     radicand = TorusField.constant(c0) + riesz_odd(q, j) * (1.0 / r_n)
-    root, alias = sqrt_pointwise(radicand, oversample=oversample, kout=kout)
+    root, alias = sqrt_pointwise(radicand, oversample=oversample, kout=kout,
+                                 grid_cap=grid_cap)
     scale = 2.0 * math.sqrt(r_n / (5.0 * lambda_next))
     return root * scale, alias
 
@@ -178,7 +180,7 @@ class Perturbation:
 
 
 def build_f_next(q: TorusField, scales: DerivedScales, c0: float = 2.0,
-                 oversample: int = 4, kout=None) -> Perturbation:
+                 oversample: int = 4, kout=None, grid_cap=None) -> Perturbation:
     """Perturbation at frequency 5*lambda_next along both directions.
 
     The amplitudes keep only frequencies below mu_next, so the result is
@@ -191,7 +193,7 @@ def build_f_next(q: TorusField, scales: DerivedScales, c0: float = 2.0,
     als = []
     for j in (1, 2):
         amp, alias = perfect_amplitude(q, scales.r_n, scales.lambda_next, c0,
-                                       j, oversample, kout)
+                                       j, oversample, kout, grid_cap)
         ap.append(amp)
         als.append(alias.tail)
     a = tuple(lowpass(amp, scales.mu_next) for amp in ap)
@@ -201,13 +203,10 @@ def build_f_next(q: TorusField, scales: DerivedScales, c0: float = 2.0,
     return Perturbation(f_next=f, a=a, a_perfect=tuple(ap), alias_tail=max(als))
 
 
-def _scaled_perp(f, l, scale: float):
-    """(scale f) l_perp for a TorusField or a scalar ModulatedField f."""
+def _scaled_perp(f, l, scale: float) -> VectorField:
+    """(scale f) l_perp for a TorusField or a ModulatedField f."""
     lp = l.perp
-    x, y = f * (scale * lp.n1 / lp.d), f * (scale * lp.n2 / lp.d)
-    if isinstance(f, ModulatedField):
-        return ModulatedField.pair(x, y)
-    return VectorField(x, y)
+    return VectorField(f * (scale * lp.n1 / lp.d), f * (scale * lp.n2 / lp.d))
 
 
 def nonlinear_flux(f: TorusField, g: TorusField) -> VectorField:
@@ -239,9 +238,9 @@ def assemble_nonosc(a1: TorusField, a2: TorusField, lam5: int) -> VectorField:
     return out
 
 
-def _mod2(g, pa, pb, ta: str, tb: str) -> ModulatedField:
+def _mod2(g, pa, pb, ta: str, tb: str):
     """g(x) trig_a(pa.x) trig_b(pb.x) expanded by product-to-sum, for a
-    TorusField or VectorField g."""
+    TorusField g (a ModulatedField) or a VectorField g (a pair of them)."""
     wave = ModulatedField.wave
     ps = (pa[0] + pb[0], pa[1] + pb[1])
     pd = (pa[0] - pb[0], pa[1] - pb[1])
@@ -260,10 +259,11 @@ def _times(s: TorusField, v: VectorField) -> VectorField:
     return VectorField(multiply(s, v.comp1), multiply(s, v.comp2))
 
 
-def assemble_osc(a1: TorusField, a2: TorusField, lam5: int) -> ModulatedField:
+def assemble_osc(a1: TorusField, a2: TorusField, lam5: int) -> VectorField:
     """The six oscillatory families left after removing the mean
-    (non-oscillatory) part of the quadratic self-interaction, kept
-    factored by carrier (2 p_l and p_1 +/- p_2, with their negatives).
+    (non-oscillatory) part of the quadratic self-interaction: a pair of
+    ModulatedFields, factored by carrier (2 p_l and p_1 +/- p_2, with
+    their negatives).
 
     With s_l = (l.grad)a_l + T2 a_l and c_l = T1 a_l, p_l = lam5*l:
 
@@ -332,7 +332,7 @@ def q_m2(a1: TorusField, a2: TorusField, lam5: int) -> TorusField:
 
 def q_m3(a1: TorusField, a2: TorusField, lam5: int) -> TorusField:
     """Oscillatory stress, inverted per carrier on the amplitude grids."""
-    return assemble_osc(a1, a2, lam5).inv_div().to_dense()
+    return inv_div(assemble_osc(a1, a2, lam5)).to_dense()
 
 
 def q_t(f_next: TorusField, f_leq: TorusField):
@@ -414,7 +414,7 @@ def step(state: StepState, params: IterationParams, grid_cap: int = 4096):
             f"step {state.n} needs a {need}-point axis for band {2 * band_f1}, "
             f"cap is {grid_cap}")
 
-    pert = build_f_next(state.q, sc, params.c0, params.oversample)
+    pert = build_f_next(state.q, sc, params.c0, params.oversample, grid_cap=grid_cap)
     f1 = pert.f_next
     a1, a2 = pert.a
     # the checks' direct flux is the step's largest product: it is formed
@@ -433,7 +433,8 @@ def step(state: StepState, params: IterationParams, grid_cap: int = 4096):
     direct_new = inv_div(self_flux) + state.q
     del self_flux
     qd = q_d(f1, params.nu, params.gamma)
-    q_next = qm1 + qm2 + qm3 + qt + qd
+    qm = qm1 + qm2 + qm3
+    q_next = qm + qt + qd
 
     f_total = state.f_leq + f1
     for fld, radius, name in ((f_total, 6.0 * sc.lambda_next, "f"),
@@ -454,9 +455,8 @@ def step(state: StepState, params: IterationParams, grid_cap: int = 4096):
         gp = grad_perp(f1)
         denom = linf(lambda_s(f1, 1.0), os, grid_cap) * max(
             linf(gp.comp1, os, grid_cap), linf(gp.comp2, os, grid_cap))
-    diss = lambda_s(f1, params.gamma - 1.0) * params.nu if params.nu else TorusField.zero()
-    master = _rel_linf(direct_all + state.q - q_next - diss, denom, os, grid_cap)
-    decomp = _rel_linf((qm1 + qm2 + qm3) - direct_new, denom, os, grid_cap)
+    master = _rel_linf(direct_all + state.q - q_next + qd, denom, os, grid_cap)
+    decomp = _rel_linf(qm - direct_new, denom, os, grid_cap)
 
     xq = x_norm(q_next, os, grid_cap, sup=sup_q_next)
     row = {
@@ -472,7 +472,7 @@ def step(state: StepState, params: IterationParams, grid_cap: int = 4096):
             "qM2": x_norm(qm2, os, grid_cap),
             "qM3": x_norm(qm3, os, grid_cap),
             "qT": x_norm(qt, os, grid_cap),
-            "qD": x_norm(qd, os, grid_cap) if params.nu else 0.0,
+            "qD": x_norm(qd, os, grid_cap),
             "q_next": xq,
         },
         "ratio_q_over_r": xq / sc.r_next,

@@ -18,9 +18,11 @@ plus derivative helpers, the Riesz commutator [R_j, phi] theta =
 R_j(phi theta) - phi R_j theta (products computed exactly), and exact
 modulation by cos/sin of a lattice wave (pure coefficient shifts).
 
-ModulatedField keeps a field factored by carrier, sum_p A_p e^{i p.x}
-with small amplitudes A_p; sums, scalar multiples and inv_div act on
-the amplitude grids, and `modulate` is its dense view of one wave.
+ModulatedField keeps a scalar field factored by carrier, sum_p A_p
+e^{i p.x} with small amplitudes A_p; sums and scalar multiples act on
+the amplitude grids, and `modulate` is its dense view of one wave. A
+factored vector field is a VectorField of two of them, and `inv_div`
+inverts it carrier by carrier.
 
 Real-even symbols map real fields to real fields, imaginary-odd ones
 likewise; the symbol grids below are built so that the required
@@ -206,20 +208,17 @@ def lowpass(f: TorusField, mu: float) -> TorusField:
 
 
 def fat_lowpass(f: TorusField, mu: float) -> TorusField:
-    """Widened projection psi(|k|/(4 mu)): identity for |k| <= 2 mu, zero
-    for |k| >= 4 mu. Requires mu >= 1."""
-    if mu < 1.0:
-        raise ValueError(f"fat_lowpass cutoff must be >= 1, got {mu}")
-    _, _, kn = _kgrids(f.band)
-    m = cutoff_profile(kn / (4.0 * mu))
-    return TorusField._exact(f.coeffs * m, mean_zero=f.mean_zero).trim()
+    """Widened projection lowpass(f, 4 mu): identity for |k| <= 2 mu,
+    zero for |k| >= 4 mu."""
+    return lowpass(f, 4.0 * mu)
 
 
 def _inv_div_block(c1, c2, p=(0, 0)):
     """inv_div coefficients of the amplitude pair (c1, c2) riding carrier
     p: the symbol i(p+k).v / (-|p+k|^2) on the amplitude's grid, 0 at
-    p + k = 0."""
-    K = c1.shape[0] // 2
+    p + k = 0. The smaller of two unequal grids is zero-padded."""
+    K = max(c1.shape[0], c2.shape[0]) // 2
+    c1, c2 = _pad(c1, K), _pad(c2, K)
     k1, k2, _ = _kgrids(K)
     k1, k2 = k1 + p[0], k2 + p[1]
     num = 1j * (k1 * c1 + k2 * c2)
@@ -233,12 +232,23 @@ def _inv_div_block(c1, c2, p=(0, 0)):
     return c
 
 
-def inv_div(v: VectorField) -> TorusField:
+def inv_div(v: VectorField) -> TorusField | ModulatedField:
     """Solve Laplacian(p) = div v for mean-zero p:
-    p^(k) = (i k.v^(k)) / (-|k|^2). Both components must be mean-zero."""
-    require_mean_zero(v.comp1, "inv_div component 1")
-    require_mean_zero(v.comp2, "inv_div component 2")
-    return TorusField._exact(_inv_div_block(v.comp1.coeffs, v.comp2.coeffs), mean_zero=True)
+    p^(k) = (i k.v^(k)) / (-|k|^2). Both components must be mean-zero.
+    Dense components give a TorusField; ModulatedField components on
+    the same carriers are inverted carrier by carrier and give a
+    ModulatedField."""
+    x, y = v.comp1, v.comp2
+    if isinstance(x, ModulatedField):
+        if x.blocks.keys() != y.blocks.keys():
+            raise ValueError("inv_div needs components on the same carriers")
+        x.require_mean_zero("inv_div component 1")
+        y.require_mean_zero("inv_div component 2")
+        return ModulatedField({p: _inv_div_block(bx, y.blocks[p], p)
+                               for p, bx in x.blocks.items()}, mean_zero=True)
+    require_mean_zero(x, "inv_div component 1")
+    require_mean_zero(y, "inv_div component 2")
+    return TorusField._exact(_inv_div_block(x.coeffs, y.coeffs), mean_zero=True)
 
 
 def partial(f: TorusField, j: int) -> TorusField:
@@ -283,25 +293,26 @@ def rperp_grad_commutator(psi: TorusField, theta: TorusField) -> TorusField:
 
 
 def _pad(b, K):
-    """Block b (components stacked on axis 0) zero-padded to band K."""
-    w = K - b.shape[-1] // 2
-    return b if w == 0 else np.pad(b, ((0, 0), (w, w), (w, w)))
+    """Block b zero-padded to band K."""
+    w = K - b.shape[0] // 2
+    return b if w == 0 else np.pad(b, w)
 
 
 class ModulatedField:
-    """A field kept factored by carrier,
+    """A scalar field kept factored by carrier,
 
         F(x) = sum_p A_p(x) exp(i p.x),
 
     as a map from lattice carriers p = (p1, p2) to the coefficients of
-    small complex amplitudes A_p at their own band K_p. Each block is an
-    array of shape (m, 2K_p+1, 2K_p+1): m = 1 for a scalar field, m = 2
-    for a vector field (components stacked). A block alone is not a real
-    field; the blocks at p and -p are mirror conjugates, so F is.
+    small complex amplitudes A_p at their own band K_p, each block a
+    (2K_p+1, 2K_p+1) array. A block alone is not a real field; the
+    blocks at p and -p are mirror conjugates, so F is. A factored vector
+    field is a VectorField of two ModulatedFields on the same carriers.
 
-    Sums, scalar multiples and `inv_div` act per carrier on the small
-    amplitude grids, with the float operations the dense box would apply
-    to each coefficient. Only `to_dense` places blocks into one box.
+    Sums and scalar multiples act per carrier on the small amplitude
+    grids, with the float operations the dense box would apply to each
+    coefficient; so does `inv_div` on a factored pair. Only `to_dense`
+    places blocks into one box.
     """
 
     __slots__ = ("blocks", "mean_zero")
@@ -314,41 +325,28 @@ class ModulatedField:
 
     @classmethod
     def wave(cls, a, p, trig: str):
-        """a(x) cos(p.x) or a(x) sin(p.x) for a TorusField or VectorField
-        a and a lattice vector p:
+        """a(x) cos(p.x) or a(x) sin(p.x) for a TorusField a and a
+        lattice vector p:
 
             cos: a/2 at carrier p and at -p
             sin: a/(2i) at p and -a/(2i) at -p
 
         It is flagged mean-zero when p clears the band of a: no block
-        then covers k = 0, so c(0) is exactly 0.
+        then covers k = 0, so c(0) is exactly 0. A VectorField a maps
+        component by component to a VectorField of ModulatedFields.
         """
+        if isinstance(a, VectorField):
+            return VectorField(cls.wave(a.comp1, p, trig), cls.wave(a.comp2, p, trig))
         if trig not in ("cos", "sin"):
             raise ValueError(f"trig must be 'cos' or 'sin', got {trig!r}")
-        if isinstance(a, VectorField):
-            c = np.stack((a.comp1.coeffs, a.comp2.coeffs))
-        else:
-            c = a.coeffs[None]
+        c = a.coeffs
         p = (int(p[0]), int(p[1]))
         m = (-p[0], -p[1])
-        clear = max(abs(p[0]), abs(p[1])) > c.shape[-1] // 2
+        clear = max(abs(p[0]), abs(p[1])) > a.band
         if trig == "cos":
             half = c * 0.5
             return cls({p: half}, clear) + cls({m: half}, clear)
         return cls({p: c / 2j}, clear) + cls({m: -c / 2j}, clear)
-
-    @classmethod
-    def pair(cls, x: "ModulatedField", y: "ModulatedField") -> "ModulatedField":
-        """The vector field (x, y) of two scalar factored fields that ride
-        the same carriers."""
-        if list(x.blocks) != list(y.blocks):
-            raise ValueError("pair needs components on the same carriers")
-        blocks = {}
-        for p, bx in x.blocks.items():
-            by = y.blocks[p]
-            K = max(bx.shape[-1], by.shape[-1]) // 2
-            blocks[p] = np.concatenate((_pad(bx, K), _pad(by, K)))
-        return cls(blocks, x.mean_zero and y.mean_zero)
 
     def __add__(self, other):
         if not isinstance(other, ModulatedField):
@@ -356,7 +354,7 @@ class ModulatedField:
         blocks = dict(self.blocks)
         for p, b in other.blocks.items():
             if p in blocks:
-                K = max(b.shape[-1], blocks[p].shape[-1]) // 2
+                K = max(b.shape[0], blocks[p].shape[0]) // 2
                 b = _pad(blocks[p], K) + _pad(b, K)
             blocks[p] = b
         return ModulatedField(blocks, self.mean_zero and other.mean_zero)
@@ -373,50 +371,35 @@ class ModulatedField:
 
     __rmul__ = __mul__
 
-    def inv_div(self) -> "ModulatedField":
-        """Scalar p with Laplacian(p) = div F, carrier by carrier. The
-        mean of each component, the sum of the blocks that cover k = 0,
-        must be negligible against the component's l2 mass."""
-        if not self.mean_zero:
-            c0, mass2, covered = np.zeros(2, dtype=np.complex128), np.zeros(2), False
-            for p, b in self.blocks.items():
-                K = b.shape[-1] // 2
-                if max(abs(p[0]), abs(p[1])) <= K:
-                    c0 = c0 + b[:, K - p[0], K - p[1]]
-                    covered = True
-                mass2 += np.sum(np.abs(b) ** 2, axis=(1, 2))
-            for j in (0, 1):
-                if covered and abs(c0[j]) > MEAN_RTOL * np.sqrt(mass2[j]):
-                    raise NonZeroMean(f"inv_div component {j + 1}: mean coefficient "
-                                      f"{abs(c0[j]):.3e} is not negligible")
-        return ModulatedField({p: _inv_div_block(b[0], b[1], p)[None]
-                               for p, b in self.blocks.items()}, mean_zero=True)
+    def require_mean_zero(self, what: str):
+        """Raise NonZeroMean unless the mean, the sum of the blocks that
+        cover k = 0, is negligible against the coefficient l2 mass."""
+        c0, mass2 = 0j, 0.0
+        for p, b in self.blocks.items():
+            K = b.shape[0] // 2
+            if max(abs(p[0]), abs(p[1])) <= K:
+                c0 = c0 + b[K - p[0], K - p[1]]
+            mass2 += np.sum(np.abs(b) ** 2)
+        if abs(c0) > MEAN_RTOL * np.sqrt(mass2):
+            raise NonZeroMean(f"{what}: mean coefficient {abs(c0):.3e} is not negligible")
 
-    def to_dense(self):
-        """The field on one coefficient box (a TorusField, or a
-        VectorField for vector blocks) of band max_p (K_p + |p|_inf), the
-        band the dense `modulate` gives. Blocks are added at their
+    def to_dense(self) -> TorusField:
+        """The field on one coefficient box of band max_p (K_p + |p|_inf),
+        the band the dense `modulate` gives. Blocks are added at their
         carriers' offsets. Where three blocks meet, the sum at k need not
         mirror the sum at -k, so a box with overlapping blocks is
         symmetrised to stay Hermitian bit for bit."""
-        reach = [(p, b.shape[-1] // 2) for p, b in self.blocks.items()]
+        reach = [(p, b.shape[0] // 2) for p, b in self.blocks.items()]
         Kout = max(K + max(abs(p[0]), abs(p[1])) for p, K in reach)
-        n = 2 * Kout + 1
-        m = next(iter(self.blocks.values())).shape[0]
-        boxes = [np.zeros((n, n), dtype=np.complex128) for _ in range(m)]
+        box = np.zeros((2 * Kout + 1, 2 * Kout + 1), dtype=np.complex128)
         for (p, K), b in zip(reach, self.blocks.values()):
             lo1, lo2 = Kout + p[0] - K, Kout + p[1] - K
-            for box, bj in zip(boxes, b):
-                box[lo1:lo1 + 2 * K + 1, lo2:lo2 + 2 * K + 1] += bj
-        overlap = any(max(abs(p[0] - r[0]), abs(p[1] - r[1])) <= K + J
-                      for i, (p, K) in enumerate(reach) for r, J in reach[:i])
-        out = []
-        for box in boxes:
-            if overlap:
-                box += np.conj(box[::-1, ::-1])
-                box *= 0.5
-            out.append(TorusField._exact(box, mean_zero=self.mean_zero))
-        return out[0] if m == 1 else VectorField(*out)
+            box[lo1:lo1 + 2 * K + 1, lo2:lo2 + 2 * K + 1] += b
+        if any(max(abs(p[0] - r[0]), abs(p[1] - r[1])) <= K + J
+               for i, (p, K) in enumerate(reach) for r, J in reach[:i]):
+            box += np.conj(box[::-1, ::-1])
+            box *= 0.5
+        return TorusField._exact(box, mean_zero=self.mean_zero)
 
 
 def modulate(a: TorusField, p, trig: str) -> TorusField:

@@ -292,7 +292,8 @@ def test_failed_run_keeps_ledger_and_resumes(tmp_path, monkeypatch):
     two = _write(tmp_path, TINY, "two.cfg")
     fresh = str(tmp_path / "fresh")
     assert main(["run", "--config", two, "--out", fresh, "--quiet"]) == 0
-    # the third step of this config breaks positivity (exit 3)
+    # the third step of this config needs a 1080-point sqrt sampling
+    # grid, over the 1024 cap (exit 3)
     out = str(tmp_path / "failed")
     three = _write(tmp_path, TINY.replace("steps = 2", "steps = 3"), "three.cfg")
     assert main(["run", "--config", three, "--out", out, "--quiet"]) == 3
@@ -308,6 +309,22 @@ def test_failed_run_keeps_ledger_and_resumes(tmp_path, monkeypatch):
         a = open(os.path.join(fresh, name), "rb").read()
         b = open(os.path.join(out, name), "rb").read()
         assert a == b, name
+
+
+def test_sqrt_sampling_grid_over_the_cap_stops_the_run(tmp_path, capsys):
+    # step 2 samples its amplitudes on a 648-point grid, over the cap
+    text = SYNTH.replace("steps = 1", "steps = 2").replace("grid_cap = 1024",
+                                                           "grid_cap = 512")
+    cfg = _write(tmp_path, text)
+    out = str(tmp_path / "capped")
+    assert main(["run", "--config", cfg, "--out", out, "--quiet"]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "GridBudgetExceeded" and "648" in err["message"]
+    rows = open(os.path.join(out, "ledger.jsonl"), encoding="utf-8").read().splitlines()
+    assert [json.loads(r)["n"] for r in rows] == [0]
+    for name in ("f_leq_1.sqf1", "q_1.sqf1", "state_1.json"):
+        assert os.path.exists(os.path.join(out, name)), name
+    assert not os.path.exists(os.path.join(out, "state_2.json"))
 
 
 @pytest.mark.parametrize("broken", ["q_1.sqf1", "f_leq_1.sqf1"])

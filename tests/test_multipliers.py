@@ -181,14 +181,17 @@ def test_fat_lowpass_identity_on_truncated_square():
 
 def test_inv_div_forward_oracle():
     rng = np.random.default_rng(41)
-    v1 = random_field(5, rng)
-    v2 = random_field(5, rng)
     from sqgci.fields import VectorField
-    p = inv_div(VectorField(v1, v2))
-    lhs = lambda_s(p, 2.0) * -1.0  # Laplacian of p
-    rhs = partial(v1, 1) + partial(v2, 2)
-    np.testing.assert_allclose(lhs.pad_to(5).coeffs, rhs.pad_to(5).coeffs,
-                               atol=1e-13)
+    # equal bands, then unequal ones: inv_div pads the smaller component
+    for b1, b2 in ((5, 5), (3, 7), (7, 3)):
+        v1 = random_field(b1, rng)
+        v2 = random_field(b2, rng)
+        p = inv_div(VectorField(v1, v2))
+        assert p.band == max(b1, b2)
+        lhs = lambda_s(p, 2.0) * -1.0  # Laplacian of p
+        rhs = partial(v1, 1) + partial(v2, 2)
+        np.testing.assert_allclose(lhs.pad_to(rhs.band).coeffs, rhs.coeffs,
+                                   atol=1e-13)
 
 
 def test_inv_div_kills_perp_gradients():

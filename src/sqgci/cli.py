@@ -1,9 +1,8 @@
 """Command-line surface: run, verify, feasibility, export.
 
-Config files are flat `key = value` lines with `#` comments. Required
-keys: lambda0, b, beta, nu, gamma. Optional (with defaults): c0=2,
-eps0=0.01, steps=1, grid_cap=4096, oversample=4, separation=warn,
-seed=0, out_dir=., emit=all, base=zero.
+Config files are flat `key = value` lines with `#` comments. The keys
+are the fields of IterationParams and RunConfig, with their types and
+defaults; a field with no default is a required key.
 
 Outputs are deterministic byte-for-byte for a fixed config: floats are
 printed with 17 significant digits and every file is written atomically
@@ -30,7 +29,9 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
+import typing
 
 import numpy as np
 
@@ -66,24 +67,18 @@ from .verify import (
 
 EMIT_ALL = frozenset({"fields", "ledger", "csv", "reports"})
 
-_REQUIRED = ("lambda0", "b", "beta", "nu", "gamma")
-_INT_KEYS = {"lambda0", "steps", "grid_cap", "oversample", "seed"}
-_FLOAT_KEYS = {"b", "beta", "nu", "gamma", "c0", "eps0"}
-_STR_KEYS = {"separation", "out_dir", "base", "emit"}
-_ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS
 
-
+@dataclasses.dataclass
 class RunConfig:
-    """Validated run configuration."""
+    """Validated run configuration: the iteration's parameters and the
+    run's own keys."""
 
-    def __init__(self, params: IterationParams, grid_cap=4096, seed=0,
-                 out_dir=".", emit=EMIT_ALL, base="zero"):
-        self.params = params
-        self.grid_cap = int(grid_cap)
-        self.seed = int(seed)
-        self.out_dir = str(out_dir)
-        self.emit = frozenset(emit)
-        self.base = str(base)
+    params: IterationParams
+    grid_cap: int = 4096
+    seed: int = 0
+    out_dir: str = "."
+    emit: frozenset = EMIT_ALL
+    base: str = "zero"
 
     def echo(self) -> dict:
         p = self.params
@@ -95,6 +90,16 @@ class RunConfig:
             "out_dir": self.out_dir, "emit": sorted(self.emit),
             "base": self.base,
         }
+
+
+# config key -> the type of its field; emit has its own parser
+_KEYS = {**typing.get_type_hints(IterationParams), **typing.get_type_hints(RunConfig)}
+del _KEYS["params"]
+
+
+def _emit_targets(val: str) -> frozenset:
+    return EMIT_ALL if val == "all" else frozenset(
+        tok.strip() for tok in val.split(",") if tok.strip())
 
 
 def parse_config(text: str, validate: bool = True) -> RunConfig:
@@ -110,7 +115,7 @@ def parse_config(text: str, validate: bool = True) -> RunConfig:
         key, _, val = body.partition("=")
         key = key.strip()
         val = val.strip()
-        if key not in _ALL_KEYS:
+        if key not in _KEYS:
             raise ParseError(f"unknown key {key!r}", line=lineno)
         if key in raw:
             raise ParseError(f"duplicate key {key!r}", line=lineno)
@@ -118,36 +123,24 @@ def parse_config(text: str, validate: bool = True) -> RunConfig:
             raise ParseError(f"empty value for {key!r}", line=lineno)
         raw[key] = (val, lineno)
 
-    missing = [k for k in _REQUIRED if k not in raw]
+    declared = dataclasses.fields(IterationParams) + dataclasses.fields(RunConfig)
+    missing = [f.name for f in declared if f.name in _KEYS and f.name not in raw
+               and f.default is dataclasses.MISSING]
     if missing:
         raise ParseError("missing required keys: " + ", ".join(missing))
 
     vals = {}
     for key, (val, lineno) in raw.items():
         try:
-            if key in _INT_KEYS:
-                vals[key] = int(val)
-            elif key in _FLOAT_KEYS:
-                vals[key] = float(val)
-            else:
-                vals[key] = val
+            vals[key] = _emit_targets(val) if key == "emit" else _KEYS[key](val)
         except ValueError:
             raise ParseError(f"bad value for {key}: {val!r}", line=lineno) from None
 
-    emit_raw = vals.get("emit", "all")
-    emit = EMIT_ALL if emit_raw == "all" else frozenset(
-        tok.strip() for tok in emit_raw.split(",") if tok.strip())
+    def given(cls):
+        return {f.name: vals[f.name] for f in dataclasses.fields(cls) if f.name in vals}
 
-    params = IterationParams(
-        lambda0=vals["lambda0"], b=vals["b"], beta=vals["beta"],
-        nu=vals["nu"], gamma=vals["gamma"], c0=vals.get("c0", 2.0),
-        eps0=vals.get("eps0", 0.01), steps=vals.get("steps", 1),
-        oversample=vals.get("oversample", 4),
-        separation=vals.get("separation", "warn"),
-    )
-    cfg = RunConfig(params, grid_cap=vals.get("grid_cap", 4096),
-                    seed=vals.get("seed", 0), out_dir=vals.get("out_dir", "."),
-                    emit=emit, base=vals.get("base", "zero"))
+    params = IterationParams(**given(IterationParams))
+    cfg = RunConfig(params, **given(RunConfig))
     if validate:
         problems = params.validate()
         gc = cfg.grid_cap
@@ -241,29 +234,34 @@ def _ledger_sha256(lines) -> str:
     return hashlib.sha256(_ledger_text(lines).encode("utf-8")).hexdigest()
 
 
+_STATE_NAME = re.compile(r"state_([1-9][0-9]*)\.json")
+
+
 def _find_resume(cfg: RunConfig, digest: str):
-    """Locate the newest usable checkpoint: its sidecar must match the
-    parameter digest, the ledger's first n rows must be the ones the
-    sidecar recorded (so rows another config wrote are never kept), and
-    both SQF1 files must read back. Anything else falls back to an older
-    checkpoint or a fresh base."""
+    """Locate the newest usable checkpoint n <= steps: its sidecar must
+    be a JSON object matching the parameter digest, the ledger's first n
+    rows must be the ones the sidecar recorded (so rows another config
+    wrote are never kept), and both SQF1 files must read back. Anything
+    else, an undecodable sidecar or ledger included, falls back to an
+    older checkpoint or a fresh base."""
     ledger_path = os.path.join(cfg.out_dir, "ledger.jsonl")
     try:
         with open(ledger_path, "r", encoding="utf-8") as fh:
             ledger_lines = fh.read().splitlines()
-    except OSError:
+    except (OSError, UnicodeDecodeError):
         ledger_lines = []
-    for n in range(cfg.params.steps, 0, -1):
+    found = [int(m[1]) for m in map(_STATE_NAME.fullmatch, os.listdir(cfg.out_dir)) if m]
+    for n in sorted((n for n in found if n <= cfg.params.steps), reverse=True):
         fpath, qpath, spath = _checkpoint_paths(cfg.out_dir, n)
-        if not (os.path.exists(fpath) and os.path.exists(qpath)
-                and os.path.exists(spath)):
+        if not (os.path.exists(fpath) and os.path.exists(qpath)):
             continue
         try:
             with open(spath, "r", encoding="utf-8") as fh:
                 meta = json.load(fh)
-        except (OSError, json.JSONDecodeError):
+        except (OSError, ValueError, RecursionError):  # undecodable or too deep
             continue
-        if meta.get("params_hash") != digest or meta.get("n") != n:
+        if (not isinstance(meta, dict) or meta.get("params_hash") != digest
+                or meta.get("n") != n):
             continue
         if meta.get("ledger_sha256") != _ledger_sha256(ledger_lines[:n]):
             continue

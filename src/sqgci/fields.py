@@ -6,11 +6,13 @@ A TorusField stores the Fourier coefficients c(k) of
 
 densely as a (2K+1) x (2K+1) complex array indexed [k1+K, k2+K]. Every
 field is real-valued, so c(-k) = conj(c(k)), and its array is frozen.
+It is mean-zero when c(0) is exactly 0, a fact read off the array.
 
 Only outside data (user arrays, `from_modes`, `constant`, SQF1 reads)
 goes through the checked constructor `TorusField(coeffs, mean_zero)`:
 copy, finite check, Hermitian check over the whole box (1e-13 relative
-to the largest coefficient), exact symmetrisation. Every field the
+to the largest coefficient), exact symmetrisation; a declared mean-zero
+field must have a negligible c(0), which is then zeroed. Every field the
 program computes is frozen in place by `TorusField._exact`: exact
 operations (multipliers, lattice shifts, sums, scalar multiples, pad,
 trim) are Hermitian bit for bit, and so is a transform read everywhere
@@ -27,7 +29,8 @@ The binary field format SQF1 is implemented here:
     bytes 0-3   magic ASCII "SQF1"
     u32 LE      version = 1
     u32 LE      band K
-    i64 LE      meanZero flag (0 or 1)
+    i64 LE      meanZero flag: 1 when c(0) == 0, else 0; a set flag
+                is checked against c(0) on read
     then (2K+1)^2 coefficients as (re, im) f64 LE pairs, row-major,
     k1 = -K..K outer, k2 = -K..K inner.
 """
@@ -57,7 +60,7 @@ class TorusField:
     mean_zero declares a vanishing mean: c(0) must be negligible and is
     then zeroed exactly."""
 
-    __slots__ = ("coeffs", "band", "mean_zero")
+    __slots__ = ("coeffs", "band")
 
     def __init__(self, coeffs, mean_zero=False):
         c = np.array(coeffs, dtype=np.complex128)
@@ -81,26 +84,26 @@ class TorusField:
                 raise NonZeroMean(f"declared mean-zero but c(0) = {c[K, K]:.3e} "
                                   f"(max {maxc:.3e})")
             c[K, K] = 0.0
-        self._freeze(c, mean_zero)
+        self._freeze(c)
 
-    def _freeze(self, c, mean_zero):
+    def _freeze(self, c):
         c.flags.writeable = False
-        self.coeffs, self.band, self.mean_zero = c, c.shape[0] // 2, bool(mean_zero)
+        self.coeffs, self.band = c, c.shape[0] // 2
 
     @classmethod
-    def _exact(cls, c, mean_zero):
-        """Wrap a fresh array that is Hermitian by construction, with
-        c(0) == 0 when mean_zero; c is frozen in place, not copied."""
+    def _exact(cls, c):
+        """Wrap a fresh array that is Hermitian by construction; c is
+        frozen in place, not copied."""
         f = cls.__new__(cls)
-        f._freeze(c, mean_zero)
+        f._freeze(c)
         return f
 
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def zero(cls, band=0, mean_zero=True):
+    def zero(cls, band=0):
         n = 2 * band + 1
-        return cls._exact(np.zeros((n, n), dtype=np.complex128), mean_zero=mean_zero)
+        return cls._exact(np.zeros((n, n), dtype=np.complex128))
 
     @classmethod
     def constant(cls, value):
@@ -132,6 +135,11 @@ class TorusField:
     def mean(self):
         return float(self.coeffs[self.band, self.band].real)
 
+    @property
+    def mean_zero(self):
+        """Whether c(0) is exactly 0."""
+        return bool(self.coeffs[self.band, self.band] == 0)
+
     def max_abs_coeff(self):
         return float(np.abs(self.coeffs).max())
 
@@ -141,20 +149,19 @@ class TorusField:
             raise ValueError(f"cannot pad band {self.band} down to {band}")
         if band == self.band:
             return self
-        return TorusField._exact(np.pad(self.coeffs, band - self.band), mean_zero=self.mean_zero)
+        return TorusField._exact(np.pad(self.coeffs, band - self.band))
 
     def trim(self):
         """Smallest band holding all nonzero coefficients. The slice is
         copied, so the result never keeps this field's box alive."""
         nz = np.argwhere(self.coeffs != 0)
         if nz.size == 0:
-            return TorusField.zero(0, mean_zero=self.mean_zero)
+            return TorusField.zero(0)
         K = self.band
         b = int(np.abs(nz - K).max())
         if b == K:
             return self
-        return TorusField._exact(self.coeffs[K - b:K + b + 1, K - b:K + b + 1].copy(),
-                                 mean_zero=self.mean_zero)
+        return TorusField._exact(self.coeffs[K - b:K + b + 1, K - b:K + b + 1].copy())
 
     # -- arithmetic ----------------------------------------------------
 
@@ -165,17 +172,17 @@ class TorusField:
         c = big.coeffs.copy()
         lo, hi = big.band - small.band, big.band + small.band + 1
         c[lo:hi, lo:hi] += small.coeffs
-        return TorusField._exact(c, mean_zero=self.mean_zero and other.mean_zero)
+        return TorusField._exact(c)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return TorusField._exact(-self.coeffs, mean_zero=self.mean_zero)
+        return TorusField._exact(-self.coeffs)
 
     def __mul__(self, scalar):
         s = float(scalar)
-        return TorusField._exact(self.coeffs * s, mean_zero=self.mean_zero)
+        return TorusField._exact(self.coeffs * s)
 
     __rmul__ = __mul__
 
@@ -310,7 +317,7 @@ def _truncate(H, values, K):
                          f"{HERMITIAN_RTOL:g} * {scale:.3e}")
     col += np.conj(col[::-1])
     col *= 0.5
-    return TorusField._exact(c, mean_zero=False)
+    return TorusField._exact(c)
 
 
 def from_grid(values: np.ndarray, K: int) -> TorusField:
@@ -408,7 +415,7 @@ def random_field(band, rng, mean_zero=True):
     z = 0.5 * (z + np.conj(z[::-1, ::-1]))  # this leaves c(0) real
     if mean_zero:
         z[band, band] = 0.0
-    return TorusField._exact(z, mean_zero=mean_zero)
+    return TorusField._exact(z)
 
 
 # -- SQF1 serialization -----------------------------------------------

@@ -30,7 +30,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import mpmath as mp
 import numpy as np
@@ -49,7 +49,6 @@ from .multipliers import (
     inv_div,
     lambda_s,
     lowpass,
-    modulate,
     riesz_odd,
     t_op,
 )
@@ -197,10 +196,11 @@ def build_f_next(q: TorusField, scales: DerivedScales, c0: float = 2.0,
         ap.append(amp)
         als.append(alias.tail)
     a = tuple(lowpass(amp, scales.mu_next) for amp in ap)
-    f = TorusField.zero()
-    for amp, l in zip(a, DIRECTIONS):
-        f = f + modulate(amp, l.wave(lam5), "cos")
-    return Perturbation(f_next=f, a=a, a_perfect=tuple(ap), alias_tail=max(als))
+    # the four blocks sit 4 lambda_next apart with bands below mu_next,
+    # so each lands on zeros, as separate dense waves would place it
+    w1, w2 = (ModulatedField.wave(amp, l.wave(lam5), "cos") for amp, l in zip(a, DIRECTIONS))
+    return Perturbation(f_next=(w1 + w2).to_dense(), a=a, a_perfect=tuple(ap),
+                        alias_tail=max(als))
 
 
 def _scaled_perp(f, l, scale: float) -> VectorField:
@@ -209,11 +209,13 @@ def _scaled_perp(f, l, scale: float) -> VectorField:
     return VectorField(f * (scale * lp.n1 / lp.d), f * (scale * lp.n2 / lp.d))
 
 
+def _times(s: TorusField, v: VectorField) -> VectorField:
+    return VectorField(multiply(s, v.comp1), multiply(s, v.comp2))
+
+
 def nonlinear_flux(f: TorusField, g: TorusField) -> VectorField:
     """Lambda(f) grad_perp(g), products exact."""
-    lf = lambda_s(f, 1.0)
-    gp = grad_perp(g)
-    return VectorField(multiply(lf, gp.comp1), multiply(lf, gp.comp2))
+    return _times(lambda_s(f, 1.0), grad_perp(g))
 
 
 def assemble_main(a1: TorusField, a2: TorusField, lam5: int) -> VectorField:
@@ -232,9 +234,7 @@ def assemble_nonosc(a1: TorusField, a2: TorusField, lam5: int) -> VectorField:
         t1a = t_op(a, 1, lam5, l)
         t2a = t_op(a, 2, lam5, l)
         out = out + _scaled_perp(multiply(t2a, a), l, -0.5 * lam5)
-        gp = grad_perp(a)
-        out = out + VectorField(multiply(t1a, gp.comp1) * 0.5,
-                                multiply(t1a, gp.comp2) * 0.5)
+        out = out + _times(t1a, grad_perp(a)) * 0.5
     return out
 
 
@@ -253,10 +253,6 @@ def _mod2(g, pa, pb, ta: str, tb: str):
     if (ta, tb) == ("cos", "cos"):
         return 0.5 * (wave(g, ps, "cos") + wave(g, pd, "cos"))
     raise ValueError(f"bad trig pair {(ta, tb)!r}")
-
-
-def _times(s: TorusField, v: VectorField) -> VectorField:
-    return VectorField(multiply(s, v.comp1), multiply(s, v.comp2))
 
 
 def assemble_osc(a1: TorusField, a2: TorusField, lam5: int) -> VectorField:
@@ -528,11 +524,7 @@ def run(params: IterationParams, seed: int = 0, base: str = "zero",
 def params_hash(params: IterationParams, seed: int, base: str) -> str:
     """Stable digest of everything that determines a run's outputs
     (excluding steps, which resume may extend)."""
-    payload = {
-        "lambda0": params.lambda0, "b": params.b, "beta": params.beta,
-        "nu": params.nu, "gamma": params.gamma, "c0": params.c0,
-        "eps0": params.eps0, "oversample": params.oversample,
-        "separation": params.separation, "seed": seed, "base": base,
-    }
-    blob = json.dumps(payload, sort_keys=True)
+    payload = asdict(params)
+    del payload["steps"]
+    blob = json.dumps({**payload, "seed": seed, "base": base}, sort_keys=True)
     return hashlib.sha256(blob.encode("ascii")).hexdigest()[:16]

@@ -98,8 +98,8 @@ def _coeff_l2(c):
 
 
 def require_mean_zero(f: TorusField, what: str):
-    """Raise NonZeroMean unless f is flagged mean-zero or its mean
-    coefficient is negligible against the coefficient l2 mass."""
+    """Raise NonZeroMean unless f's mean coefficient is 0 or negligible
+    against the coefficient l2 mass."""
     if f.mean_zero:
         return
     c0 = abs(f.coeffs[f.band, f.band])
@@ -126,7 +126,7 @@ def lambda_s(f: TorusField, s: float) -> TorusField:
         m[K, K] = 0.0
     else:
         m = kn ** s
-    return TorusField._exact(f.coeffs * m, mean_zero=True)
+    return TorusField._exact(f.coeffs * m)
 
 
 def _riesz_raw(f: TorusField, j: int) -> TorusField:
@@ -137,7 +137,7 @@ def _riesz_raw(f: TorusField, j: int) -> TorusField:
     with np.errstate(invalid="ignore"):
         m = kj / kn
     m[K, K] = 0.0
-    return TorusField._exact(f.coeffs * (1j * m), mean_zero=True)
+    return TorusField._exact(f.coeffs * (1j * m))
 
 
 def riesz(f: TorusField, j: int) -> TorusField:
@@ -174,7 +174,7 @@ def riesz_odd(f: TorusField, j: int) -> TorusField:
     K = f.band
     k1, k2, _ = _kgrids(K)
     m = riesz_odd_symbol(j, k1, k2)
-    return TorusField._exact(f.coeffs * m, mean_zero=True)
+    return TorusField._exact(f.coeffs * m)
 
 
 def t_op(f: TorusField, order: int, lam: int, l: Direction) -> TorusField:
@@ -194,7 +194,7 @@ def t_op(f: TorusField, order: int, lam: int, l: Direction) -> TorusField:
         c = f.coeffs * (1j * t2f)
     else:
         raise ValueError(f"order must be 1 or 2, got {order}")
-    return TorusField._exact(c, mean_zero=True)
+    return TorusField._exact(c)
 
 
 def lowpass(f: TorusField, mu: float) -> TorusField:
@@ -204,7 +204,7 @@ def lowpass(f: TorusField, mu: float) -> TorusField:
         raise ValueError(f"lowpass cutoff must be >= 1, got {mu}")
     _, _, kn = _kgrids(f.band)
     m = cutoff_profile(kn / mu)
-    return TorusField._exact(f.coeffs * m, mean_zero=f.mean_zero).trim()
+    return TorusField._exact(f.coeffs * m).trim()
 
 
 def fat_lowpass(f: TorusField, mu: float) -> TorusField:
@@ -245,17 +245,17 @@ def inv_div(v: VectorField) -> TorusField | ModulatedField:
         x.require_mean_zero("inv_div component 1")
         y.require_mean_zero("inv_div component 2")
         return ModulatedField({p: _inv_div_block(bx, y.blocks[p], p)
-                               for p, bx in x.blocks.items()}, mean_zero=True)
+                               for p, bx in x.blocks.items()})
     require_mean_zero(x, "inv_div component 1")
     require_mean_zero(y, "inv_div component 2")
-    return TorusField._exact(_inv_div_block(x.coeffs, y.coeffs), mean_zero=True)
+    return TorusField._exact(_inv_div_block(x.coeffs, y.coeffs))
 
 
 def partial(f: TorusField, j: int) -> TorusField:
     """d/dx_j, symbol i k_j."""
     k1, k2, _ = _kgrids(f.band)
     kj = k1 if j == 1 else k2
-    return TorusField._exact(f.coeffs * (1j * kj), mean_zero=True)
+    return TorusField._exact(f.coeffs * (1j * kj))
 
 
 def grad(f: TorusField) -> VectorField:
@@ -271,7 +271,7 @@ def directional_grad(f: TorusField, l: Direction) -> TorusField:
     """(l . grad) f, exact rational symbol i (n1 k1 + n2 k2)/d."""
     k1, k2, _ = _kgrids(f.band)
     m = 1j * ((l.n1 * k1 + l.n2 * k2) / l.d)
-    return TorusField._exact(f.coeffs * m, mean_zero=True)
+    return TorusField._exact(f.coeffs * m)
 
 
 def riesz_commutator(psi: TorusField, theta: TorusField, j: int) -> TorusField:
@@ -312,16 +312,16 @@ class ModulatedField:
     Sums and scalar multiples act per carrier on the small amplitude
     grids, with the float operations the dense box would apply to each
     coefficient; so does `inv_div` on a factored pair. Only `to_dense`
-    places blocks into one box.
+    places blocks into one box, whose c(0) says, as for any field,
+    whether F is mean-zero.
     """
 
-    __slots__ = ("blocks", "mean_zero")
+    __slots__ = ("blocks",)
 
-    def __init__(self, blocks, mean_zero=False):
+    def __init__(self, blocks):
         for b in blocks.values():
             b.flags.writeable = False
         self.blocks = blocks  # dict carrier -> block
-        self.mean_zero = bool(mean_zero)
 
     @classmethod
     def wave(cls, a, p, trig: str):
@@ -331,9 +331,8 @@ class ModulatedField:
             cos: a/2 at carrier p and at -p
             sin: a/(2i) at p and -a/(2i) at -p
 
-        It is flagged mean-zero when p clears the band of a: no block
-        then covers k = 0, so c(0) is exactly 0. A VectorField a maps
-        component by component to a VectorField of ModulatedFields.
+        A VectorField a maps component by component to a VectorField of
+        ModulatedFields.
         """
         if isinstance(a, VectorField):
             return VectorField(cls.wave(a.comp1, p, trig), cls.wave(a.comp2, p, trig))
@@ -342,11 +341,10 @@ class ModulatedField:
         c = a.coeffs
         p = (int(p[0]), int(p[1]))
         m = (-p[0], -p[1])
-        clear = max(abs(p[0]), abs(p[1])) > a.band
         if trig == "cos":
             half = c * 0.5
-            return cls({p: half}, clear) + cls({m: half}, clear)
-        return cls({p: c / 2j}, clear) + cls({m: -c / 2j}, clear)
+            return cls({p: half}) + cls({m: half})
+        return cls({p: c / 2j}) + cls({m: -c / 2j})
 
     def __add__(self, other):
         if not isinstance(other, ModulatedField):
@@ -357,17 +355,17 @@ class ModulatedField:
                 K = max(b.shape[0], blocks[p].shape[0]) // 2
                 b = _pad(blocks[p], K) + _pad(b, K)
             blocks[p] = b
-        return ModulatedField(blocks, self.mean_zero and other.mean_zero)
+        return ModulatedField(blocks)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return ModulatedField({p: -b for p, b in self.blocks.items()}, self.mean_zero)
+        return ModulatedField({p: -b for p, b in self.blocks.items()})
 
     def __mul__(self, scalar):
         s = float(scalar)
-        return ModulatedField({p: b * s for p, b in self.blocks.items()}, self.mean_zero)
+        return ModulatedField({p: b * s for p, b in self.blocks.items()})
 
     __rmul__ = __mul__
 
@@ -399,7 +397,7 @@ class ModulatedField:
                for i, (p, K) in enumerate(reach) for r, J in reach[:i]):
             box += np.conj(box[::-1, ::-1])
             box *= 0.5
-        return TorusField._exact(box, mean_zero=self.mean_zero)
+        return TorusField._exact(box)
 
 
 def modulate(a: TorusField, p, trig: str) -> TorusField:

@@ -87,7 +87,7 @@ def dyadic_blocks(f: TorusField) -> list[DyadicBlock]:
         c = np.where(mask, f.coeffs, 0.0)
         if not np.any(c):
             continue
-        out.append(DyadicBlock(j=j, part=TorusField._exact(c, mean_zero=False).trim()))
+        out.append(DyadicBlock(j=j, part=TorusField._exact(c).trim()))
     return out
 
 

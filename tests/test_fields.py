@@ -360,6 +360,14 @@ def test_sqf1_header_layout(tmp_path):
     back = read_sqf1(path)
     assert back.mean_zero
     np.testing.assert_array_equal(back.coeffs, f.coeffs)
+    # the flag is written as c(0) == 0, declared or not
+    for modes, flag in (({(1, 1): 0.5}, 1), ({(0, 0): 0.25, (1, 1): 0.5}, 0)):
+        g = TorusField.from_modes(1, modes)
+        write_sqf1(g, path)
+        assert struct.unpack("<q", open(path, "rb").read()[12:20]) == (flag,)
+        back = read_sqf1(path)
+        assert back.mean_zero == bool(flag)
+        np.testing.assert_array_equal(back.coeffs, g.coeffs)
 
 
 def test_sqf1_bit_identical_rewrite(tmp_path):
@@ -492,16 +500,18 @@ def _exact_outputs(band, seed, p, trig, lam_gap, scale):
        scale=st.floats(-1e3, 1e3))
 def test_exact_producers_are_hermitian_and_frozen(band, seed, p, trig, lam_gap, scale):
     outputs = _exact_outputs(band, seed, p, trig, lam_gap, scale)
-    waves = [fld for name, fld in outputs if name.startswith("modulate")]
-    for q, fld in zip(_carriers(band, p), waves, strict=True):
-        assert fld.mean_zero == (max(abs(q[0]), abs(q[1])) > band), q
+    # mean-zero by construction: the symbol vanishes at k = 0, the inputs
+    # are mean-zero, or the wave's carrier clears the band of its amplitude
+    mean_free = {"zero", "random_field", "add mean-zero", "sub", "inv_div"}
+    mean_free |= {f"modulate {q}" for q in _carriers(band, p)[2:]}
+    symbols = ("lambda_s", "riesz", "partial", "t_op", "directional_grad")
     for name, fld in outputs:
         c = fld.coeffs
         assert np.array_equal(c, np.conj(c[::-1, ::-1])), name
         with pytest.raises(ValueError):  # frozen
             c[0, 0] = 1.0
-        if fld.mean_zero:
-            assert c[fld.band, fld.band] == 0, name
+        if name in mean_free or name.startswith(symbols):
+            assert c[fld.band, fld.band] == 0 and fld.mean_zero, name
 
 
 def test_checked_construction_copies_its_input():

@@ -7,6 +7,7 @@ every projection identity exact.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -425,3 +426,13 @@ def test_params_hash_sensitivity():
     p2 = IterationParams(lambda0=2, b=5.0, beta=0.25, nu=0.0, gamma=1.0,
                          steps=7)
     assert h0 == params_hash(p2, 0, "zero")  # steps does not enter
+    assert h0 == "0bfc09d5bfc991c4"  # checkpoints on disk carry this digest
+
+
+def test_params_hash_covers_every_field_but_steps():
+    h0 = params_hash(WORKHORSE, 0, "zero")
+    for f in dataclasses.fields(IterationParams):
+        v = getattr(WORKHORSE, f.name)
+        v += "x" if isinstance(v, str) else 1
+        changed = dataclasses.replace(WORKHORSE, **{f.name: v})
+        assert (params_hash(changed, 0, "zero") == h0) == (f.name == "steps"), f.name

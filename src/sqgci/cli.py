@@ -48,11 +48,11 @@ from .fields import (
 from .iteration import (
     IterationParams,
     StepState,
-    iterate,
     lambda_at,
     make_base,
     params_hash,
     scales_for,
+    step,
 )
 from .multipliers import DIRECTIONS, L1, _kgrids, lambda_s, modulate, riesz, riesz_commutator
 from .norms import sobolev
@@ -276,7 +276,7 @@ def _find_resume(cfg: RunConfig, digest: str):
 def cmd_run(cfg: RunConfig, quiet: bool = False) -> int:
     p = cfg.params
     os.makedirs(cfg.out_dir, exist_ok=True)
-    digest = params_hash(p, cfg.seed, cfg.base)
+    digest = params_hash(p, cfg.seed, cfg.base, cfg.grid_cap)
 
     state, lines = _find_resume(cfg, digest)
     resumed = state is not None
@@ -292,7 +292,8 @@ def cmd_run(cfg: RunConfig, quiet: bool = False) -> int:
 
     if state.n == p.steps:
         write_ledger()  # nothing left to compute; a shorter rerun truncates
-    for state, row in iterate(state, p, cfg.grid_cap):
+    while state.n < p.steps:
+        state, row = step(state, p, cfg.grid_cap)
         # the row lands before its checkpoint, so a checkpoint never
         # outruns the ledger and a failed run can resume
         lines.append(render_json(row))

@@ -175,7 +175,17 @@ class TorusField:
         return TorusField._exact(c)
 
     def __sub__(self, other):
-        return self + (-other)
+        # bit for bit self + (-other), as IEEE a - b is a + (-b), with no negated copy
+        if not isinstance(other, TorusField):
+            return NotImplemented
+        lo, hi = abs(self.band - other.band), self.band + other.band + 1
+        if self.band >= other.band:
+            c = self.coeffs.copy()
+            c[lo:hi, lo:hi] -= other.coeffs
+        else:
+            c = -other.coeffs
+            c[lo:hi, lo:hi] += self.coeffs
+        return TorusField._exact(c)
 
     def __neg__(self):
         return TorusField._exact(-self.coeffs)

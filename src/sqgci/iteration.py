@@ -1,4 +1,4 @@
-"""The iteration: amplitudes, perturbation, error channels, driver.
+"""The iteration: amplitudes, perturbation, error channels, step.
 
 Each step takes a state (f_leq, q) satisfying the relaxed relation
 
@@ -31,8 +31,8 @@ import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass
+from decimal import ROUND_CEILING, Decimal, localcontext
 
-import mpmath as mp
 import numpy as np
 
 from .errors import GridBudgetExceeded, SeparationViolated
@@ -52,7 +52,7 @@ from .multipliers import (
     riesz_odd,
     t_op,
 )
-from .norms import holder_besov, linf, sobolev, x_norm
+from .norms import holder_besov, linf, x_norm
 from .verify import check_support
 
 SUPPORT_RTOL = 1e-13
@@ -115,12 +115,13 @@ def lambda_at(lambda0: int, b: float, n: int) -> int:
     1e-9 relative of an integer snap down before the ceiling."""
     if n == 0:
         return int(lambda0)
-    with mp.workdps(50):
-        x = mp.power(lambda0, mp.power(mp.mpf(b), n))
-        near = mp.nint(x)
-        if near >= 1 and abs(x - near) <= mp.mpf("1e-9") * x:
+    with localcontext() as ctx:
+        ctx.prec = 50
+        x = Decimal(lambda0) ** (Decimal(b) ** n)
+        near = x.to_integral_value()
+        if near >= 1 and abs(x - near) <= Decimal("1e-9") * x:
             return int(near)
-        return int(mp.ceil(x))
+        return int(x.to_integral_value(ROUND_CEILING))
 
 
 @dataclass(frozen=True)
@@ -179,15 +180,15 @@ class Perturbation:
 
 
 def build_f_next(q: TorusField, scales: DerivedScales, c0: float = 2.0,
-                 oversample: int = 4, kout=None, grid_cap=None) -> Perturbation:
+                 oversample: int = 4, grid_cap=None) -> Perturbation:
     """Perturbation at frequency 5*lambda_next along both directions.
 
-    The amplitudes keep only frequencies below mu_next, so the result is
-    supported in the annulus 5*lambda_next -/+ mu_next.
+    The amplitudes are computed out to band 4*mu_next (what q_m1 needs)
+    and keep only frequencies below mu_next, so the result is supported
+    in the annulus 5*lambda_next -/+ mu_next.
     """
     lam5 = 5 * scales.lambda_next
-    if kout is None:
-        kout = math.ceil(4.0 * scales.mu_next)
+    kout = math.ceil(4.0 * scales.mu_next)
     ap = []
     als = []
     for j in (1, 2):
@@ -388,10 +389,15 @@ def _rel_linf(num: TorusField, denom: float, oversample: int, grid_cap) -> float
 def step(state: StepState, params: IterationParams, grid_cap: int = 4096):
     """One full iteration step. Returns (new state, ledger row dict).
 
-    The row records the X-norm of every channel, the master residual
-    (the full relaxed relation after inverse divergence), the
-    channel-sum cross-check against the directly evaluated quadratic
-    flux, regularity monitors, and the sqrt alias tail.
+    The row records the X-norm of every channel, two residuals,
+    regularity monitors and the sqrt alias tail. With S the self flux
+    of f_next and L + N its cross fluxes with f_leq, the decomposition
+    residual is qM1 + qM2 + qM3 - inv_div(S) - q, the channel sum
+    against the directly evaluated quadratic flux. The master residual
+    is inv_div(S + L + N) + q - q_next + qD: the decomposition numerator
+    negated plus inv_div's linearity defect inv_div(S + L + N) -
+    inv_div(S) - inv_div(L + N), so the two agree to rounding. Neither
+    re-evaluates the relaxed relation on f_leq + f_next from scratch.
     """
     sc = scales_for(params, state.n)
     # k-grids cached before this step are of other bands; left in the
@@ -490,41 +496,12 @@ def _partial_sum_reg(params: IterationParams, upto: int) -> float:
                for m in range(1, upto + 1))
 
 
-@dataclass
-class RunResult:
-    theta: TorusField
-    f: TorusField
-    q: TorusField
-    rows: list
-
-
-def iterate(state: StepState, params: IterationParams, grid_cap: int = 4096):
-    """Step from `state` until n reaches params.steps, yielding
-    (new state, ledger row) after each step."""
-    while state.n < params.steps:
-        state, row = step(state, params, grid_cap)
-        yield state, row
-
-
-def run(params: IterationParams, seed: int = 0, base: str = "zero",
-        grid_cap: int = 4096, start: StepState | None = None,
-        rows: list | None = None) -> RunResult:
-    """Drive `steps` iterations from the base state (or a resumed
-    state). theta = Lambda(f)."""
-    state = start if start is not None else make_base(params, seed, base)
-    rows = [] if rows is None else list(rows)
-    for state, row in iterate(state, params, grid_cap):
-        rows.append(row)
-    theta = lambda_s(state.f_leq, 1.0)
-    if params.steps >= 1 and not sobolev(theta, -0.5) > 0.0:
-        raise ArithmeticError("iterate collapsed to zero")
-    return RunResult(theta=theta, f=state.f_leq, q=state.q, rows=rows)
-
-
-def params_hash(params: IterationParams, seed: int, base: str) -> str:
+def params_hash(params: IterationParams, seed: int, base: str, grid_cap: int) -> str:
     """Stable digest of everything that determines a run's outputs
-    (excluding steps, which resume may extend)."""
+    (excluding steps, which resume may extend). grid_cap enters because
+    linf picks its sampling grid under it."""
     payload = asdict(params)
     del payload["steps"]
-    blob = json.dumps({**payload, "seed": seed, "base": base}, sort_keys=True)
+    blob = json.dumps({**payload, "seed": seed, "base": base, "grid_cap": grid_cap},
+                      sort_keys=True)
     return hashlib.sha256(blob.encode("ascii")).hexdigest()[:16]

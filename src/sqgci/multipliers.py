@@ -289,7 +289,7 @@ def rperp_grad_commutator(psi: TorusField, theta: TorusField) -> TorusField:
     """-[R_2, d1 psi] theta + [R_1, d2 psi] theta."""
     d1 = partial(psi, 1)
     d2 = partial(psi, 2)
-    return -1.0 * riesz_commutator(d1, theta, 2) + riesz_commutator(d2, theta, 1)
+    return riesz_commutator(d2, theta, 1) - riesz_commutator(d1, theta, 2)
 
 
 def _pad(b, K):

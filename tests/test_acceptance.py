@@ -23,7 +23,6 @@ from sqgci.iteration import (
     lambda_at,
     make_base,
     perfect_amplitude,
-    run,
     scales_for,
     step,
 )
@@ -61,8 +60,8 @@ def slope_runs():
     for lam1 in (96, 192):
         params = IterationParams(lambda0=2, b=math.log2(lam1), beta=0.25,
                                  nu=1.0, gamma=1.0)
-        res = run(params, seed=0, base="synthetic", grid_cap=4096)
-        out[lam1] = (params, res.rows[0])
+        _, row = step(make_base(params, seed=0, kind="synthetic"), params, grid_cap=4096)
+        out[lam1] = (params, row)
     return out
 
 

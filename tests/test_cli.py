@@ -11,10 +11,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sqgci import cli, iteration
+from sqgci import cli
 from sqgci.cli import main, parse_config, render_json
 from sqgci.errors import ParseError, ValidationError
 from sqgci.fields import TorusField, read_sqf1, write_sqf1
+from sqgci.multipliers import lambda_s
+from sqgci.norms import sobolev
 
 TINY = """\
 # two cheap steps, zero base
@@ -190,6 +192,10 @@ def test_cli_run_deterministic(tmp_path):
         a = open(os.path.join(outs[0], name), "rb").read()
         b = open(os.path.join(outs[1], name), "rb").read()
         assert a == b, name
+    theta = read_sqf1(os.path.join(outs[0], "theta.sqf1"))
+    f = read_sqf1(os.path.join(outs[0], "f.sqf1"))
+    assert sobolev(theta, -0.5) > 0.0
+    np.testing.assert_array_equal(theta.coeffs, lambda_s(f, 1.0).coeffs)
 
 
 def test_cli_resume_bit_identical(tmp_path):
@@ -226,6 +232,23 @@ def test_cli_resume_ignores_foreign_checkpoint(tmp_path):
     rows = [json.loads(line) for line in
             open(os.path.join(out, "ledger.jsonl"), encoding="utf-8")]
     assert [r["n"] for r in rows] == [0]
+
+
+def test_resume_ignores_a_checkpoint_from_another_grid_cap(tmp_path):
+    # the cap picks linf's sampling grids: at 1024 the second row's
+    # X-norms are measured on a coarser grid than at 4096
+    two = SYNTH.replace("steps = 1", "steps = 2")
+    capped = _write(tmp_path, two, "capped.cfg")
+    fresh = str(tmp_path / "fresh")
+    assert main(["run", "--config", capped, "--out", fresh, "--quiet"]) == 0
+    out = str(tmp_path / "mix")
+    wide = _write(tmp_path, two.replace("grid_cap = 1024", "grid_cap = 4096"), "wide.cfg")
+    assert main(["run", "--config", wide, "--out", out, "--quiet"]) == 0
+    wide_ledger = open(os.path.join(out, "ledger.jsonl"), "rb").read()
+    assert main(["run", "--config", capped, "--out", out, "--quiet"]) == 0
+    ledger = open(os.path.join(out, "ledger.jsonl"), "rb").read()
+    assert ledger != wide_ledger
+    assert ledger == open(os.path.join(fresh, "ledger.jsonl"), "rb").read()
 
 
 def test_cli_verify_passes(tmp_path):
@@ -303,7 +326,7 @@ def test_failed_run_keeps_ledger_and_resumes(tmp_path, monkeypatch):
     def no_step(*args, **kwargs):
         raise AssertionError("a resumed run recomputed a finished step")
 
-    monkeypatch.setattr(iteration, "step", no_step)
+    monkeypatch.setattr(cli, "step", no_step)
     assert main(["run", "--config", two, "--out", out, "--quiet"]) == 0
     for name in ("ledger.jsonl", "theta.sqf1", "f.sqf1"):
         a = open(os.path.join(fresh, name), "rb").read()

@@ -349,6 +349,20 @@ def test_inner_sums_common_modes_and_is_symmetric(band_f, band_g, seed):
     assert inner(f, g) == inner(g, f)
 
 
+@settings(max_examples=60, deadline=None)
+@given(band_a=st.integers(0, 8), band_b=st.integers(0, 8), seed=st.integers(0, 2 ** 32 - 1),
+       scale_a=st.sampled_from([1.0, -1.0, 0.0, -0.0]),
+       scale_b=st.sampled_from([1.0, -1.0, 0.0, -0.0]))
+def test_difference_is_sum_with_negation_bit_for_bit(band_a, band_b, seed, scale_a, scale_b):
+    # the scales put zeros of both signs in the boxes, inside and outside the ball
+    rng = np.random.default_rng(seed)
+    a = random_field(band_a, rng, mean_zero=False) * scale_a
+    b = random_field(band_b, rng, mean_zero=False) * scale_b
+    got, want = a - b, a + (-b)
+    assert got.band == want.band
+    assert got.coeffs.tobytes() == want.coeffs.tobytes()
+
+
 def test_sqf1_header_layout(tmp_path):
     f = TorusField.from_modes(1, {(1, 0): 0.25 - 0.125j}, mean_zero=True)
     path = str(tmp_path / "one.sqf1")

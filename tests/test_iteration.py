@@ -1,4 +1,4 @@
-"""Iteration layer: frequency ladder, amplitudes, channels, step/run.
+"""Iteration layer: frequency ladder, amplitudes, channels, step.
 
 The workhorse configuration is lambda0=2, b=5 (lambda1=32, mu=8): small
 enough to run in milliseconds, large enough that band(q0) <= 2 mu keeps
@@ -19,7 +19,6 @@ from sqgci.errors import GridBudgetExceeded, NonZeroMean, SeparationViolated
 from sqgci.fields import TorusField, VectorField, multiply, random_field
 from sqgci.iteration import (
     IterationParams,
-    StepState,
     _scaled_perp,
     assemble_main,
     assemble_nonosc,
@@ -34,7 +33,6 @@ from sqgci.iteration import (
     q_m1,
     q_m3,
     q_t,
-    run,
     scales_for,
     step,
 )
@@ -46,12 +44,11 @@ from sqgci.multipliers import (
     directional_grad,
     grad_perp,
     inv_div,
-    lambda_s,
     lowpass,
     modulate,
     t_op,
 )
-from sqgci.norms import linf, sobolev
+from sqgci.norms import linf
 from sqgci.verify import check_support
 
 WORKHORSE = IterationParams(lambda0=2, b=5.0, beta=0.25, nu=0.0, gamma=1.0)
@@ -61,14 +58,21 @@ def _seeded_state():
     return make_base(WORKHORSE, seed=0, kind="synthetic"), scales_for(WORKHORSE, 0)
 
 
+# ladders pinned from a 50-digit evaluation
+LADDERS = [
+    (4, 1.35, [4, 7, 13, 31, 100, 501, 4412, 83201, 4387013]),
+    (2, math.log2(96.0), [2, 96, 11302687904889]),
+    (2, math.log2(192.0), [2, 192, 208331143462919589]),
+    (2, 5.0, [2, 32, 33554432, 2 ** 125]),
+    (3, 2.0, [3, 9, 81, 6561, 43046721]),
+]
+
+
 def test_lambda_ladder_snaps_to_integers():
     # 2^6.585 = 96.0000000...4 must ceil to 97, log2(96) must give 96
     assert lambda_at(2, 6.585, 1) == 97
-    assert lambda_at(2, math.log2(96.0), 1) == 96
-    assert lambda_at(2, 5.0, 0) == 2
-    assert lambda_at(2, 5.0, 1) == 32
-    assert lambda_at(4, 1.35, 1) == 7
-    assert lambda_at(4, 1.35, 2) == 13
+    for lambda0, b, ladder in LADDERS:
+        assert [lambda_at(lambda0, b, n) for n in range(len(ladder))] == ladder, (lambda0, b)
 
 
 def test_scales_arithmetic():
@@ -391,48 +395,22 @@ def test_make_base_kinds():
         make_base(WORKHORSE, seed=0, kind="bogus")
 
 
-def test_run_nontrivial_and_deterministic():
-    p = IterationParams(lambda0=2, b=5.0, beta=0.25, nu=0.0, gamma=1.0,
-                        steps=1)
-    ra = run(p, seed=3, base="synthetic", grid_cap=1024)
-    rb = run(p, seed=3, base="synthetic", grid_cap=1024)
-    assert len(ra.rows) == 1
-    assert ra.rows == rb.rows
-    assert sobolev(ra.theta, -0.5) > 0.0
-    np.testing.assert_array_equal(ra.f.coeffs, rb.f.coeffs)
-    np.testing.assert_array_equal(
-        ra.theta.coeffs, lambda_s(ra.f, 1.0).coeffs)
-
-
-def test_run_resume_matches_fresh():
-    p = IterationParams(lambda0=4, b=1.35, beta=0.25, nu=0.0, gamma=1.0,
-                        steps=2)
-    full = run(p, seed=0, base="zero", grid_cap=1024)
-    one = run(IterationParams(lambda0=4, b=1.35, beta=0.25, nu=0.0,
-                              gamma=1.0, steps=1),
-              seed=0, base="zero", grid_cap=1024)
-    resumed = run(p, seed=0, base="zero", grid_cap=1024,
-                  start=StepState(n=1, f_leq=one.f, q=one.q),
-                  rows=list(one.rows))
-    assert resumed.rows == full.rows
-    np.testing.assert_array_equal(resumed.q.coeffs, full.q.coeffs)
-
-
 def test_params_hash_sensitivity():
-    h0 = params_hash(WORKHORSE, 0, "zero")
-    assert h0 == params_hash(WORKHORSE, 0, "zero")
-    assert h0 != params_hash(WORKHORSE, 1, "zero")
-    assert h0 != params_hash(WORKHORSE, 0, "synthetic")
+    h0 = params_hash(WORKHORSE, 0, "zero", 4096)
+    assert h0 == params_hash(WORKHORSE, 0, "zero", 4096)
+    assert h0 != params_hash(WORKHORSE, 1, "zero", 4096)
+    assert h0 != params_hash(WORKHORSE, 0, "synthetic", 4096)
+    assert h0 != params_hash(WORKHORSE, 0, "zero", 1024)  # linf's grids depend on it
     p2 = IterationParams(lambda0=2, b=5.0, beta=0.25, nu=0.0, gamma=1.0,
                          steps=7)
-    assert h0 == params_hash(p2, 0, "zero")  # steps does not enter
-    assert h0 == "0bfc09d5bfc991c4"  # checkpoints on disk carry this digest
+    assert h0 == params_hash(p2, 0, "zero", 4096)  # steps does not enter
+    assert h0 == "b703505041cc093c"  # checkpoints on disk carry this digest
 
 
 def test_params_hash_covers_every_field_but_steps():
-    h0 = params_hash(WORKHORSE, 0, "zero")
+    h0 = params_hash(WORKHORSE, 0, "zero", 4096)
     for f in dataclasses.fields(IterationParams):
         v = getattr(WORKHORSE, f.name)
         v += "x" if isinstance(v, str) else 1
         changed = dataclasses.replace(WORKHORSE, **{f.name: v})
-        assert (params_hash(changed, 0, "zero") == h0) == (f.name == "steps"), f.name
+        assert (params_hash(changed, 0, "zero", 4096) == h0) == (f.name == "steps"), f.name

@@ -54,7 +54,7 @@ from .iteration import (
     scales_for,
     step,
 )
-from .multipliers import DIRECTIONS, L1, _kgrids, lambda_s, modulate, riesz, riesz_commutator
+from .multipliers import DIRECTIONS, L1, _knorm, lambda_s, modulate, riesz, riesz_commutator
 from .norms import sobolev
 from .verify import (
     check_algebraic,
@@ -208,8 +208,7 @@ def export_spectrum(f: TorusField, path: str):
 
 def export_shells(f: TorusField, path: str):
     """Energy per integer radial shell (shell = nearest integer to |k|)."""
-    _, _, kn = _kgrids(f.band)
-    shells = np.rint(kn).astype(np.int64).ravel()
+    shells = np.rint(_knorm(f.band)).astype(np.int64).ravel()
     energy = np.bincount(shells, weights=(np.abs(f.coeffs) ** 2).ravel())
     lines = ["shell,energy"]
     for s, e in enumerate(energy):

@@ -20,9 +20,17 @@ but on its k2 = 0 column, the only part `from_grid` checks (at the
 scale of the samples) and symmetrises.
 
 Collocation uses the nodes x_ij = 2*pi*(i, j)/N - (pi, pi) and real
-transforms. Products of band-limited fields are band-limited, so they
-are computed exactly by zero-padding to a grid that holds the full
-product band (N >= 2*(Kf+Kg)+2); the 3/2 rule is never used.
+transforms. A transform to the grid reads only the k2 >= 0 half of a
+box, coeffs[:, K:], the rest being its mirror conjugate: `to_grid`
+passes that half to `half_to_grid`, so a multiplier needed only on the
+grid can be applied to the half alone. Products of band-limited fields
+are band-limited, so they are computed exactly by zero-padding to a
+grid that holds the full product band (N >= 2*(Kf+Kg)+2); the 3/2 rule
+is never used. `products` transforms a factor shared by several
+products once.
+
+`Sum` builds a chain of `+` and `-` in one box, with the same bits. A
+box is written only before `_exact` freezes it.
 
 The binary field format SQF1 is implemented here:
 
@@ -169,23 +177,12 @@ class TorusField:
         if not isinstance(other, TorusField):
             return NotImplemented
         big, small = (self, other) if self.band >= other.band else (other, self)
-        c = big.coeffs.copy()
-        lo, hi = big.band - small.band, big.band + small.band + 1
-        c[lo:hi, lo:hi] += small.coeffs
-        return TorusField._exact(c)
+        return Sum(big).add(small).field()
 
     def __sub__(self, other):
-        # bit for bit self + (-other), as IEEE a - b is a + (-b), with no negated copy
         if not isinstance(other, TorusField):
             return NotImplemented
-        lo, hi = abs(self.band - other.band), self.band + other.band + 1
-        if self.band >= other.band:
-            c = self.coeffs.copy()
-            c[lo:hi, lo:hi] -= other.coeffs
-        else:
-            c = -other.coeffs
-            c[lo:hi, lo:hi] += self.coeffs
-        return TorusField._exact(c)
+        return Sum(self).sub(other).field()
 
     def __neg__(self):
         return TorusField._exact(-self.coeffs)
@@ -199,6 +196,59 @@ class TorusField:
     def __repr__(self):
         return (f"TorusField(band={self.band}, mean_zero={self.mean_zero}, "
                 f"max|c|={self.max_abs_coeff():.3e})")
+
+
+def _window(c, band):
+    """The centred band-`band` window of the coefficient box c (a view)."""
+    K = c.shape[0] // 2
+    return c[K - band:K + band + 1, K - band:K + band + 1]
+
+
+class Sum:
+    """A running sum of fields in one coefficient box.
+
+    `add(f)` and `sub(f)` give the bits of TorusField's `+` and `-`: the
+    smaller box goes into the window of the larger, and a larger
+    subtrahend is negated first (IEEE a - b is a + (-b)). While the
+    sum's box is the larger, each term goes in place. `negate()` flips
+    the sign in place; `field()` freezes the box and spends the sum.
+    """
+
+    __slots__ = ("_c",)
+
+    def __init__(self, start):
+        """Start from a copy of a field's box, or take over a fresh
+        Hermitian coefficient array."""
+        self._c = start.coeffs.copy() if isinstance(start, TorusField) else start
+
+    def _take(self, c):
+        """Take over c, a fresh box of larger band, adding the sum into it."""
+        w = _window(c, self._c.shape[0] // 2)
+        w += self._c
+        self._c = c
+        return self
+
+    def add(self, f: TorusField):
+        if f.band > self._c.shape[0] // 2:
+            return self._take(f.coeffs.copy())
+        w = _window(self._c, f.band)
+        w += f.coeffs
+        return self
+
+    def sub(self, f: TorusField):
+        if f.band > self._c.shape[0] // 2:
+            return self._take(-f.coeffs)
+        w = _window(self._c, f.band)
+        w -= f.coeffs
+        return self
+
+    def negate(self):
+        np.negative(self._c, out=self._c)
+        return self
+
+    def field(self) -> TorusField:
+        c, self._c = self._c, None
+        return TorusField._exact(c)
 
 
 @dataclass
@@ -274,14 +324,16 @@ def good_grid(n):
     return scipy.fft.next_fast_len(int(n), real=True)
 
 
-def to_grid(f: TorusField, N: int) -> np.ndarray:
-    """Real samples of f at the N x N collocation nodes
-    x_ij = 2*pi*(i, j)/N - (pi, pi).
+def half_to_grid(h: np.ndarray, N: int) -> np.ndarray:
+    """Real samples at the N x N collocation nodes
+    x_ij = 2*pi*(i, j)/N - (pi, pi) of the band-K real field whose
+    k2 >= 0 coefficients are h, a (2K+1, K+1) array indexed [k1+K, k2].
+    The k2 < 0 half is their mirror conjugate, so it is never read.
 
-    Requires N >= 2*band+2 so every mode is represented without
-    aliasing (raises GridTooSmall otherwise).
+    Requires N >= 2K+2 so every mode is represented without aliasing
+    (raises GridTooSmall otherwise).
     """
-    K = f.band
+    K = h.shape[1] - 1
     if N < 2 * K + 2:
         raise GridTooSmall(f"grid {N} < 2*{K}+2 required for band {K}")
     sgn = _signs(K)[K:]
@@ -290,11 +342,18 @@ def to_grid(f: TorusField, N: int) -> np.ndarray:
     # pass on those, then the real pass along axis 1 (irfft2 makes the
     # same two passes, over every column).
     A = np.zeros((N, K + 1), dtype=np.complex128)
-    _phase(A[:K + 1], f.coeffs[K:, K:], 0, sgn)
-    _phase(A[N - K:], f.coeffs[:K, K:], -K, sgn)
+    _phase(A[:K + 1], h[K:], 0, sgn)
+    _phase(A[N - K:], h[:K], -K, sgn)
     H = np.zeros((N, N // 2 + 1), dtype=np.complex128)
     H[:, :K + 1] = scipy.fft.ifft(A, axis=0, norm="forward", workers=w, overwrite_x=True)
     return scipy.fft.irfft(H, n=N, axis=1, norm="forward", workers=w)
+
+
+def to_grid(f: TorusField, N: int) -> np.ndarray:
+    """Real samples of f at the N x N collocation nodes: `half_to_grid`
+    of its k2 >= 0 half, coeffs[:, K:]. Requires N >= 2*band+2
+    (GridTooSmall otherwise)."""
+    return half_to_grid(f.coeffs[:, f.band:], N)
 
 
 def _truncate(H, values, K):
@@ -346,19 +405,34 @@ def from_grid(values: np.ndarray, K: int) -> TorusField:
                      values, K)
 
 
-def multiply(f: TorusField, g: TorusField) -> TorusField:
-    """Exact product; band(fg) = band(f) + band(g).
+def products(f: TorusField, gs) -> list:
+    """Exact products f g for each g in gs; band(fg) = band(f) + band(g).
 
-    Computed by collocation on a grid holding the full product band, so
-    no aliasing can occur.
+    Each is computed by collocation on a grid holding its full product
+    band, so no aliasing can occur, and f is transformed once per grid
+    size, however many factors share it.
     """
-    if f.band == 0:
-        return g * f.coeffs[0, 0].real
-    if g.band == 0:
-        return f * g.coeffs[0, 0].real
-    Kout = f.band + g.band
-    N = good_grid(2 * Kout + 2)
-    return from_grid(to_grid(f, N) * to_grid(g, N), Kout)
+    out, grids = [], {}
+    for g in gs:
+        if f.band == 0:
+            out.append(g * f.coeffs[0, 0].real)
+        elif g.band == 0:
+            out.append(f * g.coeffs[0, 0].real)
+        else:
+            Kout = f.band + g.band
+            N = good_grid(2 * Kout + 2)
+            if N not in grids:
+                grids[N] = to_grid(f, N)
+            vals = to_grid(g, N)
+            np.multiply(grids[N], vals, out=vals)
+            out.append(from_grid(vals, Kout))
+    return out
+
+
+def multiply(f: TorusField, g: TorusField) -> TorusField:
+    """Exact product; band(fg) = band(f) + band(g). The one-factor case
+    of `products`."""
+    return products(f, (g,))[0]
 
 
 def sqrt_pointwise(f: TorusField, oversample: int = 4, kout: int | None = None,

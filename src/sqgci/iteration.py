@@ -30,19 +30,22 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass
-from decimal import ROUND_CEILING, Decimal, localcontext
+from decimal import ROUND_CEILING, Decimal, Overflow, localcontext
 
 import numpy as np
 
 from .errors import GridBudgetExceeded, SeparationViolated
-from .fields import TorusField, VectorField, multiply, random_field, sqrt_pointwise
+from .fields import Sum, TorusField, VectorField, multiply, products, random_field, sqrt_pointwise
 from .multipliers import (
     DIRECTIONS,
     L1,
     L2,
     ModulatedField,
+    _inv_div_box,
     _kgrids,
+    _knorm,
     directional_grad,
     fat_lowpass,
     grad_perp,
@@ -56,6 +59,7 @@ from .norms import holder_besov, linf, x_norm
 from .verify import check_support
 
 SUPPORT_RTOL = 1e-13
+_FLOAT_MAX = Decimal(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -103,6 +107,14 @@ class IterationParams:
             p.append(f"oversample must be >= 2, got {self.oversample}")
         if self.separation not in ("strict48", "warn"):
             p.append(f"separation must be strict48 or warn, got {self.separation!r}")
+        if (int(self.lambda0) == self.lambda0 and self.lambda0 >= 2
+                and math.isfinite(self.b) and self.b > 1.0):
+            try:
+                # mu_1 = sqrt(lambda0 lambda_1) is the largest float scale of step 0
+                math.sqrt(self.lambda0 * lambda_at(self.lambda0, self.b, 1))
+            except OverflowError:
+                p.append(f"lambda_1 = ceil(lambda0^b) cannot be represented as a float "
+                         f"for lambda0 = {self.lambda0}, b = {self.b}")
         return p
 
     @property
@@ -112,12 +124,20 @@ class IterationParams:
 
 def lambda_at(lambda0: int, b: float, n: int) -> int:
     """lambda_n = ceil(lambda0^(b^n)); 50-digit evaluation, values within
-    1e-9 relative of an integer snap down before the ceiling."""
+    1e-9 relative of an integer snap down before the ceiling. Every
+    scale derived from lambda_n is a float, so a lambda_n beyond the
+    float range raises OverflowError naming n."""
     if n == 0:
         return int(lambda0)
     with localcontext() as ctx:
         ctx.prec = 50
-        x = Decimal(lambda0) ** (Decimal(b) ** n)
+        try:
+            x = Decimal(lambda0) ** (Decimal(b) ** n)
+        except Overflow:
+            x = None
+        if x is None or x > _FLOAT_MAX:
+            raise OverflowError(f"lambda_{n} = ceil({lambda0}^({b}^{n})) is beyond "
+                                f"the float range")
         near = x.to_integral_value()
         if near >= 1 and abs(x - near) <= Decimal("1e-9") * x:
             return int(near)
@@ -211,7 +231,7 @@ def _scaled_perp(f, l, scale: float) -> VectorField:
 
 
 def _times(s: TorusField, v: VectorField) -> VectorField:
-    return VectorField(multiply(s, v.comp1), multiply(s, v.comp2))
+    return VectorField(*products(s, (v.comp1, v.comp2)))
 
 
 def nonlinear_flux(f: TorusField, g: TorusField) -> VectorField:
@@ -403,6 +423,7 @@ def step(state: StepState, params: IterationParams, grid_cap: int = 4096):
     # k-grids cached before this step are of other bands; left in the
     # heap, they fragment it under this step's grids
     _kgrids.cache_clear()
+    _knorm.cache_clear()
     sep_ok = 48 * sc.lambda_n <= sc.lambda_next
     if not sep_ok and params.separation == "strict48":
         raise SeparationViolated(
@@ -421,22 +442,26 @@ def step(state: StepState, params: IterationParams, grid_cap: int = 4096):
     a1, a2 = pert.a
     # the checks' direct flux is the step's largest product: it is formed
     # while few fields are alive, and each flux is released once the
-    # checks' sums, (self + ln) + nl and self alone, hold it
+    # checks' sums, (self + ln) + nl and self alone, hold it. Each sum
+    # chain below is built in one box (fields.Sum), with the bits of the
+    # chained operators; x + 0.0 turns -0.0 into +0.0, so a zero term
+    # such as qd at nu = 0 is still added.
     self_flux = nonlinear_flux(f1, f1)
 
     qm1 = q_m1(pert.a_perfect[0], pert.a_perfect[1], state.q, sc)
     qm2 = q_m2(a1, a2, lam5)
     qm3 = q_m3(a1, a2, lam5)
     qt, nl, ln = q_t(f1, state.f_leq)
-    flux = self_flux + ln + nl
+    flux = VectorField(Sum(self_flux.comp1).add(ln.comp1).add(nl.comp1).field(),
+                       Sum(self_flux.comp2).add(ln.comp2).add(nl.comp2).field())
     del nl, ln
-    direct_all = inv_div(flux)
+    direct_all = Sum(_inv_div_box(flux))
     del flux
-    direct_new = inv_div(self_flux) + state.q
+    direct_new = Sum(_inv_div_box(self_flux)).add(state.q)
     del self_flux
     qd = q_d(f1, params.nu, params.gamma)
     qm = qm1 + qm2 + qm3
-    q_next = qm + qt + qd
+    q_next = Sum(qm).add(qt).add(qd).field()
 
     f_total = state.f_leq + f1
     for fld, radius, name in ((f_total, 6.0 * sc.lambda_next, "f"),
@@ -457,8 +482,9 @@ def step(state: StepState, params: IterationParams, grid_cap: int = 4096):
         gp = grad_perp(f1)
         denom = linf(lambda_s(f1, 1.0), os, grid_cap) * max(
             linf(gp.comp1, os, grid_cap), linf(gp.comp2, os, grid_cap))
-    master = _rel_linf(direct_all + state.q - q_next + qd, denom, os, grid_cap)
-    decomp = _rel_linf(qm - direct_new, denom, os, grid_cap)
+    master = _rel_linf(direct_all.add(state.q).sub(q_next).add(qd).field(),
+                       denom, os, grid_cap)
+    decomp = _rel_linf(direct_new.negate().add(qm).field(), denom, os, grid_cap)
 
     xq = x_norm(q_next, os, grid_cap, sup=sup_q_next)
     row = {

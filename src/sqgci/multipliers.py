@@ -83,14 +83,21 @@ DIRECTIONS = (L1, L2)
 
 @lru_cache(maxsize=8)
 def _kgrids(K):
-    """Broadcastable k1 (column), k2 (row), and the |k| grid for band K."""
+    """Broadcastable k1 (column) and k2 (row) for band K."""
     k = np.arange(-K, K + 1, dtype=np.float64)
     k1 = k[:, None].copy()
     k2 = k[None, :].copy()
-    kn = np.hypot(*np.meshgrid(k, k, indexing="ij"))
-    for a in (k1, k2, kn):
-        a.flags.writeable = False
-    return k1, k2, kn
+    k1.flags.writeable = False
+    k2.flags.writeable = False
+    return k1, k2
+
+
+@lru_cache(maxsize=8)
+def _knorm(K):
+    """The |k| grid for band K, built only for the symbols that read it."""
+    kn = np.hypot(*_kgrids(K))
+    kn.flags.writeable = False
+    return kn
 
 
 def _coeff_l2(c):
@@ -114,7 +121,7 @@ def lambda_s(f: TorusField, s: float) -> TorusField:
     if s == 0.0:
         return f
     K = f.band
-    _, _, kn = _kgrids(K)
+    kn = _knorm(K)
     if s < 0:
         if not f.mean_zero:
             c0 = abs(f.coeffs[K, K])
@@ -132,10 +139,10 @@ def lambda_s(f: TorusField, s: float) -> TorusField:
 def _riesz_raw(f: TorusField, j: int) -> TorusField:
     """Riesz multiplier with m(0) = 0; tolerates a mean (drops it)."""
     K = f.band
-    k1, k2, kn = _kgrids(K)
+    k1, k2 = _kgrids(K)
     kj = k1 if j == 1 else k2
     with np.errstate(invalid="ignore"):
-        m = kj / kn
+        m = kj / _knorm(K)
     m[K, K] = 0.0
     return TorusField._exact(f.coeffs * (1j * m))
 
@@ -171,9 +178,7 @@ def riesz_odd_symbol(j, k1, k2):
 def riesz_odd(f: TorusField, j: int) -> TorusField:
     """Apply the even rational multiplier m_j. Input must be mean-zero."""
     require_mean_zero(f, "riesz_odd")
-    K = f.band
-    k1, k2, _ = _kgrids(K)
-    m = riesz_odd_symbol(j, k1, k2)
+    m = riesz_odd_symbol(j, *_kgrids(f.band))
     return TorusField._exact(f.coeffs * m)
 
 
@@ -202,8 +207,7 @@ def lowpass(f: TorusField, mu: float) -> TorusField:
     |k| >= mu. Requires mu >= 1."""
     if mu < 1.0:
         raise ValueError(f"lowpass cutoff must be >= 1, got {mu}")
-    _, _, kn = _kgrids(f.band)
-    m = cutoff_profile(kn / mu)
+    m = cutoff_profile(_knorm(f.band) / mu)
     return TorusField._exact(f.coeffs * m).trim()
 
 
@@ -219,17 +223,29 @@ def _inv_div_block(c1, c2, p=(0, 0)):
     p + k = 0. The smaller of two unequal grids is zero-padded."""
     K = max(c1.shape[0], c2.shape[0]) // 2
     c1, c2 = _pad(c1, K), _pad(c2, K)
-    k1, k2, _ = _kgrids(K)
+    k1, k2 = _kgrids(K)
     k1, k2 = k1 + p[0], k2 + p[1]
-    num = 1j * (k1 * c1 + k2 * c2)
+    # 1j * (k1 c1 + k2 c2) / den with the same ufuncs in the same order,
+    # in one buffer
+    num = k1 * c1
+    num += k2 * c2
+    num *= 1j
     den = -(k1 * k1 + k2 * k2)
     covers_origin = max(abs(p[0]), abs(p[1])) <= K
     if covers_origin:
         den[K - p[0], K - p[1]] = 1.0
-    c = num / den
+    np.divide(num, den, out=num)
     if covers_origin:
-        c[K - p[0], K - p[1]] = 0.0
-    return c
+        num[K - p[0], K - p[1]] = 0.0
+    return num
+
+
+def _inv_div_box(v: VectorField) -> np.ndarray:
+    """inv_div of a dense pair as a fresh coefficient box, not yet
+    frozen, for a caller that sums into it (fields.Sum)."""
+    require_mean_zero(v.comp1, "inv_div component 1")
+    require_mean_zero(v.comp2, "inv_div component 2")
+    return _inv_div_block(v.comp1.coeffs, v.comp2.coeffs)
 
 
 def inv_div(v: VectorField) -> TorusField | ModulatedField:
@@ -246,14 +262,12 @@ def inv_div(v: VectorField) -> TorusField | ModulatedField:
         y.require_mean_zero("inv_div component 2")
         return ModulatedField({p: _inv_div_block(bx, y.blocks[p], p)
                                for p, bx in x.blocks.items()})
-    require_mean_zero(x, "inv_div component 1")
-    require_mean_zero(y, "inv_div component 2")
-    return TorusField._exact(_inv_div_block(x.coeffs, y.coeffs))
+    return TorusField._exact(_inv_div_box(v))
 
 
 def partial(f: TorusField, j: int) -> TorusField:
     """d/dx_j, symbol i k_j."""
-    k1, k2, _ = _kgrids(f.band)
+    k1, k2 = _kgrids(f.band)
     kj = k1 if j == 1 else k2
     return TorusField._exact(f.coeffs * (1j * kj))
 
@@ -269,7 +283,7 @@ def grad_perp(f: TorusField) -> VectorField:
 
 def directional_grad(f: TorusField, l: Direction) -> TorusField:
     """(l . grad) f, exact rational symbol i (n1 k1 + n2 k2)/d."""
-    k1, k2, _ = _kgrids(f.band)
+    k1, k2 = _kgrids(f.band)
     m = 1j * ((l.n1 * k1 + l.n2 * k2) / l.d)
     return TorusField._exact(f.coeffs * m)
 

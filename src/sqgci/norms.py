@@ -3,7 +3,9 @@
 L-infinity is measured as a grid maximum on an oversampled collocation
 grid, so every reported value is a certified lower bound on the true
 norm. The X-norm stacks L-infinity of the field and of its two images
-under the even rational multipliers. Homogeneous Sobolev norms come
+under the even rational multipliers. A transform reads only the k2 >= 0
+half of a coefficient box, so the X-norm applies the multipliers to
+that half and builds no full Riesz box. Homogeneous Sobolev norms come
 straight from coefficients. Holder regularity is tracked by a
 dyadic-block (Besov-type) proxy.
 """
@@ -16,8 +18,27 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridBudgetExceeded
-from .fields import TorusField, good_grid, to_grid
-from .multipliers import _kgrids, require_mean_zero, riesz_odd
+from .fields import TorusField, good_grid, half_to_grid, to_grid
+from .multipliers import _kgrids, _knorm, require_mean_zero, riesz_odd_symbol
+
+
+def _grid_side(K: int, oversample: int, grid_cap) -> int:
+    """Side of the grid `linf` samples a band-K field on."""
+    if oversample < 2:
+        raise ValueError(f"oversample must be >= 2, got {oversample}")
+    minimal = 2 * K + 2
+    candidates = [good_grid(s * minimal) for s in range(oversample, 1, -1)]
+    candidates.append(minimal)
+    for N in candidates:
+        if grid_cap is None or N <= grid_cap:
+            return N
+    raise GridBudgetExceeded(
+        f"band {K} needs a {minimal}-point axis, cap is {grid_cap}")
+
+
+def _max_abs(g) -> float:
+    # the float np.abs(g).max() gives, with no |g| grid
+    return float(np.abs([g.max(), g.min()]).max())
 
 
 def linf(f: TorusField, oversample: int = 4, grid_cap=None) -> float:
@@ -25,28 +46,29 @@ def linf(f: TorusField, oversample: int = 4, grid_cap=None) -> float:
     on the true sup). When a cap is given the oversampling degrades one
     notch at a time down to the minimal alias-free grid before giving
     up."""
-    if oversample < 2:
-        raise ValueError(f"oversample must be >= 2, got {oversample}")
-    K = f.band
-    if K == 0:
+    N = _grid_side(f.band, oversample, grid_cap)
+    if f.band == 0:
         return abs(f.coeffs[0, 0].real)
-    minimal = 2 * K + 2
-    candidates = [good_grid(s * minimal) for s in range(oversample, 1, -1)]
-    candidates.append(minimal)
-    for N in candidates:
-        if grid_cap is None or N <= grid_cap:
-            return float(np.abs(to_grid(f, N)).max())
-    raise GridBudgetExceeded(
-        f"band {K} needs a {minimal}-point axis, cap is {grid_cap}")
+    return _max_abs(to_grid(f, N))
 
 
 def x_norm(q: TorusField, oversample: int = 4, grid_cap=None, sup=None) -> float:
     """‖q‖∞ + ‖m_1 q‖∞ + ‖m_2 q‖∞ with the even rational multipliers.
-    `sup` passes linf(q, oversample, grid_cap) when it is already known."""
+    `sup` passes linf(q, oversample, grid_cap) when it is already known.
+
+    The transforms read only the k2 >= 0 half of a box, so m_j is
+    evaluated on q's half alone and passed to `half_to_grid`: no m_j q
+    box is built, and each term is bit for bit linf(riesz_odd(q, j))."""
     require_mean_zero(q, "x_norm")
     total = linf(q, oversample, grid_cap) if sup is None else sup
+    K = q.band
+    N = _grid_side(K, oversample, grid_cap)
+    if K == 0:
+        return total  # a band-0 mean-zero q is 0, and so is m_j q
+    k1, k2 = _kgrids(K)
+    half = q.coeffs[:, K:]
     for j in (1, 2):
-        total += linf(riesz_odd(q, j), oversample, grid_cap)
+        total += _max_abs(half_to_grid(half * riesz_odd_symbol(j, k1, k2[:, K:]), N))
     return total
 
 
@@ -56,7 +78,7 @@ def sobolev(f: TorusField, s: float) -> float:
     s = float(s)
     if s < 0:
         require_mean_zero(f, f"sobolev s={s:g}")
-    _, _, kn = _kgrids(f.band)
+    kn = _knorm(f.band)
     mask = kn > 0
     if not mask.any():
         return 0.0
@@ -76,7 +98,7 @@ class DyadicBlock:
 def dyadic_blocks(f: TorusField) -> list[DyadicBlock]:
     """Split f into its dyadic annuli (empty blocks are skipped)."""
     K = f.band
-    _, _, kn = _kgrids(K)
+    kn = _knorm(K)
     jmax = 0 if K == 0 else max(0, math.ceil(math.log2(math.hypot(K, K))))
     out = []
     for j in range(jmax + 1):

@@ -26,7 +26,6 @@ from .multipliers import (
     DIRECTIONS,
     L1,
     L2,
-    _kgrids,
     directional_grad,
     lambda_s,
     modulate,
@@ -114,8 +113,9 @@ def check_algebraic(kmax: int) -> float:
 
 def check_support(f: TorusField, radius: float) -> float:
     """Largest coefficient magnitude beyond |k| > radius."""
-    _, _, kn = _kgrids(f.band)
-    outside = kn > radius
+    k = np.arange(-f.band, f.band + 1)
+    # |k| > radius as k2^2 > radius^2 - k1^2: no |k| grid is built
+    outside = (k * k)[None, :] > (radius * radius - k * k)[:, None]
     if not outside.any():
         return 0.0
     return float(np.abs(f.coeffs[outside]).max())

@@ -302,6 +302,19 @@ def test_cli_exit_codes(tmp_path):
         main(["bogus"])
 
 
+@pytest.mark.parametrize("verb", ["run", "verify"])
+def test_ladder_beyond_the_float_range_is_a_config_error(tmp_path, capsys, verb):
+    # lambda_1 = 2^(10^12): each verb used to stop with exit 3 and the
+    # message "[<class 'decimal.Overflow'>]"
+    cfg = _write(tmp_path, "lambda0 = 2\nb = 1e12\nbeta = 0.25\nnu = 0\n"
+                           "gamma = 1\neps0 = 1e-14\n")
+    assert main([verb, "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValidationError"
+    assert "lambda_1" in err["message"] and "lambda0 = 2" in err["message"]
+    assert "b = 1000000000000.0" in err["message"]
+
+
 def test_cli_run_echo_roundtrip(tmp_path):
     cfg_text = TINY + "emit = ledger, reports\noversample = 4\n"
     cfg = parse_config(cfg_text)

@@ -20,12 +20,14 @@ from sqgci import fields
 from sqgci.errors import GridTooSmall, NonZeroMean, NotPositive, ParseError
 from sqgci.fields import (
     THREADED_GRID_MIN,
+    Sum,
     TorusField,
     VectorField,
     from_grid,
     good_grid,
     inner,
     multiply,
+    products,
     random_field,
     read_sqf1,
     sqrt_pointwise,
@@ -188,6 +190,49 @@ def test_multiply_matches_convolution_oracle():
         got = multiply(f, g)
         assert got.band == ba + bb
         np.testing.assert_allclose(got.coeffs, want.coeffs, atol=1e-13)
+
+
+@settings(max_examples=40, deadline=None)
+@given(band_f=st.integers(0, 4), band_g=st.integers(0, 4), seed=st.integers(0, 2 ** 32 - 1),
+       mean_zero=st.booleans())
+def test_multiply_matches_convolution_oracle_at_small_bands(band_f, band_g, seed, mean_zero):
+    rng = np.random.default_rng(seed)
+    f = random_field(band_f, rng, mean_zero=mean_zero)
+    g = random_field(band_g, rng, mean_zero=False)
+    got = multiply(f, g)
+    want = _conv_oracle(f, g)
+    assert got.band == band_f + band_g
+    scale = max(f.max_abs_coeff() * g.max_abs_coeff(), 1e-300)
+    np.testing.assert_allclose(got.pad_to(want.band).coeffs, want.coeffs,
+                               rtol=0, atol=1e-13 * scale * (2 * band_f + 1) ** 2)
+
+
+def _product_oracle(f: TorusField, g: TorusField) -> np.ndarray:
+    """One product as two transforms, one pointwise product and one read,
+    with the constant-factor shortcuts."""
+    if f.band == 0:
+        return (g * f.coeffs[0, 0].real).coeffs
+    if g.band == 0:
+        return (f * g.coeffs[0, 0].real).coeffs
+    Kout = f.band + g.band
+    N = good_grid(2 * Kout + 2)
+    return from_grid(to_grid(f, N) * to_grid(g, N), Kout).coeffs
+
+
+@settings(max_examples=40, deadline=None)
+@given(band_f=st.integers(0, 10), bands=st.lists(st.integers(0, 10), min_size=1, max_size=4),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_shared_factor_products_equal_separate_products_bit_for_bit(band_f, bands, seed):
+    rng = np.random.default_rng(seed)
+    f = random_field(band_f, rng, mean_zero=False)
+    gs = [random_field(b, rng, mean_zero=False) for b in bands]
+    got = products(f, gs)
+    assert len(got) == len(gs)
+    for g, fg in zip(gs, got):
+        want = _product_oracle(f, g)
+        assert fg.coeffs.tobytes() == want.tobytes()
+        assert multiply(f, g).coeffs.tobytes() == want.tobytes()
+        assert not fg.coeffs.flags.writeable
 
 
 def test_multiply_product_to_sum():
@@ -361,6 +406,71 @@ def test_difference_is_sum_with_negation_bit_for_bit(band_a, band_b, seed, scale
     got, want = a - b, a + (-b)
     assert got.band == want.band
     assert got.coeffs.tobytes() == want.coeffs.tobytes()
+
+
+def _add_oracle(a: TorusField, b: TorusField) -> np.ndarray:
+    """a + b as two boxes: the larger copied, the smaller added into its
+    window."""
+    big, small = (a, b) if a.band >= b.band else (b, a)
+    c = big.coeffs.copy()
+    lo, hi = big.band - small.band, big.band + small.band + 1
+    c[lo:hi, lo:hi] += small.coeffs
+    return c
+
+
+def _sub_oracle(a: TorusField, b: TorusField) -> np.ndarray:
+    """a - b: the subtrahend subtracted in a's copy, or, when it is the
+    larger, negated and a added into its window."""
+    lo, hi = abs(a.band - b.band), a.band + b.band + 1
+    if a.band >= b.band:
+        c = a.coeffs.copy()
+        c[lo:hi, lo:hi] -= b.coeffs
+    else:
+        c = -b.coeffs
+        c[lo:hi, lo:hi] += a.coeffs
+    return c
+
+
+_SIGNED_SCALES = st.sampled_from([1.0, -1.0, 0.0, -0.0])
+
+
+@settings(max_examples=80, deadline=None)
+@given(bands=st.lists(st.integers(0, 8), min_size=2, max_size=5),
+       scales=st.lists(_SIGNED_SCALES, min_size=5, max_size=5),
+       minus=st.lists(st.booleans(), min_size=5, max_size=5),
+       seed=st.integers(0, 2 ** 32 - 1), fresh=st.booleans())
+def test_sum_chains_equal_the_operator_oracles_bit_for_bit(bands, scales, minus, seed, fresh):
+    # the scales put zeros of both signs in the boxes; the chain ends in a
+    # band-0 zero term, which still turns -0.0 into +0.0 where it lands
+    rng = np.random.default_rng(seed)
+    terms = [random_field(b, rng, mean_zero=False) * s for b, s in zip(bands, scales)]
+    terms.append(TorusField.zero())
+    before = [t.coeffs.tobytes() for t in terms]
+    want = terms[0].coeffs
+    acc = Sum(terms[0].coeffs.copy() if fresh else terms[0])
+    ops = terms[0]
+    for t, m in zip(terms[1:], minus):
+        prev = TorusField._exact(want)
+        want = _sub_oracle(prev, t) if m else _add_oracle(prev, t)
+        acc = acc.sub(t) if m else acc.add(t)
+        ops = ops - t if m else ops + t
+    got = acc.field()
+    assert got.coeffs.tobytes() == want.tobytes()
+    assert ops.coeffs.tobytes() == want.tobytes()
+    assert not got.coeffs.flags.writeable
+    assert [t.coeffs.tobytes() for t in terms] == before
+
+
+@settings(max_examples=60, deadline=None)
+@given(band_a=st.integers(0, 8), band_b=st.integers(0, 8), seed=st.integers(0, 2 ** 32 - 1),
+       scale_a=_SIGNED_SCALES, scale_b=_SIGNED_SCALES, fresh=st.booleans())
+def test_negated_sum_plus_a_field_is_the_difference_bit_for_bit(band_a, band_b, seed,
+                                                               scale_a, scale_b, fresh):
+    rng = np.random.default_rng(seed)
+    a = random_field(band_a, rng, mean_zero=False) * scale_a
+    b = random_field(band_b, rng, mean_zero=False) * scale_b
+    got = Sum(b.coeffs.copy() if fresh else b).negate().add(a).field()
+    assert got.coeffs.tobytes() == _sub_oracle(a, b).tobytes()
 
 
 def test_sqf1_header_layout(tmp_path):

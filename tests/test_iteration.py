@@ -75,6 +75,15 @@ def test_lambda_ladder_snaps_to_integers():
         assert [lambda_at(lambda0, b, n) for n in range(len(ladder))] == ladder, (lambda0, b)
 
 
+def test_lambda_beyond_the_float_range_names_its_index():
+    # 2^(2^22) is beyond decimal's exponent range, 2^(2^10) = 2^1024 only
+    # beyond the float range every scale of the ladder lives in
+    for n in (22, 10):
+        with pytest.raises(OverflowError, match=f"lambda_{n} "):
+            lambda_at(2, 2.0, n)
+    assert math.isfinite(float(lambda_at(2, 2.0, 9)))
+
+
 def test_scales_arithmetic():
     p = IterationParams(lambda0=2, b=math.log2(96.0), beta=0.25, nu=0.0,
                         gamma=1.0)
@@ -350,6 +359,17 @@ def test_step_full_bookkeeping():
     assert list(row["xnorm"]) == ["qM1", "qM2", "qM3", "qT", "qD", "q_next"]
     assert check_support(new.f_leq, 6.0 * 32) == 0.0
     assert check_support(new.q, 12.0 * 32) == 0.0
+
+
+@pytest.mark.parametrize("nu", [0.0, 1.0])
+def test_step_leaves_its_input_alone_and_returns_frozen_fields(nu):
+    params = dataclasses.replace(WORKHORSE, nu=nu)
+    st = make_base(params, seed=0, kind="synthetic")
+    before = [st.q.coeffs.tobytes(), st.f_leq.coeffs.tobytes()]
+    new, _ = step(st, params, grid_cap=1024)
+    assert [st.q.coeffs.tobytes(), st.f_leq.coeffs.tobytes()] == before
+    for fld in (new.q, new.f_leq, st.q, st.f_leq):
+        assert not fld.coeffs.flags.writeable
 
 
 def test_step_checks_only_outside_data(monkeypatch):

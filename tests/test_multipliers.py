@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sqgci.errors import BandExceedsLambda, NegativePowerOnMean, NonZeroMean
 from sqgci.fields import TorusField, inner, multiply, random_field
@@ -14,6 +16,7 @@ from sqgci.multipliers import (
     L1,
     L2,
     Direction,
+    _inv_div_block,
     directional_grad,
     fat_lowpass,
     grad,
@@ -192,6 +195,49 @@ def test_inv_div_forward_oracle():
         rhs = partial(v1, 1) + partial(v2, 2)
         np.testing.assert_allclose(lhs.pad_to(rhs.band).coeffs, rhs.coeffs,
                                    atol=1e-13)
+
+
+@settings(max_examples=40, deadline=None)
+@given(band=st.integers(1, 10), seed=st.integers(0, 2 ** 32 - 1))
+def test_inv_div_inverts_the_gradient(band, seed):
+    p = random_field(band, np.random.default_rng(seed), mean_zero=True)
+    got = inv_div(grad(p))
+    assert got.band == band
+    np.testing.assert_allclose(got.coeffs, p.coeffs, rtol=0,
+                               atol=1e-15 * p.max_abs_coeff())
+
+
+def _inv_div_block_oracle(c1, c2, p):
+    """i (p+k).v / (-|p+k|^2) as one expression, 0 at p + k = 0."""
+    K = max(c1.shape[0], c2.shape[0]) // 2
+    c1, c2 = (np.pad(c, K - c.shape[0] // 2) for c in (c1, c2))
+    k = np.arange(-K, K + 1, dtype=np.float64)
+    k1, k2 = k[:, None] + p[0], k[None, :] + p[1]
+    num = 1j * (k1 * c1 + k2 * c2)
+    den = -(k1 * k1 + k2 * k2)
+    covers_origin = max(abs(p[0]), abs(p[1])) <= K
+    if covers_origin:
+        den[K - p[0], K - p[1]] = 1.0
+    c = num / den
+    if covers_origin:
+        c[K - p[0], K - p[1]] = 0.0
+    return c
+
+
+@settings(max_examples=60, deadline=None)
+@given(b1=st.integers(0, 6), b2=st.integers(0, 6), seed=st.integers(0, 2 ** 32 - 1),
+       p=st.tuples(st.integers(-9, 9), st.integers(-9, 9)),
+       s1=st.sampled_from([1.0, -1.0, 0.0, -0.0]), s2=st.sampled_from([1.0, -1.0, 0.0, -0.0]))
+def test_inv_div_block_equals_the_one_expression_oracle_bit_for_bit(b1, b2, seed, p, s1, s2):
+    rng = np.random.default_rng(seed)
+
+    def block(b, s):
+        n = 2 * b + 1
+        return (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) * s
+
+    c1, c2 = block(b1, s1), block(b2, s2)
+    got = _inv_div_block(c1, c2, p)
+    assert got.tobytes() == _inv_div_block_oracle(c1, c2, p).tobytes()
 
 
 def test_inv_div_kills_perp_gradients():

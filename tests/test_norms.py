@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sqgci.errors import GridBudgetExceeded
 from sqgci.fields import TorusField, good_grid, random_field, to_grid
-from sqgci.multipliers import lambda_s, lowpass
+from sqgci.multipliers import lambda_s, lowpass, riesz_odd
 from sqgci.norms import (
     dyadic_blocks,
     holder_besov,
@@ -117,3 +119,38 @@ def test_grid_budget_cap():
         linf(f, oversample=4, grid_cap=64)
     # generous cap falls back to the largest fitting grid
     assert abs(linf(f, oversample=4, grid_cap=256) - 1.0) < 1e-13
+
+
+def _linf_oracle(f: TorusField, oversample: int, grid_cap) -> float:
+    """Max of |f| on the first fitting grid of oversample, ..., 2 times
+    the minimal one, then the minimal one, from a full |g| grid."""
+    K = f.band
+    if K == 0:
+        return abs(f.coeffs[0, 0].real)
+    minimal = 2 * K + 2
+    for N in [good_grid(s * minimal) for s in range(oversample, 1, -1)] + [minimal]:
+        if grid_cap is None or N <= grid_cap:
+            return float(np.abs(to_grid(f, N)).max())
+    raise GridBudgetExceeded(f"band {K}")
+
+
+@settings(max_examples=40, deadline=None)
+@given(band=st.integers(0, 24), seed=st.integers(0, 2 ** 32 - 1),
+       oversample=st.integers(2, 5), grid_cap=st.sampled_from([None, 64, 128]),
+       scale=st.sampled_from([1.0, -1.0, 0.0, -0.0, 1e-300]))
+def test_x_norm_equals_the_riesz_box_oracle_bit_for_bit(band, seed, oversample, grid_cap, scale):
+    rng = np.random.default_rng(seed)
+    q = random_field(band, rng, mean_zero=True) * scale
+    try:
+        want = _linf_oracle(q, oversample, grid_cap)
+        for j in (1, 2):
+            want += _linf_oracle(riesz_odd(q, j), oversample, grid_cap)
+    except GridBudgetExceeded:
+        with pytest.raises(GridBudgetExceeded):
+            x_norm(q, oversample, grid_cap)
+        return
+    # float.hex tells -0.0 from 0.0
+    sup = linf(q, oversample, grid_cap)
+    assert sup.hex() == _linf_oracle(q, oversample, grid_cap).hex()
+    assert x_norm(q, oversample, grid_cap).hex() == want.hex()
+    assert x_norm(q, oversample, grid_cap, sup=sup).hex() == want.hex()

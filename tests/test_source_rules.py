@@ -1,0 +1,46 @@
+"""Rules on the package source, checked on its syntax tree."""
+
+from __future__ import annotations
+
+import ast
+import pathlib
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def _is_false(node):
+    return isinstance(node, ast.Constant) and node.value is False
+
+
+def _unfreezes(path):
+    """Line of every `x.flags.writeable = ...` and `x.setflags(write=...)`
+    in a source file that does not set False."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Assign) and not _is_false(node.value):
+            if any(isinstance(t, ast.Attribute) and t.attr == "writeable"
+                   and isinstance(t.value, ast.Attribute) and t.value.attr == "flags"
+                   for t in node.targets):
+                yield node.lineno
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "setflags"):
+            write = [k.value for k in node.keywords if k.arg == "write"] + node.args[:1]
+            if write and not _is_false(write[0]):
+                yield node.lineno
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "sqgci").glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_module_unfreezes_an_array(path):
+    # in-place work happens on a fresh box before TorusField._exact freezes
+    # it; a returned field's box is never made writeable again
+    assert list(_unfreezes(path)) == []
+
+
+def test_the_rule_sees_an_unfreeze(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text("a.flags.writeable = True\nb.flags.writeable = False\n"
+                   "c.setflags(write=True)\nd.setflags(write=False)\ne.setflags(1)\n",
+                   encoding="utf-8")
+    assert list(_unfreezes(src)) == [1, 3, 5]

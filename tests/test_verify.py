@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sqgci.fields import TorusField, random_field
 from sqgci.iteration import IterationParams, make_base, nonlinear_flux, step
@@ -50,6 +52,18 @@ def test_check_support_examples():
     three = TorusField.from_modes(3, {(3, 0): 0.5}, mean_zero=True)
     assert check_support(three, 2.0) == 0.5
     assert check_support(three, 3.0) == 0.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(band=st.integers(0, 40), eighths=st.integers(0, 8 * 60), seed=st.integers(0, 2 ** 32 - 1))
+def test_check_support_equals_the_hypot_grid_oracle(band, eighths, seed):
+    # dyadic radii, the step's integer ones among them, square exactly
+    f = random_field(band, np.random.default_rng(seed), mean_zero=False)
+    radius = eighths / 8.0
+    k = np.arange(-band, band + 1, dtype=np.float64)
+    outside = np.hypot(k[:, None], k[None, :]) > radius
+    want = float(np.abs(f.coeffs[outside]).max()) if outside.any() else 0.0
+    assert check_support(f, radius) == want
 
 
 def test_weak_residual_plane_wave_flux_free():

@@ -23,11 +23,14 @@ Collocation uses the nodes x_ij = 2*pi*(i, j)/N - (pi, pi) and real
 transforms. A transform to the grid reads only the k2 >= 0 half of a
 box, coeffs[:, K:], the rest being its mirror conjugate: `to_grid`
 passes that half to `half_to_grid`, so a multiplier needed only on the
-grid can be applied to the half alone. Products of band-limited fields
-are band-limited, so they are computed exactly by zero-padding to a
-grid that holds the full product band (N >= 2*(Kf+Kg)+2); the 3/2 rule
-is never used. `products` transforms a factor shared by several
-products once.
+grid can be applied to the half alone. `half_to_grid` writes the half
+straight into the spectrum and runs the axis-0 pass in place on the
+runs of non-empty columns only (a zero sample may differ from the full
+pass in its sign); a read takes the box off the forward transform by
+slices. Products of band-limited fields are band-limited, so they are
+computed exactly by zero-padding to a grid that holds the full product
+band (N >= 2*(Kf+Kg)+2); the 3/2 rule is never used. `products`
+transforms a factor shared by several products once.
 
 `Sum` builds a chain of `+` and `-` in one box, with the same bits. A
 box is written only before `_exact` freezes it.
@@ -330,6 +333,13 @@ def half_to_grid(h: np.ndarray, N: int) -> np.ndarray:
     k2 >= 0 coefficients are h, a (2K+1, K+1) array indexed [k1+K, k2].
     The k2 < 0 half is their mirror conjugate, so it is never read.
 
+    h is phased straight into the first K+1 columns of the zeroed half
+    spectrum, and the axis-0 pass runs in place on each run of columns
+    holding a nonzero coefficient; the real pass along axis 1 then runs
+    over the whole spectrum (irfft2 makes the same two passes, over
+    every column). A skipped column holds only zeros, so every nonzero
+    sample has irfft2's bits; a zero sample may differ in its sign.
+
     Requires N >= 2K+2 so every mode is represented without aliasing
     (raises GridTooSmall otherwise).
     """
@@ -338,14 +348,19 @@ def half_to_grid(h: np.ndarray, N: int) -> np.ndarray:
         raise GridTooSmall(f"grid {N} < 2*{K}+2 required for band {K}")
     sgn = _signs(K)[K:]
     w = _workers(N)
-    # Only half-spectrum columns 0..K hold coefficients: run the axis-0
-    # pass on those, then the real pass along axis 1 (irfft2 makes the
-    # same two passes, over every column).
-    A = np.zeros((N, K + 1), dtype=np.complex128)
-    _phase(A[:K + 1], h[K:], 0, sgn)
-    _phase(A[N - K:], h[:K], -K, sgn)
     H = np.zeros((N, N // 2 + 1), dtype=np.complex128)
-    H[:, :K + 1] = scipy.fft.ifft(A, axis=0, norm="forward", workers=w, overwrite_x=True)
+    _phase(H[:K + 1, :K + 1], h[K:], 0, sgn)
+    _phase(H[N - K:, :K + 1], h[:K], -K, sgn)
+    # column k2 is nonempty when filled[k2 + 1]; the edges of its runs of
+    # nonempty columns alternate between starts and stops
+    filled = np.zeros(K + 3, dtype=bool)
+    np.any(h, axis=0, out=filled[1:-1])
+    edges = np.flatnonzero(filled[1:] != filled[:-1]).tolist()
+    for a, b in zip(edges[::2], edges[1::2]):
+        run = H[:, a:b]
+        out = scipy.fft.ifft(run, axis=0, norm="forward", workers=w, overwrite_x=True)
+        if not np.may_share_memory(out, run):  # scipy may decline to work in place
+            run[...] = out
     return scipy.fft.irfft(H, n=N, axis=1, norm="forward", workers=w)
 
 
@@ -359,11 +374,12 @@ def to_grid(f: TorusField, N: int) -> np.ndarray:
 def _truncate(H, values, K):
     """Band-K field read off H = rfft2(values, norm="forward").
 
-    The k2 < 0 half is gathered as the conjugate of the same bins and
-    the phase multiplies k and -k by the same sign, so every entry off
-    the k2 = 0 column is the exact conjugate of its mirror. That column
-    is Hermitian only to rounding, relative to the samples (which bound
-    every bin); it alone is checked at their scale and symmetrised.
+    The box is read off H by slices, with no gathers: the k2 < 0 half is
+    the k2 >= 0 rows reversed and conjugated, and the phase multiplies k
+    and -k by the same sign, so every entry off the k2 = 0 column is the
+    exact conjugate of its mirror. That column is Hermitian only to
+    rounding, relative to the samples (which bound every bin); it alone
+    is checked at their scale and symmetrised.
     """
     N = H.shape[0]
     # max and min propagate NaN and allocate no grid, unlike np.abs(values)
@@ -371,14 +387,17 @@ def _truncate(H, values, K):
     # no partial sum of the transform can overflow below this bound
     if not np.isfinite(2.0 * N * N * scale):
         raise ValueError(f"non-finite or overflowing sample (max |x| = {scale})")
-    # k2 >= 0 sits in half-spectrum column k2; k2 < 0 is the conjugate of
-    # the bin at -k, row (-k1) mod N, column -k2
-    rows = np.arange(-K, K + 1) % N
-    cols = np.arange(K + 1)
+    sgn = _signs(K)
     c = np.empty((2 * K + 1, 2 * K + 1), dtype=np.complex128)
-    c[:, K:] = H[rows[:, None], cols]
-    c[:, :K] = np.conj(H[rows[::-1, None], cols[K:0:-1]])
-    _phase(c, c, -K, _signs(K))
+    # k2 >= 0: the k1 < 0 rows sit at the bottom of H, the k1 >= 0 rows
+    # at its top; each is phased as it is read
+    _phase(c[:K, K:], H[N - K:, :K + 1], -K, sgn[K:])
+    _phase(c[K:, K:], H[:K + 1, :K + 1], 0, sgn[K:])
+    # k2 < 0: the conjugate of the bin at -k, so the same rows reversed;
+    # conjugated before the phase, as phasing first can flip a zero's sign
+    np.conjugate(H[K::-1, K:0:-1], out=c[:K + 1, :K])
+    np.conjugate(H[:N - K - 1:-1, K:0:-1], out=c[K + 1:, :K])
+    _phase(c[:, :K], c[:, :K], -K, sgn[:K])
     col = c[:, K]
     viol = float(np.abs(col - np.conj(col[::-1])).max())
     if viol > HERMITIAN_RTOL * scale:
@@ -435,27 +454,35 @@ def multiply(f: TorusField, g: TorusField) -> TorusField:
     return products(f, (g,))[0]
 
 
+def sqrt_grid(band: int, oversample: int, kout: int, grid_cap: int | None = None) -> int:
+    """Side of the grid `sqrt_pointwise` samples a band-`band` field on
+    to read kout coefficients back: the smallest FFT-friendly size
+    >= oversample*(2*band+2) and >= 2*kout+2. Raises GridBudgetExceeded
+    if it exceeds grid_cap."""
+    if oversample < 1:
+        raise ValueError("oversample must be >= 1")
+    N = good_grid(max(oversample * (2 * band + 2), 2 * kout + 2))
+    if grid_cap is not None and N > grid_cap:
+        raise GridBudgetExceeded(f"sqrt sampling of band {band} needs a {N}-point "
+                                 f"axis, cap is {grid_cap}")
+    return N
+
+
 def sqrt_pointwise(f: TorusField, oversample: int = 4, kout: int | None = None,
                    grid_cap: int | None = None):
     """Band-limited pointwise square root.
 
-    Samples f on a grid of size >= oversample*(2*band+2) (and large
-    enough to read kout coefficients back), takes the square root, and
-    truncates its transform at kout. The returned AliasReport carries
-    the l2 mass in the top dyadic shell of that transform as the tail
-    estimate.
+    Samples f on the `sqrt_grid` of its band, oversample and kout,
+    takes the square root, and truncates its transform at kout. The
+    returned AliasReport carries the l2 mass in the top dyadic shell of
+    that transform as the tail estimate.
 
     Raises GridBudgetExceeded if that grid's side exceeds grid_cap, and
     NotPositive if the sampled minimum is <= 0.
     """
     if kout is None:
         kout = f.band
-    if oversample < 1:
-        raise ValueError("oversample must be >= 1")
-    N = good_grid(max(oversample * (2 * f.band + 2), 2 * kout + 2))
-    if grid_cap is not None and N > grid_cap:
-        raise GridBudgetExceeded(f"sqrt sampling of band {f.band} needs a {N}-point "
-                                 f"axis, cap is {grid_cap}")
+    N = sqrt_grid(f.band, oversample, kout, grid_cap)
     g = to_grid(f, N)
     m = float(g.min())
     if m <= 0.0:

@@ -37,7 +37,8 @@ from decimal import ROUND_CEILING, Decimal, Overflow, localcontext
 import numpy as np
 
 from .errors import GridBudgetExceeded, SeparationViolated
-from .fields import Sum, TorusField, VectorField, multiply, products, random_field, sqrt_pointwise
+from .fields import (Sum, TorusField, VectorField, multiply, products, random_field,
+                     sqrt_grid, sqrt_pointwise)
 from .multipliers import (
     DIRECTIONS,
     L1,
@@ -199,6 +200,11 @@ class Perturbation:
     alias_tail: float
 
 
+def _amplitude_band(scales: DerivedScales) -> int:
+    """Band the amplitudes are read out to: 4*mu_next, what q_m1 needs."""
+    return math.ceil(4.0 * scales.mu_next)
+
+
 def build_f_next(q: TorusField, scales: DerivedScales, c0: float = 2.0,
                  oversample: int = 4, grid_cap=None) -> Perturbation:
     """Perturbation at frequency 5*lambda_next along both directions.
@@ -208,7 +214,7 @@ def build_f_next(q: TorusField, scales: DerivedScales, c0: float = 2.0,
     in the annulus 5*lambda_next -/+ mu_next.
     """
     lam5 = 5 * scales.lambda_next
-    kout = math.ceil(4.0 * scales.mu_next)
+    kout = _amplitude_band(scales)
     ap = []
     als = []
     for j in (1, 2):
@@ -436,6 +442,8 @@ def step(state: StepState, params: IterationParams, grid_cap: int = 4096):
         raise GridBudgetExceeded(
             f"step {state.n} needs a {need}-point axis for band {2 * band_f1}, "
             f"cap is {grid_cap}")
+    # the amplitudes sample each radicand c0 + m_j q / r_n, of q's band
+    sqrt_grid(state.q.band, params.oversample, _amplitude_band(sc), grid_cap)
 
     pert = build_f_next(state.q, sc, params.c0, params.oversample, grid_cap=grid_cap)
     f1 = pert.f_next

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from sqgci import iteration
 from sqgci.errors import GridBudgetExceeded, NonZeroMean, SeparationViolated
 from sqgci.fields import TorusField, VectorField, multiply, random_field
 from sqgci.iteration import (
@@ -401,6 +402,20 @@ def test_step_grid_budget():
     st, _ = _seeded_state()
     with pytest.raises(GridBudgetExceeded):
         step(st, WORKHORSE, grid_cap=256)
+
+
+def test_step_checks_the_sqrt_sampling_grid_before_any_stage(monkeypatch):
+    # a band-100 q samples its amplitudes on an 810-point grid, over a cap
+    # that the 674-point master-residual product grid fits
+    st, _ = _seeded_state()
+    st = dataclasses.replace(st, q=random_field(100, np.random.default_rng(0)))
+
+    def no_stage(*args, **kwargs):
+        raise AssertionError("a stage ran before the grid check")
+
+    monkeypatch.setattr(iteration, "build_f_next", no_stage)
+    with pytest.raises(GridBudgetExceeded, match="needs a 810-point axis, cap is 700"):
+        step(st, WORKHORSE, grid_cap=700)
 
 
 def test_make_base_kinds():

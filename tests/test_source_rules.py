@@ -44,3 +44,31 @@ def test_the_rule_sees_an_unfreeze(tmp_path):
                    "c.setflags(write=True)\nd.setflags(write=False)\ne.setflags(1)\n",
                    encoding="utf-8")
     assert list(_unfreezes(src)) == [1, 3, 5]
+
+
+def _fft_calls_without_workers(path):
+    """Line of every `scipy.fft.<transform>(...)` call in a source file
+    that passes no `workers=`; `next_fast_len` plans no transform."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and ast.unparse(node.func.value) == "scipy.fft"
+                and node.func.attr != "next_fast_len"
+                and not any(k.arg == "workers" for k in node.keywords)):
+            yield node.lineno
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "sqgci").glob("*.py")),
+                         ids=lambda p: p.name)
+def test_every_transform_passes_its_workers(path):
+    # fields._workers is the one threading policy: a transform that left
+    # workers to scipy's default would run on its own count
+    assert list(_fft_calls_without_workers(path)) == []
+
+
+def test_the_rule_sees_a_transform_without_workers(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text("scipy.fft.ifft(a, axis=0)\nscipy.fft.irfft(a, workers=w)\n"
+                   "scipy.fft.next_fast_len(n, real=True)\nscipy.fft.rfft2(a, workers=1)\n"
+                   "numpy.fft.fft(a)\nscipy.fft.fft2(\n    a, norm='forward')\n",
+                   encoding="utf-8")
+    assert list(_fft_calls_without_workers(src)) == [1, 6]

@@ -68,5 +68,10 @@ def t_symbols(lam, n1, n2, d, K):
 
 def hermitian_violation(c):
     """Max |c(k) - conj(c(-k))| over the coefficient array (index
-    [k1+K, k2+K], so -k is the double flip)."""
-    return float(np.abs(c - np.conj(c[::-1, ::-1])).max())
+    [k1+K, k2+K], so -k is the double flip).
+
+    Only the rows k1 <= 0 are scanned: the pair seen from -k is
+    c(-k) - conj(c(k)) = -conj(c(k) - conj(c(-k))), whose modulus is the
+    same float, and the k1 = 0 row meets its own mirror."""
+    K = c.shape[0] // 2
+    return float(np.abs(c[:K + 1] - np.conj(c[::-1, ::-1][:K + 1])).max())

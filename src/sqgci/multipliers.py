@@ -15,8 +15,10 @@ Everything here acts coefficientwise on TorusField spectra:
     inv_div      p with Laplacian(p) = div v, i.e. p^(k) = i k.v^(k)/(-|k|^2)
 
 plus derivative helpers, the Riesz commutator [R_j, phi] theta =
-R_j(phi theta) - phi R_j theta (products computed exactly), and exact
-modulation by cos/sin of a lattice wave (pure coefficient shifts).
+R_j(phi theta) - phi R_j theta for a general phi (products computed
+exactly; against a single test wave the commutator is a shifted-symbol
+difference, which `verify.weak_residual` evaluates per carrier), and
+exact modulation by cos/sin of a lattice wave (pure coefficient shifts).
 
 ModulatedField keeps a scalar field factored by carrier, sum_p A_p
 e^{i p.x} with small amplitudes A_p; sums and scalar multiples act on
@@ -297,13 +299,6 @@ def riesz_commutator(psi: TorusField, theta: TorusField, j: int) -> TorusField:
     first = _riesz_raw(multiply(psi, theta), j)
     second = multiply(psi, _riesz_raw(theta, j))
     return first - second
-
-
-def rperp_grad_commutator(psi: TorusField, theta: TorusField) -> TorusField:
-    """-[R_2, d1 psi] theta + [R_1, d2 psi] theta."""
-    d1 = partial(psi, 1)
-    d2 = partial(psi, 2)
-    return riesz_commutator(d2, theta, 1) - riesz_commutator(d1, theta, 2)
 
 
 def _pad(b, K):

@@ -4,7 +4,9 @@ Four groups:
 
 * the stationarity pairing against single-mode test functions (the
   bookkeeping identity relating the quadratic flux, dissipation, and
-  the stress against the Laplacian of the test function),
+  the stress against the Laplacian of the test function), with the
+  commutator against a test wave evaluated per carrier on theta's own
+  coefficient box, without products or transforms,
 * the exact per-wavenumber symbol identity
       sum_j (l_j.k)(l_j_perp.k) m_j(k) = |k|^2,
 * measured-constant monitors for the smoothing estimates (Riesz log
@@ -26,13 +28,14 @@ from .multipliers import (
     DIRECTIONS,
     L1,
     L2,
+    _kgrids,
+    _knorm,
     directional_grad,
     lambda_s,
     modulate,
     riesz,
     riesz_commutator,
     riesz_odd_symbol,
-    rperp_grad_commutator,
     t_op,
 )
 from .norms import linf, sobolev
@@ -55,13 +58,39 @@ class ResidualReport:
     total: float
 
 
+# psi = a_k e^{ik.x} + a_{-k} e^{-ik.x}: the amplitudes (a_k, a_{-k}),
+# cos: 1/2 and 1/2, sin: 1/(2i) and -1/(2i)
+_WAVE_AMPLITUDES = {"cos": (0.5, 0.5), "sin": (-0.5j, 0.5j)}
+
+
 def _test_function(k, phase: str) -> TorusField:
     band = max(abs(k[0]), abs(k[1]), 1)
-    amp = 0.5 if phase == "cos" else -0.5j
+    amp = _WAVE_AMPLITUDES[phase][0]
     if k == (0, 0):
         # cos degenerates to the constant 1, sin to 0
         return TorusField.constant(1.0 if phase == "cos" else 0.0)
     return TorusField.from_modes(band, {tuple(k): amp})
+
+
+def _carrier_pairing(c, h, inv_kn, root_kn, p) -> complex:
+    """sum over kappa of h(kappa + p) |kappa + p|^{1/2} w_p(kappa) conj(c(kappa)),
+
+        w_p(kappa) = (p2 kappa1 - p1 kappa2) (1/|kappa + p| - 1/|kappa|),
+
+    over the kappa for which kappa and kappa + p both lie in the box of
+    c, h, inv_kn = 1/|k| (0 at k = 0) and root_kn = |k|^{1/2}. Both
+    symbols at kappa + p are read off the box at offset p, as
+    `_inv_div_block` evaluates its symbol at p + k."""
+    n = c.shape[0]
+    if max(abs(p[0]), abs(p[1])) >= n:
+        return 0j
+    src = tuple(slice(max(0, -s), n - max(0, s)) for s in p)
+    dst = tuple(slice(max(0, s), n + min(0, s)) for s in p)
+    k1, k2 = _kgrids(n // 2)
+    w = p[1] * k1[src[0]] - p[0] * k2[:, src[1]]
+    w *= inv_kn[dst] - inv_kn[src]
+    w *= root_kn[dst]
+    return complex(np.vdot(c[src], w * h[dst]))
 
 
 def weak_residual(theta: TorusField, q, nu: float, gamma: float,
@@ -73,19 +102,42 @@ def weak_residual(theta: TorusField, q, nu: float, gamma: float,
         pressure    = <q, Lambda^2 psi>    (0 when no stress is supplied)
 
     q enters through Lambda^2 = -Laplacian, so a state carrying the
-    relaxed relation exactly has total = 0 for every mode.
+    relaxed relation exactly has total = 0 for every mode. theta must
+    be mean-zero.
+
+    The commutator needs no product: with R_j of symbol i k_j/|k|,
+    [R_j, e^{ip.x}] theta has coefficient (m_j(kappa + p) - m_j(kappa))
+    theta^(kappa) at kappa + p, so for psi = sum_{p = +-k} a_p e^{ip.x}
+
+        [Rperp, grad psi] theta = [R_1, d2 psi] theta - [R_2, d1 psi] theta
+
+    is one block per carrier p, -a_p w_p(kappa) theta^(kappa) at
+    kappa + p (w_p as in `_carrier_pairing`). Each block is weighted by
+    the shifted symbol |kappa + p|^{1/2} and paired with Lambda^{-1/2}
+    theta on theta's own box; both phases share the two carrier sums.
     """
     reports = []
     th_half = lambda_s(theta, -0.5)
+    K = theta.band
+    kn = _knorm(K)
+    with np.errstate(divide="ignore"):
+        inv_kn = 1.0 / kn
+    inv_kn[K, K] = 0.0
+    root_kn = np.sqrt(kn)
     for k in psi_modes:
         k = (int(k[0]), int(k[1]))
+        sums = [_carrier_pairing(theta.coeffs, th_half.coeffs, inv_kn, root_kn, p)
+                for p in (k, (-k[0], -k[1]))]
         for phase in ("cos", "sin"):
             psi = _test_function(k, phase)
             if psi.max_abs_coeff() == 0.0:
                 reports.append(ResidualReport(k, phase, 0.0, 0.0, 0.0, 0.0))
                 continue
-            com = rperp_grad_commutator(psi, theta)
-            nl = 0.5 * inner(th_half, lambda_s(com, 0.5))
+            # <h, g> = (2 pi)^2 Re sum h conj(g), and g's block at p
+            # carries -a_p
+            a = _WAVE_AMPLITUDES[phase]
+            nl = -0.5 * (2.0 * np.pi) ** 2 * (
+                a[0].conjugate() * sums[0] + a[1].conjugate() * sums[1]).real
             diss = nu * inner(th_half, lambda_s(psi, gamma + 0.5)) if nu else 0.0
             pres = inner(q, lambda_s(psi, 2.0)) if q is not None else 0.0
             reports.append(ResidualReport(k, phase, nl, diss, pres,

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sqgci.kernels import cutoff_profile, hermitian_violation, t_symbols
 
@@ -91,3 +93,23 @@ def test_hermitian_violation_detects_perturbation():
     # the (2,3)/(−2,−3) pair now disagrees by exactly the bump
     assert hermitian_violation(sym) == pytest.approx(4e-7, rel=1e-9)
 
+
+def _full_box_violation(c):
+    return float(np.abs(c - np.conj(c[::-1, ::-1])).max())
+
+
+@settings(max_examples=100, deadline=None)
+@given(K=st.integers(0, 20), kind=st.sampled_from(["exact", "perturbed", "k1=0 row"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_half_scan_equals_the_full_box_oracle_bit_for_bit(K, kind, seed):
+    rng = np.random.default_rng(seed)
+    n = 2 * K + 1
+    c = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    c = 0.5 * (c + np.conj(c[::-1, ::-1]))
+    if kind == "perturbed":
+        bump = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        c += bump * 10.0 ** rng.uniform(-17, -3, size=(n, n))
+    elif kind == "k1=0 row":
+        c[K, rng.integers(n)] += complex(*rng.normal(size=2)) * 1e-9
+    got = np.float64(hermitian_violation(c))
+    assert got.view(np.uint64) == np.float64(_full_box_violation(c)).view(np.uint64)

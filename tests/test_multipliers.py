@@ -30,7 +30,6 @@ from sqgci.multipliers import (
     riesz_commutator,
     riesz_odd,
     riesz_odd_symbol,
-    rperp_grad_commutator,
     t_op,
 )
 
@@ -284,29 +283,6 @@ def test_riesz_commutator_collinear_vanishes():
     theta = TorusField.from_modes(2, {(2, 0): 0.5}, mean_zero=True)
     com = riesz_commutator(phi, theta, 1)
     assert com.max_abs_coeff() < 1e-15
-
-
-def test_rperp_grad_commutator_hand_value():
-    # psi = cos x1, theta = cos x2: coefficient at (1,1) is
-    # (1/(2 sqrt 2) - 1/2)/2 from the two-term convolution
-    psi = TorusField.from_modes(1, {(1, 0): 0.5})
-    theta = TorusField.from_modes(1, {(0, 1): 0.5}, mean_zero=True)
-    com = rperp_grad_commutator(psi, theta)
-    want = (0.5 / math.sqrt(2.0) - 0.5) / 2.0
-    assert abs(com.coeff(1, 1) - want) < 1e-14
-    assert abs(com.coeff(1, -1) + want) < 1e-14
-
-
-def test_rperp_grad_commutator_matches_primitive_assembly():
-    rng = np.random.default_rng(53)
-    psi = random_field(3, rng, mean_zero=False)
-    theta = random_field(4, rng)
-    d1, d2 = partial(psi, 1), partial(psi, 2)
-    want = (riesz_commutator(d1, theta, 2) * -1.0
-            + riesz_commutator(d2, theta, 1))
-    got = rperp_grad_commutator(psi, theta)
-    np.testing.assert_allclose(got.pad_to(7).coeffs, want.pad_to(7).coeffs,
-                               atol=1e-14)
 
 
 def test_riesz_pairing_identity():

@@ -54,7 +54,8 @@ from .iteration import (
     scales_for,
     step,
 )
-from .multipliers import DIRECTIONS, L1, _knorm, lambda_s, modulate, riesz, riesz_commutator
+from .multipliers import (DIRECTIONS, L1, ModulatedField, _knorm, lambda_s, riesz,
+                          riesz_commutator)
 from .norms import sobolev
 from .verify import (
     check_algebraic,
@@ -280,7 +281,7 @@ def cmd_run(cfg: RunConfig, quiet: bool = False) -> int:
     state, lines = _find_resume(cfg, digest)
     resumed = state is not None
     if state is None:
-        state = make_base(p, cfg.seed, cfg.base)
+        state = make_base(p, cfg.seed, cfg.base, cfg.grid_cap)
         lines = []
     if not quiet and resumed:
         print(f"resuming from checkpoint step {state.n}")
@@ -358,7 +359,7 @@ def _verify_checks(cfg: RunConfig) -> list:
             worst = max(worst, abs(lhs - rhs) / scale)
     checks.append(report("riesz_pairing", {"band": 6, "trials": 5}, worst, 1e-11))
 
-    wave = modulate(TorusField.constant(1.0), L1.wave(5 * 8), "cos")
+    wave = ModulatedField.wave(TorusField.constant(1.0), L1.wave(5 * 8), "cos").to_dense()
     th = lambda_s(wave, 1.0)
     reps = weak_residual(th, None, 0.0, 1.0,
                          [(1, 0), (0, 1), (1, 1), (2, 1)])
@@ -435,7 +436,11 @@ def _load_config(args, validate: bool = True) -> RunConfig:
     if not args.config:
         raise ParseError("missing --config PATH")
     with open(args.config, "r", encoding="utf-8") as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as e:
+            raise ParseError(f"{args.config}: not UTF-8 text ({e.reason} at byte "
+                             f"{e.start})") from None
     cfg = parse_config(text, validate=validate)
     if args.out:
         cfg.out_dir = args.out

@@ -11,8 +11,10 @@ It is mean-zero when c(0) is exactly 0, a fact read off the array.
 Only outside data (user arrays, `from_modes`, `constant`, SQF1 reads)
 goes through the checked constructor `TorusField(coeffs, mean_zero)`:
 copy, finite check, Hermitian check over the whole box (1e-13 relative
-to the largest coefficient), exact symmetrisation; a declared mean-zero
-field must have a negligible c(0), which is then zeroed. Every field the
+to the largest coefficient), exact symmetrisation of a box that is
+Hermitian only to rounding; a declared mean-zero field must have a
+negligible c(0), which is then zeroed. A box that passes unchanged
+keeps its bits, so SQF1 round trips are bit for bit. Every field the
 program computes is frozen in place by `TorusField._exact`: exact
 operations (multipliers, lattice shifts, sums, scalar multiples, pad,
 trim) are Hermitian bit for bit, and so is a transform read everywhere
@@ -87,14 +89,18 @@ class TorusField:
             if viol > HERMITIAN_RTOL * maxc:
                 raise ValueError(f"Hermitian symmetry violated: {viol:.3e} > "
                                  f"{HERMITIAN_RTOL:g} * {maxc:.3e}")
-        # enforce exactly so realness never drifts
-        c += np.conj(c[::-1, ::-1])
-        c *= 0.5
+            if viol > 0.0:
+                # enforce exactly so realness never drifts; a box that is
+                # Hermitian already keeps its bits, signed zeros included,
+                # so an SQF1 read returns the field that was written
+                c += np.conj(c[::-1, ::-1])
+                c *= 0.5
         if mean_zero:
             if maxc > 0.0 and abs(c[K, K]) > HERMITIAN_RTOL * maxc:
                 raise NonZeroMean(f"declared mean-zero but c(0) = {c[K, K]:.3e} "
                                   f"(max {maxc:.3e})")
-            c[K, K] = 0.0
+            if c[K, K] != 0:
+                c[K, K] = 0.0
         self._freeze(c)
 
     def _freeze(self, c):

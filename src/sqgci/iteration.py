@@ -37,15 +37,14 @@ from decimal import ROUND_CEILING, Decimal, Overflow, localcontext
 import numpy as np
 
 from .errors import GridBudgetExceeded, SeparationViolated
-from .fields import (Sum, TorusField, VectorField, multiply, products, random_field,
-                     sqrt_grid, sqrt_pointwise)
+from .fields import (Sum, TorusField, VectorField, good_grid, multiply, products,
+                     random_field, sqrt_grid, sqrt_pointwise)
 from .multipliers import (
     DIRECTIONS,
     L1,
     L2,
     ModulatedField,
     _inv_div_box,
-    _kgrids,
     _knorm,
     directional_grad,
     fat_lowpass,
@@ -265,23 +264,6 @@ def assemble_nonosc(a1: TorusField, a2: TorusField, lam5: int) -> VectorField:
     return out
 
 
-def _mod2(g, pa, pb, ta: str, tb: str):
-    """g(x) trig_a(pa.x) trig_b(pb.x) expanded by product-to-sum, for a
-    TorusField g (a ModulatedField) or a VectorField g (a pair of them)."""
-    wave = ModulatedField.wave
-    ps = (pa[0] + pb[0], pa[1] + pb[1])
-    pd = (pa[0] - pb[0], pa[1] - pb[1])
-    if (ta, tb) == ("sin", "sin"):
-        return 0.5 * (wave(g, pd, "cos") - wave(g, ps, "cos"))
-    if (ta, tb) == ("sin", "cos"):
-        return 0.5 * (wave(g, ps, "sin") + wave(g, pd, "sin"))
-    if (ta, tb) == ("cos", "sin"):
-        return 0.5 * (wave(g, ps, "sin") - wave(g, pd, "sin"))
-    if (ta, tb) == ("cos", "cos"):
-        return 0.5 * (wave(g, ps, "cos") + wave(g, pd, "cos"))
-    raise ValueError(f"bad trig pair {(ta, tb)!r}")
-
-
 def assemble_osc(a1: TorusField, a2: TorusField, lam5: int) -> VectorField:
     """The six oscillatory families left after removing the mean
     (non-oscillatory) part of the quadratic self-interaction: a pair of
@@ -318,12 +300,12 @@ def assemble_osc(a1: TorusField, a2: TorusField, lam5: int) -> VectorField:
         lq = DIRECTIONS[ip]
         pa, pb = waves[i], waves[ip]
         gpp = grad_perp(amps[ip])
-        terms += [_scaled_perp(_mod2(multiply(s[i], amps[ip]), pa, pb, "sin", "sin"),
+        terms += [_scaled_perp(wave(wave(multiply(s[i], amps[ip]), pa, "sin"), pb, "sin"),
                                lq, -float(lam5)),
-                  _mod2(_times(s[i], gpp), pa, pb, "sin", "cos"),
-                  _scaled_perp(_mod2(multiply(c[i], amps[ip]), pa, pb, "cos", "sin"),
+                  wave(wave(_times(s[i], gpp), pa, "sin"), pb, "cos"),
+                  _scaled_perp(wave(wave(multiply(c[i], amps[ip]), pa, "cos"), pb, "sin"),
                                lq, -float(lam5)),
-                  _mod2(_times(c[i], gpp), pa, pb, "cos", "cos")]
+                  wave(wave(_times(c[i], gpp), pa, "cos"), pb, "cos")]
     return sum(terms[1:], terms[0])
 
 
@@ -375,21 +357,30 @@ def q_d(f_next: TorusField, nu: float, gamma: float) -> TorusField:
     return lambda_s(f_next, gamma - 1.0) * (-nu)
 
 
-def make_base(params: IterationParams, seed: int = 0, kind: str = "zero") -> StepState:
+def make_base(params: IterationParams, seed: int = 0, kind: str = "zero",
+              grid_cap: int = 4096) -> StepState:
     """Base state at n = 0.
 
     "zero" is the trivial pair. "synthetic" draws a seeded random f0 at
     band 2*lambda0 and pairs it with the exactly consistent stress
     q0 = invdiv(Lambda f0 grad_perp f0) - nu Lambda^(gamma-1) f0,
     rescaling f0 by halves until ‖q0‖_X <= r0/16 so the first step has
-    a genuinely nonconstant amplitude problem to solve.
+    a genuinely nonconstant amplitude problem to solve. Raises
+    GridBudgetExceeded, before any draw, when the flux's product grid
+    exceeds grid_cap; the X-norms sample under the same cap.
     """
     if kind == "zero":
         return StepState(n=0, f_leq=TorusField.zero(), q=TorusField.zero())
     if kind != "synthetic":
         raise ValueError(f"base kind must be zero or synthetic, got {kind!r}")
+    band = 2 * int(params.lambda0)
+    need = good_grid(4 * band + 2)  # Lambda f0 grad_perp f0 holds band 2 * band
+    if need > grid_cap:
+        raise GridBudgetExceeded(
+            f"synthetic base needs a {need}-point axis for band {2 * band}, "
+            f"cap is {grid_cap}")
     rng = np.random.default_rng(seed)
-    f0 = random_field(2 * int(params.lambda0), rng, mean_zero=True)
+    f0 = random_field(band, rng, mean_zero=True)
     f0 = f0 * (1.0 / max(f0.max_abs_coeff(), 1e-300))
     flux_part = inv_div(nonlinear_flux(f0, f0))
     diss_part = lambda_s(f0, params.gamma - 1.0)
@@ -397,7 +388,7 @@ def make_base(params: IterationParams, seed: int = 0, kind: str = "zero") -> Ste
     h = 1.0
     for _ in range(200):
         q0 = flux_part * (h * h) - diss_part * (params.nu * h)
-        if x_norm(q0) <= r0 / 16.0:
+        if x_norm(q0, grid_cap=grid_cap) <= r0 / 16.0:
             break
         h *= 0.5
     else:
@@ -426,9 +417,8 @@ def step(state: StepState, params: IterationParams, grid_cap: int = 4096):
     re-evaluates the relaxed relation on f_leq + f_next from scratch.
     """
     sc = scales_for(params, state.n)
-    # k-grids cached before this step are of other bands; left in the
+    # |k| grids cached before this step are of other bands; left in the
     # heap, they fragment it under this step's grids
-    _kgrids.cache_clear()
     _knorm.cache_clear()
     sep_ok = 48 * sc.lambda_n <= sc.lambda_next
     if not sep_ok and params.separation == "strict48":

@@ -14,17 +14,18 @@ Everything here acts coefficientwise on TorusField spectra:
     fat_lowpass  psi(|k|/(4 mu)), identity up to 2 mu, zero from 4 mu
     inv_div      p with Laplacian(p) = div v, i.e. p^(k) = i k.v^(k)/(-|k|^2)
 
-plus derivative helpers, the Riesz commutator [R_j, phi] theta =
+plus derivative helpers and the Riesz commutator [R_j, phi] theta =
 R_j(phi theta) - phi R_j theta for a general phi (products computed
 exactly; against a single test wave the commutator is a shifted-symbol
-difference, which `verify.weak_residual` evaluates per carrier), and
-exact modulation by cos/sin of a lattice wave (pure coefficient shifts).
+difference, which `verify.weak_residual` evaluates per carrier).
 
 ModulatedField keeps a scalar field factored by carrier, sum_p A_p
 e^{i p.x} with small amplitudes A_p; sums and scalar multiples act on
-the amplitude grids, and `modulate` is its dense view of one wave. A
-factored vector field is a VectorField of two of them, and `inv_div`
-inverts it carrier by carrier.
+the amplitude grids. `ModulatedField.wave` is the one place a field is
+multiplied by cos(p.x) or sin(p.x), exactly, as a shift of carriers: a
+product of waves is nested `wave` calls, and `to_dense` gives the dense
+view. A factored vector field is a VectorField of two ModulatedFields,
+and `inv_div` inverts it carrier by carrier.
 
 Real-even symbols map real fields to real fields, imaginary-odd ones
 likewise; the symbol grids below are built so that the required
@@ -83,15 +84,11 @@ L2 = Direction(1, 0, 1)
 DIRECTIONS = (L1, L2)
 
 
-@lru_cache(maxsize=8)
 def _kgrids(K):
-    """Broadcastable k1 (column) and k2 (row) for band K."""
+    """Broadcastable k1 (column) and k2 (row) for band K, views of one
+    fresh vector."""
     k = np.arange(-K, K + 1, dtype=np.float64)
-    k1 = k[:, None].copy()
-    k2 = k[None, :].copy()
-    k1.flags.writeable = False
-    k2.flags.writeable = False
-    return k1, k2
+    return k[:, None], k[None, :]
 
 
 @lru_cache(maxsize=8)
@@ -334,26 +331,34 @@ class ModulatedField:
 
     @classmethod
     def wave(cls, a, p, trig: str):
-        """a(x) cos(p.x) or a(x) sin(p.x) for a TorusField a and a
-        lattice vector p:
+        """a(x) cos(p.x) or a(x) sin(p.x) for a lattice vector p, with
+        cos(p.x) = (e^{ip.x} + e^{-ip.x})/2 and
+        sin(p.x) = (e^{ip.x} - e^{-ip.x})/(2i). Each block A at carrier
+        q of a goes to q + p and q - p:
 
-            cos: a/2 at carrier p and at -p
-            sin: a/(2i) at p and -a/(2i) at -p
+            cos: A/2 at q + p and at q - p
+            sin: A/(2i) at q + p and -A/(2i) at q - p
 
-        A VectorField a maps component by component to a VectorField of
-        ModulatedFields.
+        Blocks landing on one carrier are added. A TorusField a is the
+        one block at carrier 0, so a product of two waves is two nested
+        calls. A VectorField a maps component by component to a
+        VectorField of ModulatedFields.
         """
         if isinstance(a, VectorField):
             return VectorField(cls.wave(a.comp1, p, trig), cls.wave(a.comp2, p, trig))
         if trig not in ("cos", "sin"):
             raise ValueError(f"trig must be 'cos' or 'sin', got {trig!r}")
-        c = a.coeffs
         p = (int(p[0]), int(p[1]))
-        m = (-p[0], -p[1])
-        if trig == "cos":
-            half = c * 0.5
-            return cls({p: half}) + cls({m: half})
-        return cls({p: c / 2j}) + cls({m: -c / 2j})
+        blocks = a.blocks if isinstance(a, ModulatedField) else {(0, 0): a.coeffs}
+        out = cls({})
+        for q, b in blocks.items():
+            if trig == "cos":
+                up = down = b * 0.5
+            else:
+                up, down = b / 2j, -b / 2j
+            out = (out + cls({(q[0] + p[0], q[1] + p[1]): up})
+                   + cls({(q[0] - p[0], q[1] - p[1]): down}))
+        return out
 
     def __add__(self, other):
         if not isinstance(other, ModulatedField):
@@ -392,7 +397,7 @@ class ModulatedField:
 
     def to_dense(self) -> TorusField:
         """The field on one coefficient box of band max_p (K_p + |p|_inf),
-        the band the dense `modulate` gives. Blocks are added at their
+        the smallest that holds every block. Blocks are added at their
         carriers' offsets. Where three blocks meet, the sum at k need not
         mirror the sum at -k, so a box with overlapping blocks is
         symmetrised to stay Hermitian bit for bit."""
@@ -408,14 +413,3 @@ class ModulatedField:
             box *= 0.5
         return TorusField._exact(box)
 
-
-def modulate(a: TorusField, p, trig: str) -> TorusField:
-    """a(x) * cos(p.x) or a(x) * sin(p.x) for a lattice vector p,
-    computed as exact coefficient shifts:
-
-        cos: c_out(k) = (c(k-p) + c(k+p)) / 2
-        sin: c_out(k) = (c(k-p) - c(k+p)) / (2i)
-
-    Band grows by max(|p1|, |p2|).
-    """
-    return ModulatedField.wave(a, p, trig).to_dense()

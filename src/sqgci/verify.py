@@ -5,8 +5,9 @@ Four groups:
 * the stationarity pairing against single-mode test functions (the
   bookkeeping identity relating the quadratic flux, dissipation, and
   the stress against the Laplacian of the test function), with the
-  commutator against a test wave evaluated per carrier on theta's own
-  coefficient box, without products or transforms,
+  test wave built by `ModulatedField.wave` and the commutator against
+  it evaluated per carrier on theta's own coefficient box, without
+  products or transforms,
 * the exact per-wavenumber symbol identity
       sum_j (l_j.k)(l_j_perp.k) m_j(k) = |k|^2,
 * measured-constant monitors for the smoothing estimates (Riesz log
@@ -28,11 +29,11 @@ from .multipliers import (
     DIRECTIONS,
     L1,
     L2,
+    ModulatedField,
     _kgrids,
     _knorm,
     directional_grad,
     lambda_s,
-    modulate,
     riesz,
     riesz_commutator,
     riesz_odd_symbol,
@@ -56,20 +57,6 @@ class ResidualReport:
     dissipation: float
     pressure: float
     total: float
-
-
-# psi = a_k e^{ik.x} + a_{-k} e^{-ik.x}: the amplitudes (a_k, a_{-k}),
-# cos: 1/2 and 1/2, sin: 1/(2i) and -1/(2i)
-_WAVE_AMPLITUDES = {"cos": (0.5, 0.5), "sin": (-0.5j, 0.5j)}
-
-
-def _test_function(k, phase: str) -> TorusField:
-    band = max(abs(k[0]), abs(k[1]), 1)
-    amp = _WAVE_AMPLITUDES[phase][0]
-    if k == (0, 0):
-        # cos degenerates to the constant 1, sin to 0
-        return TorusField.constant(1.0 if phase == "cos" else 0.0)
-    return TorusField.from_modes(band, {tuple(k): amp})
 
 
 def _carrier_pairing(c, h, inv_kn, root_kn, p) -> complex:
@@ -107,14 +94,16 @@ def weak_residual(theta: TorusField, q, nu: float, gamma: float,
 
     The commutator needs no product: with R_j of symbol i k_j/|k|,
     [R_j, e^{ip.x}] theta has coefficient (m_j(kappa + p) - m_j(kappa))
-    theta^(kappa) at kappa + p, so for psi = sum_{p = +-k} a_p e^{ip.x}
+    theta^(kappa) at kappa + p, so for the test wave
+    psi = ModulatedField.wave(1, k, phase) = sum_p a_p e^{ip.x}, whose
+    1x1 blocks a_p sit at p = +-k (one block when k = 0),
 
         [Rperp, grad psi] theta = [R_1, d2 psi] theta - [R_2, d1 psi] theta
 
     is one block per carrier p, -a_p w_p(kappa) theta^(kappa) at
     kappa + p (w_p as in `_carrier_pairing`). Each block is weighted by
     the shifted symbol |kappa + p|^{1/2} and paired with Lambda^{-1/2}
-    theta on theta's own box; both phases share the two carrier sums.
+    theta on theta's own box; both phases share the carrier sums.
     """
     reports = []
     th_half = lambda_s(theta, -0.5)
@@ -124,22 +113,27 @@ def weak_residual(theta: TorusField, q, nu: float, gamma: float,
         inv_kn = 1.0 / kn
     inv_kn[K, K] = 0.0
     root_kn = np.sqrt(kn)
+    one = TorusField.constant(1.0)
     for k in psi_modes:
         k = (int(k[0]), int(k[1]))
-        sums = [_carrier_pairing(theta.coeffs, th_half.coeffs, inv_kn, root_kn, p)
-                for p in (k, (-k[0], -k[1]))]
+        sums = {}
         for phase in ("cos", "sin"):
-            psi = _test_function(k, phase)
-            if psi.max_abs_coeff() == 0.0:
+            psi = ModulatedField.wave(one, k, phase)
+            dense = psi.to_dense()
+            if dense.max_abs_coeff() == 0.0:
                 reports.append(ResidualReport(k, phase, 0.0, 0.0, 0.0, 0.0))
                 continue
             # <h, g> = (2 pi)^2 Re sum h conj(g), and g's block at p
             # carries -a_p
-            a = _WAVE_AMPLITUDES[phase]
-            nl = -0.5 * (2.0 * np.pi) ** 2 * (
-                a[0].conjugate() * sums[0] + a[1].conjugate() * sums[1]).real
-            diss = nu * inner(th_half, lambda_s(psi, gamma + 0.5)) if nu else 0.0
-            pres = inner(q, lambda_s(psi, 2.0)) if q is not None else 0.0
+            terms = []
+            for p, a in psi.blocks.items():
+                if p not in sums:
+                    sums[p] = _carrier_pairing(theta.coeffs, th_half.coeffs,
+                                               inv_kn, root_kn, p)
+                terms.append(complex(a[0, 0]).conjugate() * sums[p])
+            nl = -0.5 * (2.0 * np.pi) ** 2 * sum(terms[1:], terms[0]).real
+            diss = nu * inner(th_half, lambda_s(dense, gamma + 0.5)) if nu else 0.0
+            pres = inner(q, lambda_s(dense, 2.0)) if q is not None else 0.0
             reports.append(ResidualReport(k, phase, nl, diss, pres,
                                           nl + diss + pres))
     return reports
@@ -180,13 +174,14 @@ def leibniz_residual(a: TorusField, lam5: int, l) -> float:
         Lambda(a cos(p.x)) = lam5 a cos + ((l.grad)a) sin
                              + (T1 a) cos + (T2 a) sin,  p = lam5 l.
     """
+    wave = ModulatedField.wave
     p = l.wave(lam5)
-    g = modulate(a, p, "cos")
-    direct = lambda_s(g, 1.0)
+    g = wave(a, p, "cos")
+    direct = lambda_s(g.to_dense(), 1.0)
     rebuilt = (float(lam5) * g
-               + modulate(directional_grad(a, l), p, "sin")
-               + modulate(t_op(a, 1, lam5, l), p, "cos")
-               + modulate(t_op(a, 2, lam5, l), p, "sin"))
+               + wave(directional_grad(a, l), p, "sin")
+               + wave(t_op(a, 1, lam5, l), p, "cos")
+               + wave(t_op(a, 2, lam5, l), p, "sin")).to_dense()
     scale = direct.max_abs_coeff()
     if scale == 0.0:
         return 0.0

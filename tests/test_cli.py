@@ -287,9 +287,16 @@ def test_cli_export_spectrum_and_shells(tmp_path):
     assert len(lines) == 2
 
 
-def test_cli_exit_codes(tmp_path):
+def test_cli_exit_codes(tmp_path, capsys):
     bad_cfg = _write(tmp_path, "lambda0=1\nb=0.5\nbeta=0.9\nnu=0\ngamma=1\n")
     assert main(["run", "--config", bad_cfg, "--quiet"]) == 2
+    # a config that is not UTF-8 text is a config error naming the file
+    latin1 = tmp_path / "latin1.cfg"
+    latin1.write_bytes(TINY.encode("ascii") + b"# caf\xe9\n")
+    capsys.readouterr()
+    assert main(["run", "--config", str(latin1), "--quiet"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ParseError" and str(latin1) in err["message"]
     assert main(["run", "--config", str(tmp_path / "nope.cfg"),
                  "--quiet"]) == 4
     assert main(["export", str(tmp_path / "nope.sqf1"), "--quiet"]) == 4
@@ -300,6 +307,24 @@ def test_cli_exit_codes(tmp_path):
                  "--quiet"]) == 3
     with pytest.raises(SystemExit):
         main(["bogus"])
+
+
+def test_synthetic_base_respects_the_grid_cap(tmp_path, capsys, monkeypatch):
+    # the base's flux at band 4 lambda0 = 80 needs a 162-point product
+    # grid: the run stops before drawing, with no transform over the cap
+    import scipy.fft
+    sizes = []
+    for name in ("rfft2", "irfft", "ifft"):
+        def spy(x, *args, _fft=getattr(scipy.fft, name), **kwargs):
+            sizes.append(max(x.shape[0], kwargs.get("n") or 0))
+            return _fft(x, *args, **kwargs)
+        monkeypatch.setattr(scipy.fft, name, spy)
+    cfg = _write(tmp_path, "lambda0 = 20\nb = 1.2\nbeta = 0.25\nnu = 0\ngamma = 1\n"
+                           "grid_cap = 64\nbase = synthetic\n")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "GridBudgetExceeded" and "cap is 64" in err["message"]
+    assert max(sizes, default=0) <= 64
 
 
 @pytest.mark.parametrize("verb", ["run", "verify"])

@@ -42,7 +42,6 @@ from sqgci.multipliers import (
     inv_div,
     lambda_s,
     lowpass,
-    modulate,
     partial,
     riesz,
     riesz_odd,
@@ -540,6 +539,25 @@ def test_sqf1_bit_identical_rewrite(tmp_path):
     assert open(p1, "rb").read() == open(p2, "rb").read()
 
 
+@pytest.fixture(scope="module")
+def sqf1_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("sqf1")
+
+
+@settings(max_examples=60, deadline=None)
+@given(band=st.integers(0, 12), seed=st.integers(0, 2 ** 32 - 1), mean=st.booleans(),
+       scale=st.floats(-1e300, 1e300, allow_subnormal=True))
+def test_sqf1_round_trip_is_bit_exact(sqf1_dir, band, seed, mean, scale):
+    f = random_field(band, np.random.default_rng(seed), mean_zero=not mean) * scale
+    p1, p2 = str(sqf1_dir / "a.sqf1"), str(sqf1_dir / "b.sqf1")
+    write_sqf1(f, p1)
+    back = read_sqf1(p1)
+    assert back.band == band and back.mean_zero == f.mean_zero
+    assert np.array_equal(back.coeffs.view(np.uint64), f.coeffs.view(np.uint64))
+    write_sqf1(back, p2)
+    assert open(p1, "rb").read() == open(p2, "rb").read()
+
+
 def test_sqf1_corruption_detected(tmp_path):
     f = TorusField.from_modes(1, {(1, 0): 0.5}, mean_zero=True)
     path = str(tmp_path / "f.sqf1")
@@ -640,7 +658,8 @@ def _exact_outputs(band, seed, p, trig, lam_gap, scale):
            ("from_grid", from_grid(rng.standard_normal((N, N)), band)),
            ("multiply", multiply(h, g)),
            ("sqrt_pointwise", sqrt_pointwise(radicand, kout=band + 2)[0])]
-    out += [(f"modulate {q}", modulate(h, q, trig)) for q in _carriers(band, p)]
+    out += [(f"wave {q}", ModulatedField.wave(h, q, trig).to_dense())
+            for q in _carriers(band, p)]
     out += [(f"lambda_s {s}", lambda_s(f, s)) for s in (-0.5, 0.5, 1.0)]
     for j in (1, 2):
         out += [(f"riesz {j}", riesz(f, j)), (f"riesz_odd {j}", riesz_odd(f, j)),
@@ -664,7 +683,7 @@ def test_exact_producers_are_hermitian_and_frozen(band, seed, p, trig, lam_gap, 
     # mean-zero by construction: the symbol vanishes at k = 0, the inputs
     # are mean-zero, or the wave's carrier clears the band of its amplitude
     mean_free = {"zero", "random_field", "add mean-zero", "sub", "inv_div"}
-    mean_free |= {f"modulate {q}" for q in _carriers(band, p)[2:]}
+    mean_free |= {f"wave {q}" for q in _carriers(band, p)[2:]}
     symbols = ("lambda_s", "riesz", "partial", "t_op", "directional_grad")
     for name, fld in outputs:
         c = fld.coeffs

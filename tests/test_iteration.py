@@ -46,7 +46,6 @@ from sqgci.multipliers import (
     grad_perp,
     inv_div,
     lowpass,
-    modulate,
     t_op,
 )
 from sqgci.norms import linf
@@ -163,8 +162,8 @@ def test_decomposition_closure_generic_amplitudes():
     lam5 = 40
     a1 = random_field(4, rng)
     a2 = random_field(4, rng)
-    f = (modulate(a1, L1.wave(lam5), "cos")
-         + modulate(a2, L2.wave(lam5), "cos"))
+    f = (_wave(a1, L1.wave(lam5), "cos")
+         + _wave(a2, L2.wave(lam5), "cos"))
     lhs = inv_div(nonlinear_flux(f, f))
     rhs = inv_div(assemble_main(a1, a2, lam5)
                   + assemble_nonosc(a1, a2, lam5)
@@ -178,17 +177,23 @@ def _dense(v):
     return VectorField(v.comp1.to_dense(), v.comp2.to_dense())
 
 
+def _wave(g, p, trig):
+    """g(x) trig(p.x) on dense boxes: one wave, densified."""
+    w = ModulatedField.wave(g, p, trig)
+    return _dense(w) if isinstance(w, VectorField) else w.to_dense()
+
+
 def _dense_mod2(g, pa, pb, ta, tb):
     """g(x) trig_a(pa.x) trig_b(pb.x) on dense boxes (oracle)."""
     ps = (pa[0] + pb[0], pa[1] + pb[1])
     pd = (pa[0] - pb[0], pa[1] - pb[1])
     if (ta, tb) == ("sin", "sin"):
-        return 0.5 * (modulate(g, pd, "cos") - modulate(g, ps, "cos"))
+        return 0.5 * (_wave(g, pd, "cos") - _wave(g, ps, "cos"))
     if (ta, tb) == ("sin", "cos"):
-        return 0.5 * (modulate(g, ps, "sin") + modulate(g, pd, "sin"))
+        return 0.5 * (_wave(g, ps, "sin") + _wave(g, pd, "sin"))
     if (ta, tb) == ("cos", "sin"):
-        return 0.5 * (modulate(g, ps, "sin") - modulate(g, pd, "sin"))
-    return 0.5 * (modulate(g, ps, "cos") + modulate(g, pd, "cos"))
+        return 0.5 * (_wave(g, ps, "sin") - _wave(g, pd, "sin"))
+    return 0.5 * (_wave(g, ps, "cos") + _wave(g, pd, "cos"))
 
 
 def _dense_assemble_osc(a1, a2, lam5):
@@ -203,12 +208,12 @@ def _dense_assemble_osc(a1, a2, lam5):
         a = amps[i]
         p2 = (2 * waves[i][0], 2 * waves[i][1])
         gp = grad_perp(a)
-        out = out + _scaled_perp(modulate(multiply(s[i], a), p2, "cos"), l, 0.5 * lam5)
-        out = out + VectorField(modulate(multiply(s[i], gp.comp1), p2, "sin") * 0.5,
-                                modulate(multiply(s[i], gp.comp2), p2, "sin") * 0.5)
-        out = out + _scaled_perp(modulate(multiply(c[i], a), p2, "sin"), l, -0.5 * lam5)
-        out = out + VectorField(modulate(multiply(c[i], gp.comp1), p2, "cos") * 0.5,
-                                modulate(multiply(c[i], gp.comp2), p2, "cos") * 0.5)
+        out = out + _scaled_perp(_wave(multiply(s[i], a), p2, "cos"), l, 0.5 * lam5)
+        out = out + VectorField(_wave(multiply(s[i], gp.comp1), p2, "sin") * 0.5,
+                                _wave(multiply(s[i], gp.comp2), p2, "sin") * 0.5)
+        out = out + _scaled_perp(_wave(multiply(c[i], a), p2, "sin"), l, -0.5 * lam5)
+        out = out + VectorField(_wave(multiply(c[i], gp.comp1), p2, "cos") * 0.5,
+                                _wave(multiply(c[i], gp.comp2), p2, "cos") * 0.5)
     for i, ip in ((0, 1), (1, 0)):
         lq = DIRECTIONS[ip]
         pa, pb = waves[i], waves[ip]
@@ -222,6 +227,45 @@ def _dense_assemble_osc(a1, a2, lam5):
         out = out + VectorField(_dense_mod2(multiply(c[i], gpp.comp1), pa, pb, "cos", "cos"),
                                 _dense_mod2(multiply(c[i], gpp.comp2), pa, pb, "cos", "cos"))
     return out
+
+
+_TRIGS = st.sampled_from(["cos", "sin"])
+_CARRIERS = st.tuples(st.integers(-9, 9), st.integers(-9, 9))
+
+
+@settings(max_examples=100, deadline=None)
+@given(band=st.integers(0, 4), seed=st.integers(0, 2 ** 32 - 1), pair=st.booleans(),
+       pa=_CARRIERS, pb=_CARRIERS, ta=_TRIGS, tb=_TRIGS)
+@example(band=2, seed=0, pair=False, pa=(7, 0), pb=(0, 7), ta="sin", tb="sin")
+@example(band=2, seed=1, pair=True, pa=(3, 4), pb=(3, 4), ta="cos", tb="sin")
+@example(band=1, seed=2, pair=False, pa=(0, 0), pb=(5, 0), ta="sin", tb="cos")
+@example(band=3, seed=3, pair=True, pa=(2, 1), pb=(1, -2), ta="sin", tb="sin")
+def test_nested_waves_match_the_product_to_sum_oracle(band, seed, pair, pa, pb, ta, tb):
+    # g trig_a(pa.x) trig_b(pb.x) as two nested waves, blocks at +-pa +-pb,
+    # against the sum of two dense single waves at pa + pb and pa - pb.
+    # Carriers that lie apart give the same floats; blocks that share a
+    # mode (coincident or zero carriers included) are added, and a box
+    # where they meet is symmetrised, in another order: a few roundings
+    # of terms no larger than max|g^|
+    rng = np.random.default_rng(seed)
+    g = random_field(band, rng, mean_zero=False)
+    if pair:
+        g = VectorField(g, random_field(band, rng, mean_zero=False) * 3.0)
+    got = _wave(ModulatedField.wave(g, pa, ta), pb, tb)
+    want = _dense_mod2(g, pa, pb, ta, tb)
+    carriers = [(sa * pa[0] + sb * pb[0], sa * pa[1] + sb * pb[1])
+                for sa in (1, -1) for sb in (1, -1)]
+    apart = all(max(abs(p[0] - r[0]), abs(p[1] - r[1])) > 2 * band
+                for i, p in enumerate(carriers) for r in carriers[:i])
+    pairs = ([(got.comp1, want.comp1, g.comp1), (got.comp2, want.comp2, g.comp2)]
+             if pair else [(got, want, g)])
+    for x, y, src in pairs:
+        assert x.band == y.band
+        if apart:
+            assert np.array_equal(x.coeffs, y.coeffs)
+        else:
+            tol = 4 * np.finfo(np.float64).eps * src.max_abs_coeff()
+            assert np.abs(x.coeffs - y.coeffs).max() <= tol
 
 
 def _amplitudes(band1, band2, seed):

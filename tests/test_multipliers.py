@@ -16,6 +16,7 @@ from sqgci.multipliers import (
     L1,
     L2,
     Direction,
+    ModulatedField,
     _inv_div_block,
     directional_grad,
     fat_lowpass,
@@ -24,7 +25,6 @@ from sqgci.multipliers import (
     inv_div,
     lambda_s,
     lowpass,
-    modulate,
     partial,
     riesz,
     riesz_commutator,
@@ -260,11 +260,11 @@ def test_grad_and_directional():
 
 def test_modulate_shifts_coefficients():
     a = TorusField.from_modes(1, {(1, 0): 0.5}, mean_zero=True)
-    m = modulate(a, (10, 0), "cos")
+    m = ModulatedField.wave(a, (10, 0), "cos").to_dense()
     for k, want in (((11, 0), 0.25), ((9, 0), 0.25), ((-9, 0), 0.25),
                     ((-11, 0), 0.25)):
         assert abs(m.coeff(*k) - want) < 1e-16
-    s = modulate(TorusField.constant(1.0), (0, 7), "sin")
+    s = ModulatedField.wave(TorusField.constant(1.0), (0, 7), "sin").to_dense()
     assert abs(s.coeff(0, 7) + 0.5j) < 1e-16
     assert abs(s.coeff(0, -7) - 0.5j) < 1e-16
 
@@ -274,7 +274,7 @@ def test_modulate_matches_product():
     a = random_field(3, rng)
     w = TorusField.from_modes(12, {(12, 0): 0.5}, mean_zero=True)
     np.testing.assert_allclose(
-        modulate(a, (12, 0), "cos").pad_to(15).coeffs,
+        ModulatedField.wave(a, (12, 0), "cos").to_dense().pad_to(15).coeffs,
         multiply(a, w).pad_to(15).coeffs, atol=1e-13)
 
 

@@ -15,13 +15,9 @@ class BandExceedsLambda(ValueError):
     carrier frequency."""
 
 
-class NegativePowerOnMean(ValueError):
-    """Negative fractional Laplacian power applied to a field with a
-    nonzero mean."""
-
-
 class NonZeroMean(ValueError):
-    """Operation requires a mean-zero field."""
+    """A mean that must vanish does not: multipliers.require_mean_zero
+    (dense and factored fields) or a declaration on outside data."""
 
 
 class SeparationViolated(RuntimeError):

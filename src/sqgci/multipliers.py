@@ -27,6 +27,10 @@ product of waves is nested `wave` calls, and `to_dense` gives the dense
 view. A factored vector field is a VectorField of two ModulatedFields,
 and `inv_div` inverts it carrier by carrier.
 
+`require_mean_zero` is the one mean check, for dense and factored
+fields alike, ahead of every negative-order operator (Lambda^s for
+s < 0, riesz, riesz_odd, inv_div, the commutator's theta).
+
 Real-even symbols map real fields to real fields, imaginary-odd ones
 likewise; the symbol grids below are built so that the required
 conjugate symmetry holds to the last bit.
@@ -39,11 +43,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BandExceedsLambda, NegativePowerOnMean, NonZeroMean
+from .errors import BandExceedsLambda, NonZeroMean
 from .fields import TorusField, VectorField, multiply
 from .kernels import cutoff_profile, t_symbols
 
-# mean checks compare |c(0)| against the coefficient l2 mass: transform
+# require_mean_zero compares |c(0)| with the coefficient l2 mass: transform
 # round-off sits near 1e-13 relative, a genuine mean is order one
 MEAN_RTOL = 1e-11
 
@@ -99,18 +103,22 @@ def _knorm(K):
     return kn
 
 
-def _coeff_l2(c):
-    return float(np.sqrt(np.sum(np.abs(c) ** 2)))
-
-
-def require_mean_zero(f: TorusField, what: str):
-    """Raise NonZeroMean unless f's mean coefficient is 0 or negligible
-    against the coefficient l2 mass."""
-    if f.mean_zero:
+def require_mean_zero(f: TorusField | ModulatedField, what: str):
+    """Raise NonZeroMean unless the mean of f, a TorusField (the one
+    block at carrier 0) or a ModulatedField, is negligible: c0, the sum
+    of the blocks that cover k = 0, is exactly 0 or at most MEAN_RTOL
+    times the coefficient l2 mass."""
+    blocks = f.blocks if isinstance(f, ModulatedField) else {(0, 0): f.coeffs}
+    c0 = 0j
+    for p, b in blocks.items():
+        K = b.shape[0] // 2
+        if max(abs(p[0]), abs(p[1])) <= K:
+            c0 = c0 + b[K - p[0], K - p[1]]
+    if c0 == 0:
         return
-    c0 = abs(f.coeffs[f.band, f.band])
-    if c0 > MEAN_RTOL * _coeff_l2(f.coeffs):
-        raise NonZeroMean(f"{what}: mean coefficient {c0:.3e} is not negligible")
+    mass = np.sqrt(sum(np.vdot(b, b).real for b in blocks.values()))
+    if abs(c0) > MEAN_RTOL * mass:
+        raise NonZeroMean(f"{what}: mean coefficient {abs(c0):.3e} is not negligible")
 
 
 def lambda_s(f: TorusField, s: float) -> TorusField:
@@ -122,11 +130,7 @@ def lambda_s(f: TorusField, s: float) -> TorusField:
     K = f.band
     kn = _knorm(K)
     if s < 0:
-        if not f.mean_zero:
-            c0 = abs(f.coeffs[K, K])
-            if c0 > MEAN_RTOL * _coeff_l2(f.coeffs):
-                raise NegativePowerOnMean(
-                    f"Lambda^{s:g} of a field with mean coefficient {c0:.3e}")
+        require_mean_zero(f, f"Lambda^{s:g}")
         with np.errstate(divide="ignore"):
             m = kn ** s
         m[K, K] = 0.0
@@ -257,8 +261,8 @@ def inv_div(v: VectorField) -> TorusField | ModulatedField:
     if isinstance(x, ModulatedField):
         if x.blocks.keys() != y.blocks.keys():
             raise ValueError("inv_div needs components on the same carriers")
-        x.require_mean_zero("inv_div component 1")
-        y.require_mean_zero("inv_div component 2")
+        require_mean_zero(x, "inv_div component 1")
+        require_mean_zero(y, "inv_div component 2")
         return ModulatedField({p: _inv_div_block(bx, y.blocks[p], p)
                                for p, bx in x.blocks.items()})
     return TorusField._exact(_inv_div_box(v))
@@ -382,18 +386,6 @@ class ModulatedField:
         return ModulatedField({p: b * s for p, b in self.blocks.items()})
 
     __rmul__ = __mul__
-
-    def require_mean_zero(self, what: str):
-        """Raise NonZeroMean unless the mean, the sum of the blocks that
-        cover k = 0, is negligible against the coefficient l2 mass."""
-        c0, mass2 = 0j, 0.0
-        for p, b in self.blocks.items():
-            K = b.shape[0] // 2
-            if max(abs(p[0]), abs(p[1])) <= K:
-                c0 = c0 + b[K - p[0], K - p[1]]
-            mass2 += np.sum(np.abs(b) ** 2)
-        if abs(c0) > MEAN_RTOL * np.sqrt(mass2):
-            raise NonZeroMean(f"{what}: mean coefficient {abs(c0):.3e} is not negligible")
 
     def to_dense(self) -> TorusField:
         """The field on one coefficient box of band max_p (K_p + |p|_inf),

@@ -255,7 +255,7 @@ def t_bound_ratios(lam: int, mu: int, trials: int, seed: int = 0,
 class FeasibilityReport:
     """Sign checks on the channel exponents and the parameter windows."""
 
-    alpha: float
+    alpha: float | None
     exponents: dict
     verdicts: dict
     constraints: dict
@@ -267,26 +267,34 @@ class FeasibilityReport:
 
 def feasibility(params) -> FeasibilityReport:
     """Pure exponent arithmetic; invalid parameters yield fail verdicts,
-    never exceptions. `params` needs attributes b, beta, gamma, eps0."""
+    never exceptions. An alpha or exponent that is not a finite float
+    (b = 0, inf or nan, or so small that beta/(2b) overflows) is reported
+    as None, and its verdict fails, as does every window that reads a
+    value that is not finite. `params` needs attributes b, beta, gamma,
+    eps0."""
     b = float(params.b)
     beta = float(params.beta)
     gamma = float(params.gamma)
     eps0 = float(params.eps0)
-    alpha = 0.5 + beta / (2.0 * b) - eps0
+    ratio = beta / (2.0 * b) if b else math.nan
+    alpha = 0.5 + ratio - eps0
     exps = {
         "mismatch": (b - 1.0) * (beta - 1.0),
         "transport": 1.0 - alpha - beta / 2.0 - b / 2.0 + b * beta,
-        "dissipation": gamma - 1.5 + beta - beta / (2.0 * b),
-        "regularity": alpha - 0.5 - beta / (2.0 * b),
+        "dissipation": gamma - 1.5 + beta - ratio,
+        "regularity": alpha - 0.5 - ratio,
     }
-    verdicts = {name: val < 0.0 for name, val in exps.items()}
+    exps = {name: val if math.isfinite(val) else None for name, val in exps.items()}
+    verdicts = {name: val is not None and val < 0.0 for name, val in exps.items()}
     constraints = {
-        "beta_range": 0.0 < beta < min(1.0 / 3.0, 3.0 - 2.0 * gamma),
+        # chained, not min(): a nan bound must fail, not drop out
+        "beta_range": 0.0 < beta < 1.0 / 3.0 and beta < 3.0 - 2.0 * gamma,
         "gamma_range": 0.0 < gamma < 1.5,
-        "b_range": b > 1.0,
-        "alpha_window": 0.5 <= alpha < 0.5 + min(1.0 / 6.0, 1.5 - gamma),
+        "b_range": 1.0 < b < math.inf,
+        "alpha_window": 0.5 <= alpha < 0.5 + 1.0 / 6.0 and alpha < 0.5 + (1.5 - gamma),
     }
-    return FeasibilityReport(alpha=alpha, exponents=exps, verdicts=verdicts,
+    return FeasibilityReport(alpha=alpha if math.isfinite(alpha) else None,
+                             exponents=exps, verdicts=verdicts,
                              constraints=constraints)
 
 

@@ -15,6 +15,7 @@ from sqgci import cli
 from sqgci.cli import main, parse_config, render_json
 from sqgci.errors import ParseError, ValidationError
 from sqgci.fields import TorusField, read_sqf1, write_sqf1
+from sqgci.iteration import step
 from sqgci.multipliers import lambda_s
 from sqgci.norms import sobolev
 
@@ -162,6 +163,27 @@ def test_cli_feasibility_verb(tmp_path, capsys):
     assert out["all_pass"] is False
 
 
+@pytest.mark.parametrize("key, value", [("b", "0"), ("b", "inf"), ("b", "nan"),
+                                        ("b", "1e-320"), ("gamma", "nan")])
+def test_cli_feasibility_reports_degenerate_parameters(tmp_path, capsys, key, value):
+    # b = 0 divides by zero and b = 1e-320 overflows beta/(2b): values
+    # that are not finite print as null with a failing verdict, and every
+    # window that reads the bad parameter fails
+    params = {"lambda0": "2", "b": "1.35", "beta": "0.25", "nu": "1", "gamma": "1"}
+    params[key] = value
+    cfg = _write(tmp_path, "".join(f"{k}={v}\n" for k, v in params.items()))
+    assert main(["feasibility", "--config", cfg]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["all_pass"] is False
+    values = [out["alpha"], *out["exponents"].values()]
+    assert None in values
+    assert all(v is None or math.isfinite(v) for v in values)
+    assert all(out["verdicts"][k] is False for k, v in out["exponents"].items() if v is None)
+    reads = {"b": ("b_range", "alpha_window"),
+             "gamma": ("beta_range", "gamma_range", "alpha_window")}
+    assert not any(out["constraints"][c] for c in reads[key])
+
+
 def test_cli_run_writes_everything(tmp_path):
     cfg = _write(tmp_path, TINY)
     out = str(tmp_path / "out")
@@ -217,6 +239,35 @@ def test_cli_resume_bit_identical(tmp_path):
         a = open(os.path.join(out_full, name), "rb").read()
         b = open(os.path.join(out_res, name), "rb").read()
         assert a == b, name
+
+
+def test_rerun_without_a_ledger_starts_afresh(tmp_path, capsys, monkeypatch):
+    # a checkpoint's sidecar records the ledger it extends; with no
+    # ledger written, a longer rerun cannot resume and computes every step
+    fields_only = TINY + "emit = fields\n"
+    two = _write(tmp_path, fields_only, "two.cfg")
+    fresh = str(tmp_path / "fresh")
+    assert main(["run", "--config", two, "--out", fresh, "--quiet"]) == 0
+    out = str(tmp_path / "rerun")
+    one = _write(tmp_path, fields_only.replace("steps = 2", "steps = 1"), "one.cfg")
+    assert main(["run", "--config", one, "--out", out, "--quiet"]) == 0
+    steps = []
+
+    def counted(state, *args):
+        steps.append(state.n)
+        return step(state, *args)
+
+    monkeypatch.setattr(cli, "step", counted)
+    capsys.readouterr()
+    assert main(["run", "--config", two, "--out", out]) == 0
+    assert steps == [0, 1] and "resuming" not in capsys.readouterr().out
+    assert not os.path.exists(os.path.join(out, "ledger.jsonl"))
+    names = sorted(os.listdir(fresh))
+    assert sorted(os.listdir(out)) == names
+    for name in names:
+        if name.endswith(".sqf1"):
+            a = open(os.path.join(fresh, name), "rb").read()
+            assert a == open(os.path.join(out, name), "rb").read(), name
 
 
 def test_cli_resume_ignores_foreign_checkpoint(tmp_path):

@@ -9,12 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqgci.errors import BandExceedsLambda, NegativePowerOnMean, NonZeroMean
-from sqgci.fields import TorusField, inner, multiply, random_field
+from sqgci.errors import BandExceedsLambda, NonZeroMean
+from sqgci.fields import TorusField, VectorField, inner, multiply, random_field
 from sqgci.multipliers import (
     DIRECTIONS,
     L1,
     L2,
+    MEAN_RTOL,
     Direction,
     ModulatedField,
     _inv_div_block,
@@ -26,12 +27,14 @@ from sqgci.multipliers import (
     lambda_s,
     lowpass,
     partial,
+    require_mean_zero,
     riesz,
     riesz_commutator,
     riesz_odd,
     riesz_odd_symbol,
     t_op,
 )
+from sqgci.norms import x_norm
 
 
 def test_directions_pythagorean():
@@ -68,8 +71,41 @@ def test_lambda_power_composes():
 
 def test_lambda_negative_power_needs_mean_zero():
     f = TorusField.constant(1.0) + TorusField.from_modes(1, {(1, 0): 0.5})
-    with pytest.raises(NegativePowerOnMean):
+    with pytest.raises(NonZeroMean, match=r"^Lambda\^-0\.5: mean coefficient"):
         lambda_s(f, -0.5)
+
+
+@pytest.mark.parametrize("rho", [0.5, 2.0])
+def test_every_mean_check_trips_at_the_threshold(rho):
+    # a mean of rho * MEAN_RTOL times the l2 mass: below the threshold at
+    # rho = 1/2, above it at rho = 2, with one verdict for every caller
+    r = random_field(6, np.random.default_rng(61))
+    t = r + TorusField.constant(rho * MEAN_RTOL * np.linalg.norm(r.coeffs))
+    assert t.coeff(0, 0) != 0
+    checks = (lambda: require_mean_zero(t, "t"),
+              lambda: require_mean_zero(ModulatedField({(0, 0): t.coeffs}), "t"),
+              lambda: lambda_s(t, -0.5),
+              lambda: riesz(t, 1),
+              lambda: inv_div(VectorField(t, t)),
+              lambda: x_norm(t))
+    for check in checks:
+        if rho > 1:
+            with pytest.raises(NonZeroMean):
+                check()
+        else:
+            check()
+
+
+def test_factored_mean_is_the_sum_of_the_blocks_at_the_origin():
+    # sin(x1) cos(x1) = sin(2 x1)/2: the blocks at (1, 0) and (-1, 0) both
+    # cover k = 0 and cancel there; cos(x1)^2 keeps the mean 1/2
+    sin = TorusField.from_modes(1, {(1, 0): -0.5j})
+    cos = TorusField.from_modes(1, {(1, 0): 0.5})
+    odd = ModulatedField.wave(sin, (1, 0), "cos")
+    assert all(b[1 - p[0], 1 - p[1]] != 0 for p, b in odd.blocks.items())
+    require_mean_zero(odd, "sin cos")
+    with pytest.raises(NonZeroMean):
+        require_mean_zero(ModulatedField.wave(cos, (1, 0), "cos"), "cos cos")
 
 
 def test_riesz_single_mode_and_skew_symmetry():

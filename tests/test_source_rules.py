@@ -72,3 +72,43 @@ def test_the_rule_sees_a_transform_without_workers(tmp_path):
                    "numpy.fft.fft(a)\nscipy.fft.fft2(\n    a, norm='forward')\n",
                    encoding="utf-8")
     assert list(_fft_calls_without_workers(src)) == [1, 6]
+
+
+def _mean_raises(path):
+    """(line, enclosing function's qualified name) of every
+    `raise NonZeroMean` in a source file; "" at module level."""
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                yield from walk(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                if ast.unparse(exc).split(".")[-1] == "NonZeroMean":
+                    yield child.lineno, ".".join(scope)
+            yield from walk(child, scope)
+
+    yield from walk(ast.parse(path.read_text(encoding="utf-8")), ())
+
+
+MEAN_RAISERS = {"multipliers.require_mean_zero", "fields.TorusField.__init__"}
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "sqgci").glob("*.py")),
+                         ids=lambda p: p.name)
+def test_only_the_mean_checks_raise_nonzero_mean(path):
+    # require_mean_zero is the one rule for computed fields, dense and
+    # factored; the checked constructor judges declared outside data
+    assert [(line, name) for line, name in _mean_raises(path)
+            if f"{path.stem}.{name}" not in MEAN_RAISERS] == []
+
+
+def test_the_rule_sees_a_mean_raise(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text("def require_mean_zero(f):\n    raise NonZeroMean('a')\n"
+                   "class C:\n    def f(self):\n        raise errors.NonZeroMean\n"
+                   "def g():\n    def h():\n        raise NonZeroMean('b')\n"
+                   "    raise ValueError('c')\n"
+                   "raise NonZeroMean('d')\n", encoding="utf-8")
+    assert list(_mean_raises(src)) == [(2, "require_mean_zero"), (5, "C.f"),
+                                       (8, "g.h"), (10, "")]

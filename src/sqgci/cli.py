@@ -7,18 +7,20 @@ defaults; a field with no default is a required key.
 Outputs are deterministic byte-for-byte for a fixed config: floats are
 printed with 17 significant digits and every file is written atomically
 (temp + rename). A run emits ledger.jsonl (one JSON object per step),
-SQF1 checkpoints (f_leq_<n>.sqf1, q_<n>.sqf1, state_<n>.json), final
-theta.sqf1 / f.sqf1, CSV spectra, and run.json with the parameter echo
-and feasibility report. The ledger is rewritten as each step completes,
-before that step's checkpoint, so a run that fails keeps the rows and
-checkpoints of its finished steps. Each state_<n>.json records the
-sha256 of ledger rows 1..n. Rerunning on a directory holding a matching
-checkpoint, whose ledger still starts with those rows, resumes from it;
-the resumed ledger is identical to an unbroken run's.
+SQF1 checkpoints (f_leq_<n>.sqf1, q_<n>.sqf1, and a state_<n>.json
+sidecar when the ledger is emitted too), final theta.sqf1 / f.sqf1, CSV
+spectra, and run.json with the parameter echo and feasibility report.
+The ledger is rewritten as each step completes, before that step's
+checkpoint, so a run that fails keeps the rows and checkpoints of its
+finished steps. Each state_<n>.json records the sha256 of ledger rows
+1..n. Rerunning on a directory holding a matching checkpoint, whose
+ledger still starts with those rows, resumes from it; the resumed
+ledger is identical to an unbroken run's.
 
 Exit codes: 0 success, 2 config/validation failure, 3 numeric failure
-(broken positivity, separation, grid budget), 4 I/O failure. Errors are
-reported as one JSON object on stderr.
+(broken positivity, separation, grid budget, or a grid too large for
+memory), 4 I/O failure. Errors are reported as one JSON object on
+stderr.
 """
 
 from __future__ import annotations
@@ -302,10 +304,11 @@ def cmd_run(cfg: RunConfig, quiet: bool = False) -> int:
             fpath, qpath, spath = _checkpoint_paths(cfg.out_dir, state.n)
             write_sqf1(state.f_leq, fpath)
             write_sqf1(state.q, qpath)
-            sc = scales_for(p, state.n)
-            _write_text(spath, render_json({
-                "n": state.n, "lambda_n": sc.lambda_n, "r_n": sc.r_n,
-                "params_hash": digest, "ledger_sha256": _ledger_sha256(lines)}) + "\n")
+            if "ledger" in cfg.emit:  # the sidecar's digest names ledger rows
+                sc = scales_for(p, state.n)
+                _write_text(spath, render_json({
+                    "n": state.n, "lambda_n": sc.lambda_n, "r_n": sc.r_n,
+                    "params_hash": digest, "ledger_sha256": _ledger_sha256(lines)}) + "\n")
         if not quiet:
             print(f"step {row['n']}: |q|_X/r = {row['ratio_q_over_r']:.6g}, "
                   f"master residual = {row['master_residual']:.3e}")
@@ -466,7 +469,7 @@ def main(argv=None) -> int:
     except OSError as e:
         _emit_error(e, 4)
         return 4
-    except (ArithmeticError, RuntimeError, ValueError) as e:
+    except (ArithmeticError, MemoryError, RuntimeError, ValueError) as e:
         _emit_error(e, 3)
         return 3
 

@@ -281,15 +281,6 @@ class VectorField:
     __rmul__ = __mul__
 
 
-@dataclass(frozen=True)
-class AliasReport:
-    """Truncation diagnostics from a pointwise nonlinear evaluation."""
-
-    tail: float      # l2 mass in the top dyadic shell of the sampling grid
-    grid: int        # sampling grid size actually used
-    kout: int        # truncation band of the returned field
-
-
 # Grid side from which the transforms split their lines over every CPU
 # the process may use. Timing the FFT passes alone on a 2-core box, two
 # workers took 1.1-1.5x the one-worker time at N = 160-300, were mixed
@@ -479,9 +470,9 @@ def sqrt_pointwise(f: TorusField, oversample: int = 4, kout: int | None = None,
     """Band-limited pointwise square root.
 
     Samples f on the `sqrt_grid` of its band, oversample and kout,
-    takes the square root, and truncates its transform at kout. The
-    returned AliasReport carries the l2 mass in the top dyadic shell of
-    that transform as the tail estimate.
+    takes the square root, and truncates its transform at kout. Returns
+    (root, tail): tail, the alias estimate, is the l2 mass in the top
+    dyadic shell (N/4, N/2] of that transform.
 
     Raises GridBudgetExceeded if that grid's side exceeds grid_cap, and
     NotPositive if the sampled minimum is <= 0.
@@ -495,7 +486,6 @@ def sqrt_pointwise(f: TorusField, oversample: int = 4, kout: int | None = None,
         raise NotPositive(f"grid minimum {m:.6e} <= 0 on {N}x{N} grid")
     vals = np.sqrt(g)
     H = scipy.fft.rfft2(vals, norm="forward", workers=_workers(N))
-    # energy in the top dyadic shell (N/4, N/2] of the sampling grid;
     # columns 1..N//2-1 of the half-spectrum stand for a mirrored pair
     b1 = np.arange(N)
     k1 = (b1 + N // 2) % N - N // 2
@@ -507,7 +497,7 @@ def sqrt_pointwise(f: TorusField, oversample: int = 4, kout: int | None = None,
         w[-1] = 1.0
     shell = norm2 > (N / 4.0) ** 2
     tail = float(np.sqrt(np.sum((np.abs(H) ** 2 * w[None, :])[shell])))
-    return _truncate(H, vals, kout), AliasReport(tail=tail, grid=N, kout=kout)
+    return _truncate(H, vals, kout), tail
 
 
 def inner(f: TorusField, g: TorusField) -> float:

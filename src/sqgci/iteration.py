@@ -180,15 +180,15 @@ def perfect_amplitude(q: TorusField, r_n: float, lambda_next: int, c0: float,
                       j: int, oversample: int = 4, kout=None, grid_cap=None):
     """Amplitude 2 sqrt(r_n/(5 lambda_next)) sqrt(c0 + m_j q / r_n) for
     direction j, truncated at kout (band of q by default). Returns the
-    field and the sqrt alias report. NotPositive propagates when the
+    field and the sqrt's alias tail. NotPositive propagates when the
     radicand dips below zero, i.e. the induction bound ‖q‖_X <= r_n
     failed, and GridBudgetExceeded when its sampling grid exceeds
     grid_cap."""
     radicand = TorusField.constant(c0) + riesz_odd(q, j) * (1.0 / r_n)
-    root, alias = sqrt_pointwise(radicand, oversample=oversample, kout=kout,
-                                 grid_cap=grid_cap)
+    root, tail = sqrt_pointwise(radicand, oversample=oversample, kout=kout,
+                                grid_cap=grid_cap)
     scale = 2.0 * math.sqrt(r_n / (5.0 * lambda_next))
-    return root * scale, alias
+    return root * scale, tail
 
 
 @dataclass
@@ -215,18 +215,18 @@ def build_f_next(q: TorusField, scales: DerivedScales, c0: float = 2.0,
     lam5 = 5 * scales.lambda_next
     kout = _amplitude_band(scales)
     ap = []
-    als = []
+    tails = []
     for j in (1, 2):
-        amp, alias = perfect_amplitude(q, scales.r_n, scales.lambda_next, c0,
-                                       j, oversample, kout, grid_cap)
+        amp, tail = perfect_amplitude(q, scales.r_n, scales.lambda_next, c0,
+                                      j, oversample, kout, grid_cap)
         ap.append(amp)
-        als.append(alias.tail)
+        tails.append(tail)
     a = tuple(lowpass(amp, scales.mu_next) for amp in ap)
     # the four blocks sit 4 lambda_next apart with bands below mu_next,
     # so each lands on zeros, as separate dense waves would place it
     w1, w2 = (ModulatedField.wave(amp, l.wave(lam5), "cos") for amp, l in zip(a, DIRECTIONS))
     return Perturbation(f_next=(w1 + w2).to_dense(), a=a, a_perfect=tuple(ap),
-                        alias_tail=max(als))
+                        alias_tail=max(tails))
 
 
 def _scaled_perp(f, l, scale: float) -> VectorField:
@@ -388,7 +388,7 @@ def make_base(params: IterationParams, seed: int = 0, kind: str = "zero",
     h = 1.0
     for _ in range(200):
         q0 = flux_part * (h * h) - diss_part * (params.nu * h)
-        if x_norm(q0, grid_cap=grid_cap) <= r0 / 16.0:
+        if x_norm(q0, params.oversample, grid_cap) <= r0 / 16.0:
             break
         h *= 0.5
     else:

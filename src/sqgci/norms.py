@@ -2,18 +2,18 @@
 
 L-infinity is measured as a grid maximum on an oversampled collocation
 grid, so every reported value is a certified lower bound on the true
-norm. The X-norm stacks L-infinity of the field and of its two images
-under the even rational multipliers. A transform reads only the k2 >= 0
-half of a coefficient box, so the X-norm applies the multipliers to
-that half and builds no full Riesz box. Homogeneous Sobolev norms come
-straight from coefficients. Holder regularity is tracked by a
-dyadic-block (Besov-type) proxy.
+norm. A transform reads only the k2 >= 0 half of a coefficient box,
+so one sampler, `_sup`, takes that half. The X-norm stacks L-infinity
+of the field and of its two images under the even rational
+multipliers, applied to q's half: no full Riesz box is built. Holder
+regularity is tracked by a Besov-type proxy whose dyadic shells are cut
+from the half spectrum. Homogeneous Sobolev norms come straight from
+coefficients.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,6 +41,16 @@ def _max_abs(g) -> float:
     return float(np.abs([g.max(), g.min()]).max())
 
 
+def _sup(half: np.ndarray, oversample: int, grid_cap) -> float:
+    """Max of |f| on the `_grid_side` grid of the band-K field f whose
+    k2 >= 0 coefficients are half, a (2K+1, K+1) array."""
+    K = half.shape[1] - 1
+    N = _grid_side(K, oversample, grid_cap)
+    if K == 0:
+        return abs(half[0, 0].real)
+    return _max_abs(half_to_grid(half, N))
+
+
 def linf(f: TorusField, oversample: int = 4, grid_cap=None) -> float:
     """Max of |f| over an oversampled collocation grid (a lower bound
     on the true sup). When a cap is given the oversampling degrades one
@@ -57,18 +67,15 @@ def x_norm(q: TorusField, oversample: int = 4, grid_cap=None, sup=None) -> float
     `sup` passes linf(q, oversample, grid_cap) when it is already known.
 
     The transforms read only the k2 >= 0 half of a box, so m_j is
-    evaluated on q's half alone and passed to `half_to_grid`: no m_j q
+    evaluated on q's half alone and passed to `_sup`: no m_j q
     box is built, and each term is bit for bit linf(riesz_odd(q, j))."""
     require_mean_zero(q, "x_norm")
     total = linf(q, oversample, grid_cap) if sup is None else sup
     K = q.band
-    N = _grid_side(K, oversample, grid_cap)
-    if K == 0:
-        return total  # a band-0 mean-zero q is 0, and so is m_j q
     k1, k2 = _kgrids(K)
     half = q.coeffs[:, K:]
     for j in (1, 2):
-        total += _max_abs(half_to_grid(half * riesz_odd_symbol(j, k1, k2[:, K:]), N))
+        total += _sup(half * riesz_odd_symbol(j, k1, k2[:, K:]), oversample, grid_cap)
     return total
 
 
@@ -86,40 +93,31 @@ def sobolev(f: TorusField, s: float) -> float:
     return float(np.sqrt(np.sum(w * np.abs(f.coeffs[mask]) ** 2)))
 
 
-@dataclass(frozen=True)
-class DyadicBlock:
-    """Spectral annulus: j = 0 holds |k| <= 1, j >= 1 holds
-    2^{j-1} < |k| <= 2^j; together they partition the lattice."""
-
-    j: int
-    part: TorusField
-
-
-def dyadic_blocks(f: TorusField) -> list[DyadicBlock]:
-    """Split f into its dyadic annuli (empty blocks are skipped)."""
+def holder_besov(f: TorusField, alpha: float, oversample: int = 4,
+                 grid_cap=None) -> float:
+    """C^alpha proxy: sup_j 2^{j alpha} ‖P_j f‖∞ over the dyadic shells,
+    j = 0 holding |k| <= 1 and j >= 1 holding 2^{j-1} < |k| <= 2^j.
+    Each shell is cut from f's k2 >= 0 half and sampled at the smallest
+    band holding it; empty shells are skipped. Requires 0 < alpha < 1."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     K = f.band
-    kn = _knorm(K)
+    half = f.coeffs[:, K:]
+    kn = _knorm(K)[:, K:]
     jmax = 0 if K == 0 else max(0, math.ceil(math.log2(math.hypot(K, K))))
-    out = []
+    best = 0.0
     for j in range(jmax + 1):
         if j == 0:
             mask = kn <= 1.0
         else:
             mask = (kn > 2.0 ** (j - 1)) & (kn <= 2.0 ** j)
-        c = np.where(mask, f.coeffs, 0.0)
-        if not np.any(c):
+        h = np.where(mask, half, 0.0)
+        rows = np.flatnonzero(np.any(h, axis=1))
+        if rows.size == 0:
             continue
-        out.append(DyadicBlock(j=j, part=TorusField._exact(c).trim()))
-    return out
-
-
-def holder_besov(f: TorusField, alpha: float, oversample: int = 4,
-                 grid_cap=None) -> float:
-    """C^alpha proxy: sup_j 2^{j alpha} ‖block_j f‖∞ over the dyadic
-    blocks. Requires 0 < alpha < 1."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    best = 0.0
-    for blk in dyadic_blocks(f):
-        best = max(best, 2.0 ** (blk.j * alpha) * linf(blk.part, oversample, grid_cap))
+        # a field's c(k) and c(-k) are zero together, so the half's rows
+        # and columns give the band of the whole shell
+        b = max(int(np.abs(rows - K).max()), int(np.flatnonzero(np.any(h, axis=0))[-1]))
+        best = max(best, 2.0 ** (j * alpha)
+                   * _sup(h[K - b:K + b + 1, :b + 1], oversample, grid_cap))
     return best

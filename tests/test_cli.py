@@ -242,12 +242,15 @@ def test_cli_resume_bit_identical(tmp_path):
 
 
 def test_rerun_without_a_ledger_starts_afresh(tmp_path, capsys, monkeypatch):
-    # a checkpoint's sidecar records the ledger it extends; with no
-    # ledger written, a longer rerun cannot resume and computes every step
+    # a checkpoint's sidecar records the ledger it extends, so with no
+    # ledger written no sidecar is either: a longer rerun cannot resume
+    # and computes every step
     fields_only = TINY + "emit = fields\n"
     two = _write(tmp_path, fields_only, "two.cfg")
     fresh = str(tmp_path / "fresh")
     assert main(["run", "--config", two, "--out", fresh, "--quiet"]) == 0
+    assert not [n for n in os.listdir(fresh) if n.startswith("state_")]
+    assert os.path.exists(os.path.join(fresh, "q_2.sqf1"))
     out = str(tmp_path / "rerun")
     one = _write(tmp_path, fields_only.replace("steps = 2", "steps = 1"), "one.cfg")
     assert main(["run", "--config", one, "--out", out, "--quiet"]) == 0
@@ -358,6 +361,32 @@ def test_cli_exit_codes(tmp_path, capsys):
                  "--quiet"]) == 3
     with pytest.raises(SystemExit):
         main(["bogus"])
+
+
+def test_a_grid_too_large_for_memory_exits_3(tmp_path, capsys):
+    # the amplitudes' sqrt grid has 4194304 points a side, under the cap;
+    # numpy refuses the 128 TiB spectrum before touching any memory
+    cfg = _write(tmp_path, TINY.replace("grid_cap = 1024", "grid_cap = 16777216")
+                 + "oversample = 2097152\n")
+    out = str(tmp_path / "out")
+    assert main(["run", "--config", cfg, "--out", out, "--quiet"]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["exit"] == 3 and "allocate" in err["message"]
+    assert not os.path.exists(os.path.join(out, "ledger.jsonl"))
+
+
+@pytest.mark.parametrize("exc, code", [
+    (ParseError("p"), 2), (ValidationError(["v"]), 2), (OSError("o"), 4),
+    (FileNotFoundError("f"), 4), (ArithmeticError("a"), 3), (MemoryError("m"), 3),
+    (RuntimeError("r"), 3), (ValueError("v"), 3)])
+def test_each_error_class_maps_to_its_exit_code(tmp_path, capsys, monkeypatch, exc, code):
+    def failing(cfg, quiet=False):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_run", failing)
+    assert main(["run", "--config", _write(tmp_path, TINY), "--quiet"]) == code
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": type(exc).__name__, "message": str(exc), "exit": code}
 
 
 def test_synthetic_base_respects_the_grid_cap(tmp_path, capsys, monkeypatch):

@@ -47,7 +47,6 @@ from sqgci.multipliers import (
     riesz_odd,
     t_op,
 )
-from sqgci.norms import dyadic_blocks
 
 
 def _direct_sum(f: TorusField, N: int) -> np.ndarray:
@@ -294,12 +293,12 @@ def test_sqrt_squares_back():
     bump = random_field(3, rng)
     sup = float(np.abs(to_grid(bump, 32)).max())
     f = TorusField.constant(2.0) + bump * (0.5 / sup)
-    root, rep = sqrt_pointwise(f, oversample=4, kout=24)
+    root, tail = sqrt_pointwise(f, oversample=4, kout=24)
     sq = multiply(root, root)
     np.testing.assert_allclose(sq.pad_to(48).coeffs, f.pad_to(48).coeffs,
                                atol=1e-12)
-    assert rep.kout == 24
-    assert rep.tail < 1e-6
+    assert root.band == 24
+    assert 0.0 < tail < 1e-6
 
 
 def test_sqrt_rejects_sign_change():
@@ -669,7 +668,6 @@ def _exact_outputs(band, seed, p, trig, lam_gap, scale):
         out.append((f"directional_grad {l}", directional_grad(h, l)))
     out += [("lowpass", lowpass(h, 1.0 + band / 2)),
             ("fat_lowpass", fat_lowpass(h, 1.0 + band / 8))]
-    out += [(f"dyadic block {b.j}", b.part) for b in dyadic_blocks(h)]
     return out
 
 

@@ -111,11 +111,11 @@ def test_validate_eps0_window():
 
 
 def test_perfect_amplitude_constant_for_zero_stress():
-    a, rep = perfect_amplitude(TorusField.zero(), 0.5, 32, 2.0, 1, kout=16)
+    a, tail = perfect_amplitude(TorusField.zero(), 0.5, 32, 2.0, 1, kout=16)
     want = 2.0 * math.sqrt(0.5 / (5.0 * 32.0)) * math.sqrt(2.0)
     assert abs(a.coeff(0, 0) - want) < 1e-14
-    assert a.trim().band == 0
-    assert rep.tail == 0.0
+    assert a.band == 16 and a.trim().band == 0
+    assert tail == 0.0
 
 
 def test_perfect_amplitude_squares_back():
@@ -472,6 +472,19 @@ def test_make_base_kinds():
     assert s.f_leq.band <= 2 * WORKHORSE.lambda0
     with pytest.raises(ValueError):
         make_base(WORKHORSE, seed=0, kind="bogus")
+
+
+def test_make_base_measures_at_the_configured_oversample(monkeypatch):
+    calls, real = [], iteration.x_norm
+
+    def spy(q, *args, **kwargs):
+        calls.append((args, kwargs))
+        return real(q, *args, **kwargs)
+
+    monkeypatch.setattr(iteration, "x_norm", spy)
+    make_base(dataclasses.replace(WORKHORSE, oversample=2), seed=0, kind="synthetic",
+              grid_cap=512)
+    assert calls and all(c == ((2, 512), {}) for c in calls)
 
 
 def test_params_hash_sensitivity():

@@ -1,6 +1,8 @@
-"""Norms: hand values, Parseval, dyadic blocks, Besov-type sup."""
+"""Norms: hand values, Parseval, the half-spectrum sampler, Besov-type sup."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
@@ -9,9 +11,9 @@ from hypothesis import strategies as st
 
 from sqgci.errors import GridBudgetExceeded
 from sqgci.fields import TorusField, good_grid, random_field, to_grid
-from sqgci.multipliers import lambda_s, lowpass, riesz_odd
+from sqgci.multipliers import ModulatedField, lambda_s, lowpass, riesz_odd
 from sqgci.norms import (
-    dyadic_blocks,
+    _sup,
     holder_besov,
     linf,
     sobolev,
@@ -70,25 +72,69 @@ def test_parseval_against_quadrature():
     assert abs(sobolev(f, 0.0) - quad) < 1e-12 * max(1.0, quad)
 
 
-def test_dyadic_blocks_partition_and_support():
-    rng = np.random.default_rng(13)
-    f = random_field(9, rng)
-    blocks = dyadic_blocks(f)
-    total = TorusField.zero()
-    energy = 0.0
-    for blk in blocks:
-        total = total + blk.part
-        energy += sobolev(blk.part, 0.0) ** 2
-        K = blk.part.band
-        lo = 0.0 if blk.j == 0 else 2.0 ** (blk.j - 1)
-        hi = 2.0 ** blk.j
-        for k1 in range(-K, K + 1):
-            for k2 in range(-K, K + 1):
-                if blk.part.coeff(k1, k2) != 0.0:
-                    r = np.hypot(k1, k2)
-                    assert lo < r <= hi or (blk.j == 0 and r <= 1.0)
-    np.testing.assert_allclose(total.pad_to(9).coeffs, f.coeffs, atol=1e-15)
-    assert abs(energy - sobolev(f, 0.0) ** 2) < 1e-12
+def _holder_oracle(f: TorusField, alpha: float, oversample: int, grid_cap) -> float:
+    """holder_besov by its full-box definition: each dyadic shell is
+    masked on f's whole box, trimmed to its band and measured by linf.
+    The shells must partition the box."""
+    K = f.band
+    k = np.arange(-K, K + 1, dtype=np.float64)
+    kn = np.hypot(k[:, None], k[None, :])
+    jmax = 0 if K == 0 else max(0, math.ceil(math.log2(math.hypot(K, K))))
+    cover = np.zeros(kn.shape, dtype=int)
+    best = 0.0
+    for j in range(jmax + 1):
+        if j == 0:
+            mask = kn <= 1.0
+        else:
+            mask = (kn > 2.0 ** (j - 1)) & (kn <= 2.0 ** j)
+        cover += mask
+        c = np.where(mask, f.coeffs, 0.0)
+        if np.any(c):
+            best = max(best, 2.0 ** (j * alpha)
+                       * linf(TorusField(c).trim(), oversample, grid_cap))
+    assert np.all(cover == 1)
+    return best
+
+
+@pytest.mark.parametrize("band, grid_cap", [(0, None), (1, None), (9, None),
+                                            (40, 128), (70, 256), (200, 512)])
+def test_holder_besov_equals_the_full_box_oracle(band, grid_cap):
+    # the three capped cases sample their outer shells below 4x
+    f = random_field(band, np.random.default_rng(13 + band), mean_zero=band > 0)
+    assert holder_besov(f, 0.45, 4, grid_cap) == _holder_oracle(f, 0.45, 4, grid_cap)
+
+
+@settings(max_examples=40, deadline=None)
+@given(band=st.integers(0, 12), seed=st.integers(0, 2 ** 32 - 1),
+       kind=st.sampled_from(["random", "wave", "zero"]),
+       p=st.tuples(st.integers(-20, 20), st.integers(-20, 20)),
+       trig=st.sampled_from(["cos", "sin"]), oversample=st.integers(2, 5),
+       grid_cap=st.sampled_from([None, 32, 64]), alpha=st.floats(0.05, 0.95))
+def test_holder_besov_matches_the_oracle_on_carrier_fields(
+        band, seed, kind, p, trig, oversample, grid_cap, alpha):
+    f = random_field(band, np.random.default_rng(seed), mean_zero=False)
+    if kind == "wave":
+        f = ModulatedField.wave(f, p, trig).to_dense()
+    elif kind == "zero":
+        f = TorusField.zero(band)
+    try:
+        want = _holder_oracle(f, alpha, oversample, grid_cap)
+    except GridBudgetExceeded:
+        with pytest.raises(GridBudgetExceeded):
+            holder_besov(f, alpha, oversample, grid_cap)
+        return
+    assert holder_besov(f, alpha, oversample, grid_cap).hex() == want.hex()
+
+
+@settings(max_examples=40, deadline=None)
+@given(band=st.integers(0, 24), seed=st.integers(0, 2 ** 32 - 1),
+       oversample=st.integers(2, 5), grid_cap=st.sampled_from([None, 64]),
+       mean_zero=st.booleans())
+def test_sup_of_the_half_is_linf(band, seed, oversample, grid_cap, mean_zero):
+    # a cap of 64 leaves bands 16-24 only their minimal grid
+    f = random_field(band, np.random.default_rng(seed), mean_zero=mean_zero)
+    got = _sup(f.coeffs[:, band:], oversample, grid_cap)
+    assert got.hex() == linf(f, oversample, grid_cap).hex()
 
 
 def test_holder_besov_single_block():

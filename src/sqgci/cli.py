@@ -302,6 +302,11 @@ def cmd_run(cfg: RunConfig, quiet: bool = False) -> int:
         write_ledger()
         if "fields" in cfg.emit:
             fpath, qpath, spath = _checkpoint_paths(cfg.out_dir, state.n)
+            # an older run's sidecar must never vouch for this pair
+            try:
+                os.remove(spath)
+            except FileNotFoundError:
+                pass
             write_sqf1(state.f_leq, fpath)
             write_sqf1(state.q, qpath)
             if "ledger" in cfg.emit:  # the sidecar's digest names ledger rows

@@ -364,10 +364,11 @@ def test_cli_exit_codes(tmp_path, capsys):
 
 
 def test_a_grid_too_large_for_memory_exits_3(tmp_path, capsys):
-    # the amplitudes' sqrt grid has 4194304 points a side, under the cap;
-    # numpy refuses the 128 TiB spectrum before touching any memory
+    # the amplitudes' sqrt grid has 16777216 points a side, at the cap;
+    # its 2 PiB spectrum exceeds any 48-bit user address space, so numpy
+    # refuses it before touching any memory, whatever the overcommit rule
     cfg = _write(tmp_path, TINY.replace("grid_cap = 1024", "grid_cap = 16777216")
-                 + "oversample = 2097152\n")
+                 + "oversample = 8388608\n")
     out = str(tmp_path / "out")
     assert main(["run", "--config", cfg, "--out", out, "--quiet"]) == 3
     err = json.loads(capsys.readouterr().err)
@@ -482,6 +483,34 @@ def test_resume_skips_a_corrupt_checkpoint(tmp_path, broken):
     # the checkpoint no longer reads: start again from the base
     assert main(["run", "--config", two, "--out", out, "--quiet"]) == 0
     for name in ("ledger.jsonl", "theta.sqf1", "f.sqf1", broken):
+        a = open(os.path.join(fresh, name), "rb").read()
+        b = open(os.path.join(out, name), "rb").read()
+        assert a == b, name
+
+
+def test_checkpoints_without_a_sidecar_drop_the_old_one(tmp_path, monkeypatch):
+    # another seed with emit = fields overwrites the step-1 pair; the
+    # sidecar the first run left must go with it, or the first config
+    # would resume from the other seed's fields
+    own = _write(tmp_path, SYNTH + "seed = 0\n", "own.cfg")
+    fresh = str(tmp_path / "fresh")
+    assert main(["run", "--config", own, "--out", fresh, "--quiet"]) == 0
+    out = str(tmp_path / "mix")
+    assert main(["run", "--config", own, "--out", out, "--quiet"]) == 0
+    other = _write(tmp_path, SYNTH + "seed = 9\nemit = fields\n", "other.cfg")
+    assert main(["run", "--config", other, "--out", out, "--quiet"]) == 0
+    assert not os.path.exists(os.path.join(out, "state_1.json"))
+    steps = []
+
+    def counted(state, *args):
+        steps.append(state.n)
+        return step(state, *args)
+
+    monkeypatch.setattr(cli, "step", counted)
+    assert main(["run", "--config", own, "--out", out, "--quiet"]) == 0
+    assert steps == [0]
+    for name in ("ledger.jsonl", "theta.sqf1", "f.sqf1", "f_leq_1.sqf1",
+                 "q_1.sqf1", "state_1.json"):
         a = open(os.path.join(fresh, name), "rb").read()
         b = open(os.path.join(out, name), "rb").read()
         assert a == b, name

@@ -23,16 +23,17 @@ scale of the samples) and symmetrises.
 
 Collocation uses the nodes x_ij = 2*pi*(i, j)/N - (pi, pi) and real
 transforms. A transform to the grid reads only the k2 >= 0 half of a
-box, coeffs[:, K:], the rest being its mirror conjugate: `to_grid`
-passes that half to `half_to_grid`, so a multiplier needed only on the
-grid can be applied to the half alone. `half_to_grid` writes the half
-straight into the spectrum and runs the axis-0 pass in place on the
-runs of non-empty columns only (a zero sample may differ from the full
-pass in its sign); a read takes the box off the forward transform by
-slices. Products of band-limited fields are band-limited, so they are
-computed exactly by zero-padding to a grid that holds the full product
-band (N >= 2*(Kf+Kg)+2); the 3/2 rule is never used. `products`
-transforms a factor shared by several products once.
+box, coeffs[:, K:], the rest being its mirror conjugate, so `to_grid`
+takes a field or that half alone, and a multiplier needed only on the
+grid can be applied to the half. It writes the half straight into the
+spectrum and runs the axis-0 pass in place on the runs of non-empty
+columns only (a zero sample may differ from the full pass in its
+sign); it is the one home of the inverse transform. A read takes the
+box off the forward transform by slices. Products of band-limited
+fields are band-limited, so they are computed exactly by zero-padding
+to a grid that holds the full product band (N >= 2*(Kf+Kg)+2); the 3/2
+rule is never used. `products` transforms a factor shared by several
+products once.
 
 `Sum` builds a chain of `+` and `-` in one box, with the same bits. A
 box is written only before `_exact` freezes it.
@@ -147,10 +148,6 @@ class TorusField:
         if max(abs(k1), abs(k2)) > K:
             return 0.0 + 0.0j
         return complex(self.coeffs[k1 + K, k2 + K])
-
-    @property
-    def mean(self):
-        return float(self.coeffs[self.band, self.band].real)
 
     @property
     def mean_zero(self):
@@ -324,22 +321,25 @@ def good_grid(n):
     return scipy.fft.next_fast_len(int(n), real=True)
 
 
-def half_to_grid(h: np.ndarray, N: int) -> np.ndarray:
+def to_grid(f: TorusField | np.ndarray, N: int) -> np.ndarray:
     """Real samples at the N x N collocation nodes
-    x_ij = 2*pi*(i, j)/N - (pi, pi) of the band-K real field whose
-    k2 >= 0 coefficients are h, a (2K+1, K+1) array indexed [k1+K, k2].
-    The k2 < 0 half is their mirror conjugate, so it is never read.
+    x_ij = 2*pi*(i, j)/N - (pi, pi) of a band-K real field: a
+    TorusField, or the (2K+1, K+1) array of its k2 >= 0 coefficients,
+    indexed [k1+K, k2]. The k2 < 0 half is their mirror conjugate, so it
+    is never read.
 
-    h is phased straight into the first K+1 columns of the zeroed half
-    spectrum, and the axis-0 pass runs in place on each run of columns
-    holding a nonzero coefficient; the real pass along axis 1 then runs
-    over the whole spectrum (irfft2 makes the same two passes, over
-    every column). A skipped column holds only zeros, so every nonzero
-    sample has irfft2's bits; a zero sample may differ in its sign.
+    The half is phased straight into the first K+1 columns of the zeroed
+    half spectrum, and the axis-0 pass runs in place on each run of
+    columns holding a nonzero coefficient; the real pass along axis 1
+    then runs over the whole spectrum (irfft2 makes the same two passes,
+    over every column). A skipped column holds only zeros, so every
+    nonzero sample has irfft2's bits; a zero sample may differ in its
+    sign.
 
     Requires N >= 2K+2 so every mode is represented without aliasing
     (raises GridTooSmall otherwise).
     """
+    h = f.coeffs[:, f.band:] if isinstance(f, TorusField) else f
     K = h.shape[1] - 1
     if N < 2 * K + 2:
         raise GridTooSmall(f"grid {N} < 2*{K}+2 required for band {K}")
@@ -359,13 +359,6 @@ def half_to_grid(h: np.ndarray, N: int) -> np.ndarray:
         if not np.may_share_memory(out, run):  # scipy may decline to work in place
             run[...] = out
     return scipy.fft.irfft(H, n=N, axis=1, norm="forward", workers=w)
-
-
-def to_grid(f: TorusField, N: int) -> np.ndarray:
-    """Real samples of f at the N x N collocation nodes: `half_to_grid`
-    of its k2 >= 0 half, coeffs[:, K:]. Requires N >= 2*band+2
-    (GridTooSmall otherwise)."""
-    return half_to_grid(f.coeffs[:, f.band:], N)
 
 
 def _truncate(H, values, K):

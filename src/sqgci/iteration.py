@@ -146,7 +146,6 @@ def lambda_at(lambda0: int, b: float, n: int) -> int:
 
 @dataclass(frozen=True)
 class DerivedScales:
-    n: int
     lambda_n: int
     lambda_next: int
     r_n: float
@@ -159,7 +158,6 @@ def scales_for(params: IterationParams, n: int) -> DerivedScales:
     lam_n = lambda_at(params.lambda0, params.b, n)
     lam_1 = lambda_at(params.lambda0, params.b, n + 1)
     return DerivedScales(
-        n=n,
         lambda_n=lam_n,
         lambda_next=lam_1,
         r_n=lam_n ** (-params.beta),
@@ -309,8 +307,7 @@ def assemble_osc(a1: TorusField, a2: TorusField, lam5: int) -> VectorField:
     return sum(terms[1:], terms[0])
 
 
-def q_m1(a1p: TorusField, a2p: TorusField, q: TorusField,
-         scales: DerivedScales) -> TorusField:
+def q_m1(a1p: TorusField, a2p: TorusField, scales: DerivedScales) -> TorusField:
     """Projection-mismatch stress from truncating the amplitudes at
     mu_next. Needs the pre-truncation amplitudes out to band 4*mu_next.
 
@@ -446,7 +443,7 @@ def step(state: StepState, params: IterationParams, grid_cap: int = 4096):
     # such as qd at nu = 0 is still added.
     self_flux = nonlinear_flux(f1, f1)
 
-    qm1 = q_m1(pert.a_perfect[0], pert.a_perfect[1], state.q, sc)
+    qm1 = q_m1(pert.a_perfect[0], pert.a_perfect[1], sc)
     qm2 = q_m2(a1, a2, lam5)
     qm3 = q_m3(a1, a2, lam5)
     qt, nl, ln = q_t(f1, state.f_leq)

@@ -3,11 +3,12 @@
 L-infinity is measured as a grid maximum on an oversampled collocation
 grid, so every reported value is a certified lower bound on the true
 norm. A transform reads only the k2 >= 0 half of a coefficient box,
-so one sampler, `_sup`, takes that half. The X-norm stacks L-infinity
-of the field and of its two images under the even rational
-multipliers, applied to q's half: no full Riesz box is built. Holder
-regularity is tracked by a Besov-type proxy whose dyadic shells are cut
-from the half spectrum. Homogeneous Sobolev norms come straight from
+so the one sampler, `linf`, takes a field or that half, and every
+sample goes through `fields.to_grid`. The X-norm stacks L-infinity of
+the field and of its two images under the even rational multipliers,
+applied to q's half: no full Riesz box is built. Holder regularity is
+tracked by a Besov-type proxy whose dyadic shells are cut from the
+half spectrum. Homogeneous Sobolev norms come straight from
 coefficients.
 """
 
@@ -18,20 +19,25 @@ import math
 import numpy as np
 
 from .errors import GridBudgetExceeded
-from .fields import TorusField, good_grid, half_to_grid, to_grid
+from .fields import TorusField, good_grid, to_grid
 from .multipliers import _kgrids, _knorm, require_mean_zero, riesz_odd_symbol
 
 
 def _grid_side(K: int, oversample: int, grid_cap) -> int:
-    """Side of the grid `linf` samples a band-K field on."""
+    """Side of the grid `linf` samples a band-K field on: the first of
+    good_grid(s * (2K+2)), s = oversample down to 2, then 2K+2 itself,
+    that fits under grid_cap. good_grid(n) >= n, so the search starts at
+    the largest s whose grid can fit."""
     if oversample < 2:
         raise ValueError(f"oversample must be >= 2, got {oversample}")
     minimal = 2 * K + 2
-    candidates = [good_grid(s * minimal) for s in range(oversample, 1, -1)]
-    candidates.append(minimal)
-    for N in candidates:
+    top = oversample if grid_cap is None else min(oversample, grid_cap // minimal)
+    for s in range(top, 1, -1):
+        N = good_grid(s * minimal)
         if grid_cap is None or N <= grid_cap:
             return N
+    if minimal <= grid_cap:  # a None cap has returned above
+        return minimal
     raise GridBudgetExceeded(
         f"band {K} needs a {minimal}-point axis, cap is {grid_cap}")
 
@@ -41,25 +47,14 @@ def _max_abs(g) -> float:
     return float(np.abs([g.max(), g.min()]).max())
 
 
-def _sup(half: np.ndarray, oversample: int, grid_cap) -> float:
-    """Max of |f| on the `_grid_side` grid of the band-K field f whose
-    k2 >= 0 coefficients are half, a (2K+1, K+1) array."""
-    K = half.shape[1] - 1
-    N = _grid_side(K, oversample, grid_cap)
-    if K == 0:
-        return abs(half[0, 0].real)
-    return _max_abs(half_to_grid(half, N))
-
-
-def linf(f: TorusField, oversample: int = 4, grid_cap=None) -> float:
+def linf(f: TorusField | np.ndarray, oversample: int = 4, grid_cap=None) -> float:
     """Max of |f| over an oversampled collocation grid (a lower bound
-    on the true sup). When a cap is given the oversampling degrades one
-    notch at a time down to the minimal alias-free grid before giving
-    up."""
-    N = _grid_side(f.band, oversample, grid_cap)
-    if f.band == 0:
-        return abs(f.coeffs[0, 0].real)
-    return _max_abs(to_grid(f, N))
+    on the true sup), f a TorusField or the (2K+1, K+1) array of a
+    band-K field's k2 >= 0 coefficients. When a cap is given the
+    oversampling degrades one notch at a time down to the minimal
+    alias-free grid before giving up."""
+    K = f.band if isinstance(f, TorusField) else f.shape[1] - 1
+    return _max_abs(to_grid(f, _grid_side(K, oversample, grid_cap)))
 
 
 def x_norm(q: TorusField, oversample: int = 4, grid_cap=None, sup=None) -> float:
@@ -67,15 +62,15 @@ def x_norm(q: TorusField, oversample: int = 4, grid_cap=None, sup=None) -> float
     `sup` passes linf(q, oversample, grid_cap) when it is already known.
 
     The transforms read only the k2 >= 0 half of a box, so m_j is
-    evaluated on q's half alone and passed to `_sup`: no m_j q
-    box is built, and each term is bit for bit linf(riesz_odd(q, j))."""
+    evaluated on q's half alone and passed to `linf`: no m_j q box is
+    built, and each term is bit for bit linf(riesz_odd(q, j))."""
     require_mean_zero(q, "x_norm")
     total = linf(q, oversample, grid_cap) if sup is None else sup
     K = q.band
     k1, k2 = _kgrids(K)
     half = q.coeffs[:, K:]
     for j in (1, 2):
-        total += _sup(half * riesz_odd_symbol(j, k1, k2[:, K:]), oversample, grid_cap)
+        total += linf(half * riesz_odd_symbol(j, k1, k2[:, K:]), oversample, grid_cap)
     return total
 
 
@@ -119,5 +114,5 @@ def holder_besov(f: TorusField, alpha: float, oversample: int = 4,
         # and columns give the band of the whole shell
         b = max(int(np.abs(rows - K).max()), int(np.flatnonzero(np.any(h, axis=0))[-1]))
         best = max(best, 2.0 ** (j * alpha)
-                   * _sup(h[K - b:K + b + 1, :b + 1], oversample, grid_cap))
+                   * linf(h[K - b:K + b + 1, :b + 1], oversample, grid_cap))
     return best

@@ -141,7 +141,7 @@ def test_qm1_defining_identity():
     st, sc = _seeded_state()
     ap1, _ = perfect_amplitude(st.q, sc.r_n, sc.lambda_next, 2.0, 1, kout=64)
     ap2, _ = perfect_amplitude(st.q, sc.r_n, sc.lambda_next, 2.0, 2, kout=64)
-    qm1 = q_m1(ap1, ap2, st.q, sc)
+    qm1 = q_m1(ap1, ap2, sc)
     trunc = inv_div(assemble_main(lowpass(ap1, sc.mu_next),
                                   lowpass(ap2, sc.mu_next),
                                   5 * sc.lambda_next))
@@ -151,7 +151,7 @@ def test_qm1_defining_identity():
 def test_qm1_zero_when_stress_zero():
     sc = scales_for(WORKHORSE, 0)
     ap = TorusField.constant(0.3)
-    qm1 = q_m1(ap, ap, TorusField.zero(), sc)
+    qm1 = q_m1(ap, ap, sc)
     assert qm1.max_abs_coeff() == 0.0
 
 
@@ -360,7 +360,7 @@ def test_channel_zero_cases():
 def test_channels_are_mean_zero():
     st, sc = _seeded_state()
     pert = build_f_next(st.q, sc)
-    qm1 = q_m1(pert.a_perfect[0], pert.a_perfect[1], st.q, sc)
+    qm1 = q_m1(pert.a_perfect[0], pert.a_perfect[1], sc)
     from sqgci.iteration import q_m2
     a1, a2 = pert.a
     lam5 = 5 * sc.lambda_next

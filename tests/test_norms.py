@@ -1,4 +1,4 @@
-"""Norms: hand values, Parseval, the half-spectrum sampler, Besov-type sup."""
+"""Norms: hand values, Parseval, the sampling grid, Besov-type sup."""
 
 from __future__ import annotations
 
@@ -6,14 +6,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sqgci import norms
 from sqgci.errors import GridBudgetExceeded
 from sqgci.fields import TorusField, good_grid, random_field, to_grid
 from sqgci.multipliers import ModulatedField, lambda_s, lowpass, riesz_odd
 from sqgci.norms import (
-    _sup,
+    _grid_side,
     holder_besov,
     linf,
     sobolev,
@@ -126,17 +127,6 @@ def test_holder_besov_matches_the_oracle_on_carrier_fields(
     assert holder_besov(f, alpha, oversample, grid_cap).hex() == want.hex()
 
 
-@settings(max_examples=40, deadline=None)
-@given(band=st.integers(0, 24), seed=st.integers(0, 2 ** 32 - 1),
-       oversample=st.integers(2, 5), grid_cap=st.sampled_from([None, 64]),
-       mean_zero=st.booleans())
-def test_sup_of_the_half_is_linf(band, seed, oversample, grid_cap, mean_zero):
-    # a cap of 64 leaves bands 16-24 only their minimal grid
-    f = random_field(band, np.random.default_rng(seed), mean_zero=mean_zero)
-    got = _sup(f.coeffs[:, band:], oversample, grid_cap)
-    assert got.hex() == linf(f, oversample, grid_cap).hex()
-
-
 def test_holder_besov_single_block():
     f = _cos(4, 0)  # |k| = 4 sits in block j = 2
     assert abs(holder_besov(f, 0.5) - 2.0) < 1e-13
@@ -167,17 +157,61 @@ def test_grid_budget_cap():
     assert abs(linf(f, oversample=4, grid_cap=256) - 1.0) < 1e-13
 
 
-def _linf_oracle(f: TorusField, oversample: int, grid_cap) -> float:
-    """Max of |f| on the first fitting grid of oversample, ..., 2 times
-    the minimal one, then the minimal one, from a full |g| grid."""
-    K = f.band
-    if K == 0:
-        return abs(f.coeffs[0, 0].real)
+def _eager_grid_side(K: int, oversample: int, grid_cap):
+    """The first fitting grid of oversample, ..., 2 times the minimal
+    one, then the minimal one, from the whole list of candidates."""
     minimal = 2 * K + 2
     for N in [good_grid(s * minimal) for s in range(oversample, 1, -1)] + [minimal]:
         if grid_cap is None or N <= grid_cap:
-            return float(np.abs(to_grid(f, N)).max())
-    raise GridBudgetExceeded(f"band {K}")
+            return N
+    return None
+
+
+def test_grid_side_searches_only_grids_that_can_fit(monkeypatch):
+    for K in range(6):
+        for oversample in range(2, 9):
+            for grid_cap in (None, 1, 2, 11, 12, 16, 30, 64, 100):
+                want = _eager_grid_side(K, oversample, grid_cap)
+                if want is None:
+                    with pytest.raises(GridBudgetExceeded):
+                        _grid_side(K, oversample, grid_cap)
+                else:
+                    assert _grid_side(K, oversample, grid_cap) == want
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return good_grid(n)
+
+    monkeypatch.setattr(norms, "good_grid", counted)
+    # good_grid(n) >= n, so no oversampling above cap // (2K+2) can fit
+    assert _grid_side(16, 10 ** 6, 1024) == _eager_grid_side(16, 40, 1024)
+    assert len(calls) <= 1024 // 34
+    calls.clear()
+    assert _grid_side(16, 10 ** 6, None) == good_grid(10 ** 6 * 34)
+    assert len(calls) == 1
+
+
+@settings(max_examples=30, deadline=None)
+@given(c=st.floats(-1e300, 1e300), oversample=st.integers(2, 5))
+@example(c=-0.0, oversample=2)
+@example(c=-5e-324, oversample=3)
+def test_linf_of_a_constant_is_its_modulus(c, oversample):
+    # a band-0 grid holds c at every node, so linf needs no branch for it
+    f = TorusField.constant(c)
+    assert linf(f, oversample).hex() == abs(c).hex()
+    assert linf(f.coeffs, oversample).hex() == abs(c).hex()
+
+
+def _linf_oracle(f: TorusField, oversample: int, grid_cap) -> float:
+    """Max of |f| on the `_eager_grid_side` grid, from a full |g| grid."""
+    K = f.band
+    if K == 0:
+        return abs(f.coeffs[0, 0].real)
+    N = _eager_grid_side(K, oversample, grid_cap)
+    if N is None:
+        raise GridBudgetExceeded(f"band {K}")
+    return float(np.abs(to_grid(f, N)).max())
 
 
 @settings(max_examples=40, deadline=None)

@@ -74,21 +74,31 @@ def test_the_rule_sees_a_transform_without_workers(tmp_path):
     assert list(_fft_calls_without_workers(src)) == [1, 6]
 
 
-def _mean_raises(path):
-    """(line, enclosing function's qualified name) of every
-    `raise NonZeroMean` in a source file; "" at module level."""
+def _scoped(path, hit):
+    """(line, enclosing function's qualified name) of every node in a
+    source file for which hit(node) holds; "" at module level."""
     def walk(node, scope):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 yield from walk(child, scope + (child.name,))
                 continue
-            if isinstance(child, ast.Raise) and child.exc is not None:
-                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
-                if ast.unparse(exc).split(".")[-1] == "NonZeroMean":
-                    yield child.lineno, ".".join(scope)
+            if hit(child):
+                yield child.lineno, ".".join(scope)
             yield from walk(child, scope)
 
     yield from walk(ast.parse(path.read_text(encoding="utf-8")), ())
+
+
+def _raises_nonzero_mean(node):
+    if not (isinstance(node, ast.Raise) and node.exc is not None):
+        return False
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return ast.unparse(exc).split(".")[-1] == "NonZeroMean"
+
+
+def _mean_raises(path):
+    """(line, scope) of every `raise NonZeroMean` in a source file."""
+    return _scoped(path, _raises_nonzero_mean)
 
 
 MEAN_RAISERS = {"multipliers.require_mean_zero", "fields.TorusField.__init__"}
@@ -112,3 +122,35 @@ def test_the_rule_sees_a_mean_raise(tmp_path):
                    "raise NonZeroMean('d')\n", encoding="utf-8")
     assert list(_mean_raises(src)) == [(2, "require_mean_zero"), (5, "C.f"),
                                        (8, "g.h"), (10, "")]
+
+
+def _is_inverse_transform(node):
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and ast.unparse(node.func.value) == "scipy.fft"
+            and node.func.attr.startswith("i"))
+
+
+def _inverse_transforms(path):
+    """(line, scope) of every `scipy.fft.i*(...)` call in a source file:
+    ifft, irfft, irfft2 and the other inverse transforms."""
+    return _scoped(path, _is_inverse_transform)
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "sqgci").glob("*.py")),
+                         ids=lambda p: p.name)
+def test_every_inverse_transform_runs_in_to_grid(path):
+    # to_grid is the one home of the inverse transform, so a tracer that
+    # times fields.to_grid sees every sample the program takes
+    assert [(line, name) for line, name in _inverse_transforms(path)
+            if f"{path.stem}.{name}" != "fields.to_grid"] == []
+
+
+def test_the_rule_sees_an_inverse_transform(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text("def to_grid(h):\n    scipy.fft.ifft(h)\n    scipy.fft.irfft(h)\n"
+                   "def f():\n    scipy.fft.irfft2(a)\n    scipy.fft.rfft2(a)\n"
+                   "class C:\n    def g(self):\n        return scipy.fft.ifftn(a)\n"
+                   "numpy.fft.irfft(a)\nscipy.fft.next_fast_len(8)\nscipy.fft.ifft2(a)\n",
+                   encoding="utf-8")
+    assert list(_inverse_transforms(src)) == [(2, "to_grid"), (3, "to_grid"), (5, "f"),
+                                              (9, "C.g"), (12, "")]

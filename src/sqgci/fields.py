@@ -35,8 +35,9 @@ to a grid that holds the full product band (N >= 2*(Kf+Kg)+2); the 3/2
 rule is never used. `products` transforms a factor shared by several
 products once.
 
-`Sum` builds a chain of `+` and `-` in one box, with the same bits. A
-box is written only before `_exact` freezes it.
+`Sum` builds a chain of `+` and `-` in one box, with the same bits, or
+in the k2 >= 0 half of one when only a transform will read the result.
+A box is written only before `_exact` freezes it.
 
 The binary field format SQF1 is implemented here:
 
@@ -205,27 +206,41 @@ class TorusField:
 
 
 def _window(c, band):
-    """The centred band-`band` window of the coefficient box c (a view)."""
+    """The centred band-`band` window of the coefficient box c, or of the
+    k2 >= 0 half of one, a (2K+1, K+1) array (a view)."""
     K = c.shape[0] // 2
-    return c[K - band:K + band + 1, K - band:K + band + 1]
+    z = c.shape[1] - 1 - K  # the column of k2 = 0
+    return c[K - band:K + band + 1, max(z - band, 0):z + band + 1]
 
 
 class Sum:
-    """A running sum of fields in one coefficient box.
+    """A running sum of fields in one coefficient box, or in the k2 >= 0
+    half of one (`half`), which is all a transform reads.
 
     `add(f)` and `sub(f)` give the bits of TorusField's `+` and `-`: the
     smaller box goes into the window of the larger, and a larger
     subtrahend is negated first (IEEE a - b is a + (-b)). While the
-    sum's box is the larger, each term goes in place. `negate()` flips
-    the sign in place; `field()` freezes the box and spends the sum.
+    sum's box is the larger, each term goes in place. A term is a field,
+    or a running box Sum read as it stands. Every operation acts
+    coefficient by coefficient, so a half sum holds the k2 >= 0 half of
+    the box sum bit for bit. `negate()` flips the sign in place;
+    `field()` freezes the box and spends the sum, giving a TorusField,
+    or for a half the frozen array that `linf` and `to_grid` take.
     """
 
-    __slots__ = ("_c",)
+    __slots__ = ("_c", "_half")
 
-    def __init__(self, start):
-        """Start from a copy of a field's box, or take over a fresh
-        Hermitian coefficient array."""
-        self._c = start.coeffs.copy() if isinstance(start, TorusField) else start
+    def __init__(self, start, half=False):
+        """Start from a copy of a field's box (of its half when `half`),
+        or take over a fresh Hermitian coefficient array (a half when
+        `half`)."""
+        self._half = half
+        self._c = self._part(start).copy() if isinstance(start, TorusField) else start
+
+    def _part(self, f):
+        """The coefficients of a term f in the sum's layout."""
+        c = f._c if isinstance(f, Sum) else f.coeffs
+        return c[:, c.shape[0] // 2:] if self._half else c
 
     def _take(self, c):
         """Take over c, a fresh box of larger band, adding the sum into it."""
@@ -234,26 +249,31 @@ class Sum:
         self._c = c
         return self
 
-    def add(self, f: TorusField):
-        if f.band > self._c.shape[0] // 2:
-            return self._take(f.coeffs.copy())
-        w = _window(self._c, f.band)
-        w += f.coeffs
+    def add(self, f):
+        c = self._part(f)
+        if c.shape[0] > self._c.shape[0]:
+            return self._take(c.copy())
+        w = _window(self._c, c.shape[0] // 2)
+        w += c
         return self
 
-    def sub(self, f: TorusField):
-        if f.band > self._c.shape[0] // 2:
-            return self._take(-f.coeffs)
-        w = _window(self._c, f.band)
-        w -= f.coeffs
+    def sub(self, f):
+        c = self._part(f)
+        if c.shape[0] > self._c.shape[0]:
+            return self._take(-c)
+        w = _window(self._c, c.shape[0] // 2)
+        w -= c
         return self
 
     def negate(self):
         np.negative(self._c, out=self._c)
         return self
 
-    def field(self) -> TorusField:
+    def field(self):
         c, self._c = self._c, None
+        if self._half:
+            c.flags.writeable = False
+            return c
         return TorusField._exact(c)
 
 

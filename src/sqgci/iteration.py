@@ -37,25 +37,27 @@ from decimal import ROUND_CEILING, Decimal, Overflow, localcontext
 import numpy as np
 
 from .errors import GridBudgetExceeded, SeparationViolated
-from .fields import (Sum, TorusField, VectorField, good_grid, multiply, products,
-                     random_field, sqrt_grid, sqrt_pointwise)
+from .fields import (Sum, TorusField, VectorField, _window, good_grid, multiply,
+                     products, random_field, sqrt_grid, sqrt_pointwise)
 from .multipliers import (
     DIRECTIONS,
     L1,
     L2,
     ModulatedField,
-    _inv_div_box,
+    _inv_div_block,
     _knorm,
+    _mass2,
     directional_grad,
     fat_lowpass,
     grad_perp,
     inv_div,
     lambda_s,
     lowpass,
+    require_mean_zero,
     riesz_odd,
     t_op,
 )
-from .norms import holder_besov, linf, x_norm
+from .norms import _xnorm_symbols, holder_besov, linf, x_norm
 from .verify import check_support
 
 SUPPORT_RTOL = 1e-13
@@ -404,19 +406,24 @@ def step(state: StepState, params: IterationParams, grid_cap: int = 4096):
     """One full iteration step. Returns (new state, ledger row dict).
 
     The row records the X-norm of every channel, two residuals,
-    regularity monitors and the sqrt alias tail. With S the self flux
-    of f_next and L + N its cross fluxes with f_leq, the decomposition
-    residual is qM1 + qM2 + qM3 - inv_div(S) - q, the channel sum
-    against the directly evaluated quadratic flux. The master residual
-    is inv_div(S + L + N) + q - q_next + qD: the decomposition numerator
-    negated plus inv_div's linearity defect inv_div(S + L + N) -
-    inv_div(S) - inv_div(L + N), so the two agree to rounding. Neither
-    re-evaluates the relaxed relation on f_leq + f_next from scratch.
+    regularity monitors and the sqrt alias tail. Let S be the self flux
+    of f_next, and L = Lambda(f_leq) grad_perp(f_next) and
+    N = Lambda(f_next) grad_perp(f_leq) its cross fluxes with f_leq.
+    The decomposition residual is qM1 + qM2 + qM3 - inv_div(S) - q, the
+    channel sum against the directly evaluated quadratic flux. The
+    master residual is inv_div(S + L + N) + q - q_next + qD: the
+    decomposition numerator negated plus inv_div's linearity defect, so
+    the two agree to rounding. Neither re-evaluates the relaxed relation
+    on f_leq + f_next from scratch. Both numerators are summed on the
+    k2 >= 0 half of their box, all that `linf` reads, and S + L + N
+    differs from S only in the window of L and N, so the direct flux is
+    formed there alone.
     """
     sc = scales_for(params, state.n)
-    # |k| grids cached before this step are of other bands; left in the
-    # heap, they fragment it under this step's grids
+    # |k| grids and X-norm symbols cached before this step are of other
+    # bands; left in the heap, they fragment it under this step's grids
     _knorm.cache_clear()
+    _xnorm_symbols.cache_clear()
     sep_ok = 48 * sc.lambda_n <= sc.lambda_next
     if not sep_ok and params.separation == "strict48":
         raise SeparationViolated(
@@ -424,7 +431,7 @@ def step(state: StepState, params: IterationParams, grid_cap: int = 4096):
 
     lam5 = 5 * sc.lambda_next
     band_f1 = lam5 + math.ceil(sc.mu_next)
-    need = 4 * band_f1 + 2  # master-residual product grid
+    need = 4 * band_f1 + 2  # the self flux's product grid
     if need > grid_cap:
         raise GridBudgetExceeded(
             f"step {state.n} needs a {need}-point axis for band {2 * band_f1}, "
@@ -435,28 +442,53 @@ def step(state: StepState, params: IterationParams, grid_cap: int = 4096):
     pert = build_f_next(state.q, sc, params.c0, params.oversample, grid_cap=grid_cap)
     f1 = pert.f_next
     a1, a2 = pert.a
-    # the checks' direct flux is the step's largest product: it is formed
-    # while few fields are alive, and each flux is released once the
-    # checks' sums, (self + ln) + nl and self alone, hold it. Each sum
-    # chain below is built in one box (fields.Sum), with the bits of the
-    # chained operators; x + 0.0 turns -0.0 into +0.0, so a zero term
-    # such as qd at nu = 0 is still added.
+    # The self flux S is the step's largest product. It is formed while
+    # few fields are alive and released once its half is inverted and
+    # the half window that L and N reach is copied. Each sum below is
+    # built in one box or half (fields.Sum), with the bits of the chained
+    # operators; x + 0.0 turns -0.0 into +0.0, so a zero term such as qd
+    # at nu = 0 is still added.
     self_flux = nonlinear_flux(f1, f1)
+    S = (self_flux.comp1, self_flux.comp2)
+    require_mean_zero(S[0], "inv_div component 1")
+    require_mean_zero(S[1], "inv_div component 2")
+    halves = [s.coeffs[:, s.band:] for s in S]
+    base = _inv_div_block(*halves)  # inv_div(S) on the half
+    # L and N reach band(f_leq) + band(f_next); beyond, S + L + N is S
+    w = min(f1.band + state.f_leq.band, S[0].band)
+    window = [_window(h, w).copy() for h in halves]
+    outside = [_mass2(s.coeffs) - _mass2(c) for s, c in zip(S, window)]
+    del self_flux, S, halves
+
+    qt, nl, ln = q_t(f1, state.f_leq)
+    flux = [Sum(c, half=True).add(l).add(n).field()
+            for c, l, n in zip(window, (ln.comp1, ln.comp2), (nl.comp1, nl.comp2))]
+    del window, nl, ln
+    # the direct flux keeps its mean check: c(0) lies in the window, and
+    # S outside it counts toward the mass
+    require_mean_zero(flux[0], "inv_div component 1", outside=outside[0])
+    require_mean_zero(flux[1], "inv_div component 2", outside=outside[1])
+    direct_all = _inv_div_block(*flux)  # inv_div(S + L + N) in the window
+    del flux
 
     qm1 = q_m1(pert.a_perfect[0], pert.a_perfect[1], sc)
     qm2 = q_m2(a1, a2, lam5)
     qm3 = q_m3(a1, a2, lam5)
-    qt, nl, ln = q_t(f1, state.f_leq)
-    flux = VectorField(Sum(self_flux.comp1).add(ln.comp1).add(nl.comp1).field(),
-                       Sum(self_flux.comp2).add(ln.comp2).add(nl.comp2).field())
-    del nl, ln
-    direct_all = Sum(_inv_div_box(flux))
-    del flux
-    direct_new = Sum(_inv_div_box(self_flux)).add(state.q)
-    del self_flux
     qd = q_d(f1, params.nu, params.gamma)
-    qm = qm1 + qm2 + qm3
-    q_next = Sum(qm).add(qt).add(qd).field()
+    os = params.oversample
+    x_qm3 = x_norm(qm3, os, grid_cap)
+    qm = Sum(qm1).add(qm2).add(qm3)  # continued into q_next
+    del qm3
+    decomp_num = Sum(base.copy(), half=True).add(state.q).negate().add(qm).field()
+    q_next = qm.add(qt).add(qd).field()
+    # outside the window inv_div(S + L + N) is inv_div(S); a window as
+    # wide as the box holds the whole direct flux
+    if direct_all.shape[0] < base.shape[0]:
+        _window(base, direct_all.shape[0] // 2)[...] = direct_all
+        direct_all = base
+    del base
+    master_num = Sum(direct_all, half=True).add(state.q).sub(q_next).add(qd).field()
+    del direct_all
 
     f_total = state.f_leq + f1
     for fld, radius, name in ((f_total, 6.0 * sc.lambda_next, "f"),
@@ -468,7 +500,6 @@ def step(state: StepState, params: IterationParams, grid_cap: int = 4096):
                 f"{name} support leak {leak:.3e} beyond |k| <= {radius:g} "
                 f"(max coeff {top:.3e})")
 
-    os = params.oversample
     sup_q_next = linf(q_next, os, grid_cap)
     denom = max(linf(state.q, os, grid_cap), sup_q_next)
     if denom == 0.0:
@@ -477,9 +508,9 @@ def step(state: StepState, params: IterationParams, grid_cap: int = 4096):
         gp = grad_perp(f1)
         denom = linf(lambda_s(f1, 1.0), os, grid_cap) * max(
             linf(gp.comp1, os, grid_cap), linf(gp.comp2, os, grid_cap))
-    master = _rel_linf(direct_all.add(state.q).sub(q_next).add(qd).field(),
-                       denom, os, grid_cap)
-    decomp = _rel_linf(direct_new.negate().add(qm).field(), denom, os, grid_cap)
+    master = _rel_linf(master_num, denom, os, grid_cap)
+    decomp = _rel_linf(decomp_num, denom, os, grid_cap)
+    del master_num, decomp_num
 
     xq = x_norm(q_next, os, grid_cap, sup=sup_q_next)
     row = {
@@ -493,7 +524,7 @@ def step(state: StepState, params: IterationParams, grid_cap: int = 4096):
         "xnorm": {
             "qM1": x_norm(qm1, os, grid_cap),
             "qM2": x_norm(qm2, os, grid_cap),
-            "qM3": x_norm(qm3, os, grid_cap),
+            "qM3": x_qm3,
             "qT": x_norm(qt, os, grid_cap),
             "qD": x_norm(qd, os, grid_cap),
             "q_next": xq,

@@ -103,20 +103,37 @@ def _knorm(K):
     return kn
 
 
-def require_mean_zero(f: TorusField | ModulatedField, what: str):
+def _mass2(c):
+    """Squared coefficient l2 mass of the field held by the box c, or by
+    the k2 >= 0 half of one, whose k2 > 0 columns stand for a mirrored
+    pair."""
+    m = np.vdot(c, c).real
+    if c.shape[1] < c.shape[0]:
+        m = 2.0 * m - np.vdot(c[:, 0], c[:, 0]).real
+    return m
+
+
+def require_mean_zero(f: TorusField | ModulatedField | np.ndarray, what: str,
+                      outside: float = 0.0):
     """Raise NonZeroMean unless the mean of f, a TorusField (the one
-    block at carrier 0) or a ModulatedField, is negligible: c0, the sum
-    of the blocks that cover k = 0, is exactly 0 or at most MEAN_RTOL
-    times the coefficient l2 mass."""
-    blocks = f.blocks if isinstance(f, ModulatedField) else {(0, 0): f.coeffs}
-    c0 = 0j
-    for p, b in blocks.items():
-        K = b.shape[0] // 2
-        if max(abs(p[0]), abs(p[1])) <= K:
-            c0 = c0 + b[K - p[0], K - p[1]]
+    block at carrier 0), a ModulatedField or the k2 >= 0 half of a box,
+    is negligible: c0, the sum of the blocks that cover k = 0, is
+    exactly 0 or at most MEAN_RTOL times the coefficient l2 mass. When f
+    holds only the window about k = 0 of a larger field, `outside` is
+    the squared mass of the rest."""
+    if isinstance(f, np.ndarray):
+        blocks, c0 = (f,), f[f.shape[0] // 2, 0]
+    else:
+        by_carrier = f.blocks if isinstance(f, ModulatedField) else {(0, 0): f.coeffs}
+        c0 = 0j
+        for p, b in by_carrier.items():
+            K = b.shape[0] // 2
+            if max(abs(p[0]), abs(p[1])) <= K:
+                c0 = c0 + b[K - p[0], K - p[1]]
+        blocks = by_carrier.values()
     if c0 == 0:
         return
-    mass = np.sqrt(sum(np.vdot(b, b).real for b in blocks.values()))
+    mass = np.sqrt(sum(_mass2(b) for b in blocks) + outside)
     if abs(c0) > MEAN_RTOL * mass:
         raise NonZeroMean(f"{what}: mean coefficient {abs(c0):.3e} is not negligible")
 
@@ -223,10 +240,16 @@ def fat_lowpass(f: TorusField, mu: float) -> TorusField:
 def _inv_div_block(c1, c2, p=(0, 0)):
     """inv_div coefficients of the amplitude pair (c1, c2) riding carrier
     p: the symbol i(p+k).v / (-|p+k|^2) on the amplitude's grid, 0 at
-    p + k = 0. The smaller of two unequal grids is zero-padded."""
+    p + k = 0. The smaller of two unequal grids is zero-padded. At
+    p = 0, c1 and c2 may be the k2 >= 0 halves of two boxes, (2K+1, K+1)
+    arrays; the symbol acts coefficient by coefficient, so the result is
+    the half of the boxes' result bit for bit."""
     K = max(c1.shape[0], c2.shape[0]) // 2
-    c1, c2 = _pad(c1, K), _pad(c2, K)
+    half = max(c1.shape[1], c2.shape[1]) < 2 * K + 1
+    c1, c2 = _pad(c1, K, half), _pad(c2, K, half)
     k1, k2 = _kgrids(K)
+    if half:
+        k2 = k2[:, K:]
     k1, k2 = k1 + p[0], k2 + p[1]
     # 1j * (k1 c1 + k2 c2) / den with the same ufuncs in the same order,
     # in one buffer
@@ -234,21 +257,14 @@ def _inv_div_block(c1, c2, p=(0, 0)):
     num += k2 * c2
     num *= 1j
     den = -(k1 * k1 + k2 * k2)
+    origin = (K - p[0], (0 if half else K) - p[1])
     covers_origin = max(abs(p[0]), abs(p[1])) <= K
     if covers_origin:
-        den[K - p[0], K - p[1]] = 1.0
+        den[origin] = 1.0
     np.divide(num, den, out=num)
     if covers_origin:
-        num[K - p[0], K - p[1]] = 0.0
+        num[origin] = 0.0
     return num
-
-
-def _inv_div_box(v: VectorField) -> np.ndarray:
-    """inv_div of a dense pair as a fresh coefficient box, not yet
-    frozen, for a caller that sums into it (fields.Sum)."""
-    require_mean_zero(v.comp1, "inv_div component 1")
-    require_mean_zero(v.comp2, "inv_div component 2")
-    return _inv_div_block(v.comp1.coeffs, v.comp2.coeffs)
 
 
 def inv_div(v: VectorField) -> TorusField | ModulatedField:
@@ -258,14 +274,15 @@ def inv_div(v: VectorField) -> TorusField | ModulatedField:
     the same carriers are inverted carrier by carrier and give a
     ModulatedField."""
     x, y = v.comp1, v.comp2
-    if isinstance(x, ModulatedField):
-        if x.blocks.keys() != y.blocks.keys():
-            raise ValueError("inv_div needs components on the same carriers")
-        require_mean_zero(x, "inv_div component 1")
-        require_mean_zero(y, "inv_div component 2")
+    factored = isinstance(x, ModulatedField)
+    if factored and x.blocks.keys() != y.blocks.keys():
+        raise ValueError("inv_div needs components on the same carriers")
+    require_mean_zero(x, "inv_div component 1")
+    require_mean_zero(y, "inv_div component 2")
+    if factored:
         return ModulatedField({p: _inv_div_block(bx, y.blocks[p], p)
                                for p, bx in x.blocks.items()})
-    return TorusField._exact(_inv_div_box(v))
+    return TorusField._exact(_inv_div_block(x.coeffs, y.coeffs))
 
 
 def partial(f: TorusField, j: int) -> TorusField:
@@ -302,10 +319,11 @@ def riesz_commutator(psi: TorusField, theta: TorusField, j: int) -> TorusField:
     return first - second
 
 
-def _pad(b, K):
-    """Block b zero-padded to band K."""
+def _pad(b, K, half=False):
+    """Block b zero-padded to band K; a k2 >= 0 half (`half`) is padded
+    on its k2 > 0 side only."""
     w = K - b.shape[0] // 2
-    return b if w == 0 else np.pad(b, w)
+    return b if w == 0 else np.pad(b, ((w, w), (0 if half else w, w)))
 
 
 class ModulatedField:

@@ -15,6 +15,7 @@ coefficients.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -57,6 +58,18 @@ def linf(f: TorusField | np.ndarray, oversample: int = 4, grid_cap=None) -> floa
     return _max_abs(to_grid(f, _grid_side(K, oversample, grid_cap)))
 
 
+@lru_cache(maxsize=1)
+def _xnorm_symbols(K):
+    """m_1 and m_2 on the k2 >= 0 half of the band-K box. A step
+    measures qM3 and q_next, of one band, back to back, so the last band
+    alone is kept; `iteration.step` clears it with the |k| grids."""
+    k1, k2 = _kgrids(K)
+    ms = tuple(riesz_odd_symbol(j, k1, k2[:, K:]) for j in (1, 2))
+    for m in ms:
+        m.flags.writeable = False
+    return ms
+
+
 def x_norm(q: TorusField, oversample: int = 4, grid_cap=None, sup=None) -> float:
     """‖q‖∞ + ‖m_1 q‖∞ + ‖m_2 q‖∞ with the even rational multipliers.
     `sup` passes linf(q, oversample, grid_cap) when it is already known.
@@ -66,11 +79,9 @@ def x_norm(q: TorusField, oversample: int = 4, grid_cap=None, sup=None) -> float
     built, and each term is bit for bit linf(riesz_odd(q, j))."""
     require_mean_zero(q, "x_norm")
     total = linf(q, oversample, grid_cap) if sup is None else sup
-    K = q.band
-    k1, k2 = _kgrids(K)
-    half = q.coeffs[:, K:]
-    for j in (1, 2):
-        total += linf(half * riesz_odd_symbol(j, k1, k2[:, K:]), oversample, grid_cap)
+    half = q.coeffs[:, q.band:]
+    for m in _xnorm_symbols(q.band):
+        total += linf(half * m, oversample, grid_cap)
     return total
 
 

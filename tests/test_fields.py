@@ -511,6 +511,51 @@ def test_negated_sum_plus_a_field_is_the_difference_bit_for_bit(band_a, band_b, 
     assert got.coeffs.tobytes() == _sub_oracle(a, b).tobytes()
 
 
+@settings(max_examples=80, deadline=None)
+@given(bands=st.lists(st.integers(0, 8), min_size=2, max_size=5),
+       scales=st.lists(_SIGNED_SCALES, min_size=5, max_size=5),
+       minus=st.lists(st.booleans(), min_size=5, max_size=5),
+       negate=st.lists(st.booleans(), min_size=5, max_size=5),
+       seed=st.integers(0, 2 ** 32 - 1), fresh=st.booleans())
+# a term wider than the sum (taken over), then one as wide as the box
+@example(bands=[2, 5, 5], scales=[1.0, -1.0, -0.0, 1.0, 1.0], minus=[True, False] * 2 + [True],
+         negate=[False, True, False, False, False], seed=0, fresh=False)
+def test_half_sum_is_the_half_of_the_box_sum_bit_for_bit(bands, scales, minus, negate,
+                                                         seed, fresh):
+    rng = np.random.default_rng(seed)
+    terms = [random_field(b, rng, mean_zero=False) * s for b, s in zip(bands, scales)]
+    terms.append(TorusField.zero())
+    first = terms[0]
+    box = Sum(first)
+    half = Sum(first.coeffs[:, first.band:].copy() if fresh else first, half=True)
+    for t, m, n in zip(terms[1:], minus, negate):
+        if n:
+            box.negate()
+            half.negate()
+        box = box.sub(t) if m else box.add(t)
+        half = half.sub(t) if m else half.add(t)
+    want, got = box.field(), half.field()
+    assert got.shape == (2 * want.band + 1, want.band + 1)
+    assert got.tobytes() == want.coeffs[:, want.band:].tobytes()
+    assert not got.flags.writeable
+
+
+def test_a_running_sum_is_a_term_as_it_stands():
+    rng = np.random.default_rng(5)
+    a, b, c = (random_field(k, rng, mean_zero=False) for k in (6, 3, 8))
+    run = Sum(a).add(b)
+    wider = Sum(c, half=True).sub(run).field()       # the sum goes into c's window
+    taken = Sum(b, half=True).add(run).field()       # the running sum is taken over
+    boxed = Sum(b).add(run).field()                  # and in a box
+    whole = c - (a + b)
+    assert wider.tobytes() == whole.coeffs[:, whole.band:].tobytes()
+    whole = b + (a + b)
+    assert taken.tobytes() == whole.coeffs[:, whole.band:].tobytes()
+    assert boxed.coeffs.tobytes() == whole.coeffs.tobytes()
+    # reading the running sum left it as it was
+    assert run.add(c).field().coeffs.tobytes() == ((a + b) + c).coeffs.tobytes()
+
+
 def test_sqf1_header_layout(tmp_path):
     f = TorusField.from_modes(1, {(1, 0): 0.25 - 0.125j}, mean_zero=True)
     path = str(tmp_path / "one.sqf1")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 from sqgci import iteration
 from sqgci.errors import GridBudgetExceeded, NonZeroMean, SeparationViolated
-from sqgci.fields import TorusField, VectorField, multiply, random_field
+from sqgci.fields import Sum, TorusField, VectorField, multiply, random_field
 from sqgci.iteration import (
     IterationParams,
     _scaled_perp,
@@ -32,6 +33,7 @@ from sqgci.iteration import (
     perfect_amplitude,
     q_d,
     q_m1,
+    q_m2,
     q_m3,
     q_t,
     scales_for,
@@ -42,9 +44,11 @@ from sqgci.multipliers import (
     L1,
     L2,
     ModulatedField,
+    _inv_div_block,
     directional_grad,
     grad_perp,
     inv_div,
+    lambda_s,
     lowpass,
     t_op,
 )
@@ -432,6 +436,99 @@ def test_step_checks_only_outside_data(monkeypatch):
     monkeypatch.setattr(fields, "hermitian_violation", counting)
     step(st, WORKHORSE, grid_cap=1024)
     assert scanned == [(1, 1), (1, 1)]
+
+
+def _full_box_residuals(state, params, grid_cap):
+    """The step's two residuals and q_next, with both numerators summed
+    on whole boxes: the direct flux S + L + N formed in full, each flux
+    inverted as a box, and every numerator sampled as a field."""
+    sc = scales_for(params, state.n)
+    lam5 = 5 * sc.lambda_next
+    pert = build_f_next(state.q, sc, params.c0, params.oversample, grid_cap=grid_cap)
+    f1 = pert.f_next
+    self_flux = nonlinear_flux(f1, f1)
+    qt, nl, ln = q_t(f1, state.f_leq)
+    flux = [Sum(s).add(l).add(n).field() for s, l, n in
+            zip((self_flux.comp1, self_flux.comp2), (ln.comp1, ln.comp2), (nl.comp1, nl.comp2))]
+    direct_all = Sum(_inv_div_block(flux[0].coeffs, flux[1].coeffs))
+    direct_new = Sum(_inv_div_block(self_flux.comp1.coeffs, self_flux.comp2.coeffs))
+    qd = q_d(f1, params.nu, params.gamma)
+    qm = (q_m1(pert.a_perfect[0], pert.a_perfect[1], sc) + q_m2(*pert.a, lam5)
+          + q_m3(*pert.a, lam5))
+    q_next = Sum(qm).add(qt).add(qd).field()
+    os = params.oversample
+    denom = max(linf(state.q, os, grid_cap), linf(q_next, os, grid_cap))
+    if denom == 0.0:
+        gp = grad_perp(f1)
+        denom = linf(lambda_s(f1, 1.0), os, grid_cap) * max(
+            linf(gp.comp1, os, grid_cap), linf(gp.comp2, os, grid_cap))
+    master = direct_all.add(state.q).sub(q_next).add(qd).field()
+    decomp = direct_new.add(state.q).negate().add(qm).field()
+    return (linf(master, os, grid_cap) / denom, linf(decomp, os, grid_cap) / denom, q_next)
+
+
+def _wide_f_leq(band):
+    """The seeded state with f_leq replaced by a small band-`band` field,
+    so the window of L and N reaches the self flux's band (168 here) or
+    beyond it."""
+    st, _ = _seeded_state()
+    f = random_field(band, np.random.default_rng(band), mean_zero=True) * 1e-3
+    return dataclasses.replace(st, f_leq=f)
+
+
+@pytest.mark.parametrize("nu", [0.0, 1.0])
+@pytest.mark.parametrize("base", ["synthetic", "zero", "wide168", "wide180"])
+def test_half_box_residuals_equal_the_full_box_oracle(nu, base):
+    # the zero base at nu = 0 takes the flux-scale denominator
+    params = dataclasses.replace(WORKHORSE, nu=nu)
+    if base.startswith("wide"):
+        st = _wide_f_leq(int(base[4:]))
+    else:
+        st = make_base(params, seed=0, kind=base)
+    new, row = step(st, params, grid_cap=1024)
+    master, decomp, q_next = _full_box_residuals(st, params, 1024)
+    assert row["master_residual"] == master
+    assert row["decomp_residual"] == decomp
+    assert new.q.coeffs.tobytes() == q_next.coeffs.tobytes()
+    if base == "zero" and nu == 0.0:
+        assert linf(q_next) == 0.0
+
+
+def test_the_direct_flux_keeps_its_mean_check(monkeypatch):
+    # N = Lambda(f_next) grad_perp(f_leq) carries a mean that S does not
+    real = iteration.q_t
+
+    def with_a_mean(f_next, f_leq):
+        qt, nl, ln = real(f_next, f_leq)
+        c = nl.comp1.coeffs.copy()
+        K = nl.comp1.band
+        c[K, K] = 1e-3 * np.abs(c).max()
+        return qt, VectorField(TorusField(c), nl.comp2), ln
+
+    monkeypatch.setattr(iteration, "q_t", with_a_mean)
+    st, _ = _seeded_state()
+    with pytest.raises(NonZeroMean, match=r"^inv_div component 1: mean coefficient 5\.054e-04 "):
+        step(st, WORKHORSE, grid_cap=1024)
+
+
+@pytest.mark.parametrize("nu", [0.0, 1.0])
+def test_step_peak_memory_in_band_2b_boxes(nu):
+    # tracemalloc counts numpy's buffers, not the heap's fragmentation, so
+    # the peak is the same on every run; the self flux and the checks'
+    # sums are band 2 * band_f1 = 336 here. Summing the direct flux and
+    # both numerators on whole boxes peaked at 7.62 boxes
+    params = dataclasses.replace(WORKHORSE, nu=nu)
+    st = make_base(params, seed=0, kind="synthetic")
+    box = 16 * (4 * 168 + 1) ** 2
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        step(st, params, grid_cap=1024)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.5 * box, peak / box
 
 
 def test_step_respects_strict_separation():

@@ -19,6 +19,7 @@ from sqgci.multipliers import (
     Direction,
     ModulatedField,
     _inv_div_block,
+    _mass2,
     directional_grad,
     fat_lowpass,
     grad,
@@ -79,11 +80,17 @@ def test_lambda_negative_power_needs_mean_zero():
 def test_every_mean_check_trips_at_the_threshold(rho):
     # a mean of rho * MEAN_RTOL times the l2 mass: below the threshold at
     # rho = 1/2, above it at rho = 2, with one verdict for every caller
+    # (a field, its k2 >= 0 half, and its band-2 window with the mass
+    # outside passed on)
     r = random_field(6, np.random.default_rng(61))
     t = r + TorusField.constant(rho * MEAN_RTOL * np.linalg.norm(r.coeffs))
     assert t.coeff(0, 0) != 0
+    window = t.coeffs[4:9, 6:9].copy()
+    outside = _mass2(t.coeffs) - _mass2(window)
     checks = (lambda: require_mean_zero(t, "t"),
               lambda: require_mean_zero(ModulatedField({(0, 0): t.coeffs}), "t"),
+              lambda: require_mean_zero(t.coeffs[:, 6:], "t"),
+              lambda: require_mean_zero(window, "t", outside=outside),
               lambda: lambda_s(t, -0.5),
               lambda: riesz(t, 1),
               lambda: inv_div(VectorField(t, t)),
@@ -94,6 +101,9 @@ def test_every_mean_check_trips_at_the_threshold(rho):
                 check()
         else:
             check()
+    # the window alone holds too little mass to excuse the mean
+    with pytest.raises(NonZeroMean):
+        require_mean_zero(window, "t")
 
 
 def test_factored_mean_is_the_sum_of_the_blocks_at_the_origin():
@@ -273,6 +283,24 @@ def test_inv_div_block_equals_the_one_expression_oracle_bit_for_bit(b1, b2, seed
     c1, c2 = block(b1, s1), block(b2, s2)
     got = _inv_div_block(c1, c2, p)
     assert got.tobytes() == _inv_div_block_oracle(c1, c2, p).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(b1=st.integers(0, 6), b2=st.integers(0, 6), seed=st.integers(0, 2 ** 32 - 1),
+       s1=st.sampled_from([1.0, -1.0, 0.0, -0.0]), s2=st.sampled_from([1.0, -1.0, 0.0, -0.0]))
+def test_inv_div_block_on_halves_is_the_half_of_the_box_result(b1, b2, seed, s1, s2):
+    # the halves are views into their boxes, as `step` passes them
+    rng = np.random.default_rng(seed)
+
+    def block(b, s):
+        n = 2 * b + 1
+        return (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) * s
+
+    c1, c2 = block(b1, s1), block(b2, s2)
+    K = max(b1, b2)
+    got = _inv_div_block(c1[:, b1:], c2[:, b2:])
+    assert got.shape == (2 * K + 1, K + 1)
+    assert got.tobytes() == np.ascontiguousarray(_inv_div_block(c1, c2)[:, K:]).tobytes()
 
 
 def test_inv_div_kills_perp_gradients():

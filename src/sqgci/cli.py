@@ -56,7 +56,7 @@ from .iteration import (
     scales_for,
     step,
 )
-from .multipliers import (DIRECTIONS, L1, ModulatedField, _knorm, lambda_s, riesz,
+from .multipliers import (DIRECTIONS, L1, ModulatedField, _box_knorm, lambda_s, riesz,
                           riesz_commutator)
 from .norms import sobolev
 from .verify import (
@@ -199,11 +199,12 @@ def _write_text(path: str, text: str):
 def export_spectrum(f: TorusField, path: str):
     """Nonzero coefficients as rows k1,k2,|k|,re,im,modulus."""
     K = f.band
+    box = f.box()
     lines = ["k1,k2,|k|,re,im,modulus"]
-    for i1, i2 in np.argwhere(f.coeffs != 0):
+    for i1, i2 in np.argwhere(box != 0):
         k1 = int(i1) - K
         k2 = int(i2) - K
-        c = complex(f.coeffs[i1, i2])
+        c = complex(box[i1, i2])
         lines.append(",".join((str(k1), str(k2), _scalar(math.hypot(k1, k2)),
                                _scalar(c.real), _scalar(c.imag), _scalar(abs(c)))))
     _write_text(path, "\n".join(lines) + "\n")
@@ -211,8 +212,8 @@ def export_spectrum(f: TorusField, path: str):
 
 def export_shells(f: TorusField, path: str):
     """Energy per integer radial shell (shell = nearest integer to |k|)."""
-    shells = np.rint(_knorm(f.band)).astype(np.int64).ravel()
-    energy = np.bincount(shells, weights=(np.abs(f.coeffs) ** 2).ravel())
+    shells = np.rint(_box_knorm(f.band)).astype(np.int64).ravel()
+    energy = np.bincount(shells, weights=(np.abs(f.box()) ** 2).ravel())
     lines = ["shell,energy"]
     for s, e in enumerate(energy):
         if e > 0.0:

@@ -1,45 +1,48 @@
 """Band-limited real fields on the 2-torus [-pi, pi]^2.
 
-A TorusField stores the Fourier coefficients c(k) of
+A TorusField holds the Fourier coefficients c(k) of
 
-    f(x) = sum_{|k|_inf <= K} c(k) exp(i k.x)
+    f(x) = sum_{|k|_inf <= K} c(k) exp(i k.x).
 
-densely as a (2K+1) x (2K+1) complex array indexed [k1+K, k2+K]. Every
-field is real-valued, so c(-k) = conj(c(k)), and its array is frozen.
-It is mean-zero when c(0) is exactly 0, a fact read off the array.
+Every field is real-valued, so c(-k) = conj(c(k)) and the k2 < 0 half
+of the (2K+1) x (2K+1) coefficient box is redundant: a field stores
+only its k2 >= 0 half, a frozen (2K+1) x (K+1) complex array indexed
+[k1+K, k2], whose k2 = 0 column is Hermitian in itself. `coeff` reads
+any k, and `box()` is the one place the whole box is rebuilt, its
+k2 < 0 half as the mirror conjugate, for the sums that run over the
+box in its order (SQF1 writes, the CSV exports, `inner`, `sobolev`, the
+weak-residual pairing). A field is mean-zero when c(0) is exactly 0, a
+fact read off the array.
 
 Only outside data (user arrays, `from_modes`, `constant`, SQF1 reads)
-goes through the checked constructor `TorusField(coeffs, mean_zero)`:
-copy, finite check, Hermitian check over the whole box (1e-13 relative
-to the largest coefficient), exact symmetrisation of a box that is
-Hermitian only to rounding; a declared mean-zero field must have a
-negligible c(0), which is then zeroed. A box that passes unchanged
-keeps its bits, so SQF1 round trips are bit for bit. Every field the
-program computes is frozen in place by `TorusField._exact`: exact
-operations (multipliers, lattice shifts, sums, scalar multiples, pad,
-trim) are Hermitian bit for bit, and so is a transform read everywhere
-but on its k2 = 0 column, the only part `from_grid` checks (at the
-scale of the samples) and symmetrises.
+goes through the checked constructor `TorusField(coeffs, mean_zero)`,
+which takes a whole box: copy, finite check, Hermitian check over the
+box (1e-13 relative to the largest coefficient), exact symmetrisation
+of a box that is Hermitian only to rounding, and then only the half is
+kept; a declared mean-zero field must have a negligible c(0), which is
+then zeroed. A box that passes unchanged keeps its bits, so SQF1 round
+trips are bit for bit. Every field the program computes is frozen in
+place by `TorusField._exact`. Exact operations (multipliers, lattice
+shifts, sums, scalar multiples, pad, trim) act coefficient by
+coefficient on the half, and a transform read is checked (at the scale
+of the samples) and symmetrised on its k2 = 0 column alone.
 
 Collocation uses the nodes x_ij = 2*pi*(i, j)/N - (pi, pi) and real
-transforms. A transform to the grid reads only the k2 >= 0 half of a
-box, coeffs[:, K:], the rest being its mirror conjugate, so `to_grid`
-takes a field or that half alone, and a multiplier needed only on the
-grid can be applied to the half. It writes the half straight into the
-spectrum and runs the axis-0 pass in place on the runs of non-empty
-columns only (a zero sample may differ from the full pass in its
-sign); it is the one home of the inverse transform. A read takes the
-box off the forward transform by slices. Products of band-limited
-fields are band-limited, so they are computed exactly by zero-padding
-to a grid that holds the full product band (N >= 2*(Kf+Kg)+2); the 3/2
-rule is never used. `products` transforms a factor shared by several
-products once.
+transforms, which read and write only the k2 >= 0 half. `to_grid`
+writes the half straight into the spectrum and runs the axis-0 pass in
+place on the runs of non-empty columns only (a zero sample may differ
+from the full pass in its sign); it is the one home of the inverse
+transform. A read takes the half off the forward transform by slices.
+Products of band-limited fields are band-limited, so they are computed
+exactly by zero-padding to a grid that holds the full product band
+(N >= 2*(Kf+Kg)+2); the 3/2 rule is never used. `products` transforms
+a factor shared by several products once.
 
-`Sum` builds a chain of `+` and `-` in one box, with the same bits, or
-in the k2 >= 0 half of one when only a transform will read the result.
-A box is written only before `_exact` freezes it.
+`Sum` builds a chain of `+` and `-` in one half, with the same bits.
+A half is written only before `_exact` freezes it.
 
-The binary field format SQF1 is implemented here:
+The binary field format SQF1 is implemented here. The file holds the
+whole box; a read keeps its half.
 
     bytes 0-3   magic ASCII "SQF1"
     u32 LE      version = 1
@@ -71,17 +74,19 @@ _SQF1_VERSION = 1
 
 class TorusField:
     """Immutable band-limited real scalar field, built by the checked
-    constructor from a (2K+1, 2K+1) complex array indexed [k1+K, k2+K].
+    constructor from a (2K+1, 2K+1) complex array indexed [k1+K, k2+K],
+    of which it keeps the k2 >= 0 half, `coeffs`, indexed [k1+K, k2].
     mean_zero declares a vanishing mean: c(0) must be negligible and is
     then zeroed exactly."""
 
     __slots__ = ("coeffs", "band")
 
     def __init__(self, coeffs, mean_zero=False):
-        c = np.array(coeffs, dtype=np.complex128)
+        c = np.asarray(coeffs, dtype=np.complex128)
         if c.ndim != 2 or c.shape[0] != c.shape[1] or c.shape[0] % 2 != 1:
             raise ValueError(f"coefficient array must be square odd-sized, got {c.shape}")
         K = c.shape[0] // 2
+        h = c[:, K:].copy()  # the box itself is only read
         maxc = float(np.abs(c).max())
         # 2*maxc bounds every entry of the symmetrization below
         if not np.isfinite(2.0 * maxc):
@@ -95,24 +100,24 @@ class TorusField:
                 # enforce exactly so realness never drifts; a box that is
                 # Hermitian already keeps its bits, signed zeros included,
                 # so an SQF1 read returns the field that was written
-                c += np.conj(c[::-1, ::-1])
-                c *= 0.5
+                h += np.conj(c[::-1, K::-1])
+                h *= 0.5
         if mean_zero:
-            if maxc > 0.0 and abs(c[K, K]) > HERMITIAN_RTOL * maxc:
-                raise NonZeroMean(f"declared mean-zero but c(0) = {c[K, K]:.3e} "
+            if maxc > 0.0 and abs(h[K, 0]) > HERMITIAN_RTOL * maxc:
+                raise NonZeroMean(f"declared mean-zero but c(0) = {h[K, 0]:.3e} "
                                   f"(max {maxc:.3e})")
-            if c[K, K] != 0:
-                c[K, K] = 0.0
-        self._freeze(c)
+            if h[K, 0] != 0:
+                h[K, 0] = 0.0
+        self._freeze(h)
 
     def _freeze(self, c):
         c.flags.writeable = False
-        self.coeffs, self.band = c, c.shape[0] // 2
+        self.coeffs, self.band = c, c.shape[1] - 1
 
     @classmethod
     def _exact(cls, c):
-        """Wrap a fresh array that is Hermitian by construction; c is
-        frozen in place, not copied."""
+        """Wrap a fresh k2 >= 0 half whose k2 = 0 column is Hermitian by
+        construction; c is frozen in place, not copied."""
         f = cls.__new__(cls)
         f._freeze(c)
         return f
@@ -121,8 +126,7 @@ class TorusField:
 
     @classmethod
     def zero(cls, band=0):
-        n = 2 * band + 1
-        return cls._exact(np.zeros((n, n), dtype=np.complex128))
+        return cls._exact(np.zeros((2 * band + 1, band + 1), dtype=np.complex128))
 
     @classmethod
     def constant(cls, value):
@@ -145,15 +149,28 @@ class TorusField:
     # -- basic accessors ----------------------------------------------
 
     def coeff(self, k1, k2):
+        """c(k); for k2 < 0 the conjugate of c(-k), and 0 outside the band."""
         K = self.band
         if max(abs(k1), abs(k2)) > K:
             return 0.0 + 0.0j
-        return complex(self.coeffs[k1 + K, k2 + K])
+        if k2 < 0:
+            return complex(self.coeffs[K - k1, -k2]).conjugate()
+        return complex(self.coeffs[k1 + K, k2])
+
+    def box(self):
+        """The whole (2K+1, 2K+1) coefficient box, indexed [k1+K, k2+K],
+        as a fresh array: the stored half, and the k2 < 0 half as its
+        mirror conjugate."""
+        h, K = self.coeffs, self.band
+        c = np.empty((2 * K + 1, 2 * K + 1), dtype=np.complex128)
+        c[:, K:] = h
+        np.conjugate(h[::-1, K:0:-1], out=c[:, :K])
+        return c
 
     @property
     def mean_zero(self):
         """Whether c(0) is exactly 0."""
-        return bool(self.coeffs[self.band, self.band] == 0)
+        return bool(self.coeffs[self.band, 0] == 0)
 
     def max_abs_coeff(self):
         return float(np.abs(self.coeffs).max())
@@ -164,19 +181,22 @@ class TorusField:
             raise ValueError(f"cannot pad band {self.band} down to {band}")
         if band == self.band:
             return self
-        return TorusField._exact(np.pad(self.coeffs, band - self.band))
+        w = band - self.band
+        return TorusField._exact(np.pad(self.coeffs, ((w, w), (0, w))))
 
     def trim(self):
         """Smallest band holding all nonzero coefficients. The slice is
-        copied, so the result never keeps this field's box alive."""
+        copied, so the result never keeps this field's half alive."""
         nz = np.argwhere(self.coeffs != 0)
         if nz.size == 0:
             return TorusField.zero(0)
         K = self.band
-        b = int(np.abs(nz - K).max())
+        # c(k) and c(-k) are zero together, so the half's rows and
+        # columns give the band
+        b = max(int(np.abs(nz[:, 0] - K).max()), int(nz[:, 1].max()))
         if b == K:
             return self
-        return TorusField._exact(self.coeffs[K - b:K + b + 1, K - b:K + b + 1].copy())
+        return TorusField._exact(_window(self.coeffs, b).copy())
 
     # -- arithmetic ----------------------------------------------------
 
@@ -206,51 +226,39 @@ class TorusField:
 
 
 def _window(c, band):
-    """The centred band-`band` window of the coefficient box c, or of the
-    k2 >= 0 half of one, a (2K+1, K+1) array (a view)."""
+    """The band-`band` window of the k2 >= 0 half c (a view)."""
     K = c.shape[0] // 2
-    z = c.shape[1] - 1 - K  # the column of k2 = 0
-    return c[K - band:K + band + 1, max(z - band, 0):z + band + 1]
+    return c[K - band:K + band + 1, :band + 1]
 
 
 class Sum:
-    """A running sum of fields in one coefficient box, or in the k2 >= 0
-    half of one (`half`), which is all a transform reads.
+    """A running sum of fields in one k2 >= 0 half.
 
     `add(f)` and `sub(f)` give the bits of TorusField's `+` and `-`: the
-    smaller box goes into the window of the larger, and a larger
+    smaller half goes into the window of the larger, and a larger
     subtrahend is negated first (IEEE a - b is a + (-b)). While the
-    sum's box is the larger, each term goes in place. A term is a field,
-    or a running box Sum read as it stands. Every operation acts
-    coefficient by coefficient, so a half sum holds the k2 >= 0 half of
-    the box sum bit for bit. `negate()` flips the sign in place;
-    `field()` freezes the box and spends the sum, giving a TorusField,
-    or for a half the frozen array that `linf` and `to_grid` take.
+    sum's half is the larger, each term goes in place. A term is a
+    field, or a running Sum read as it stands. `negate()` flips the sign
+    in place; `field()` freezes the half and spends the sum, giving a
+    TorusField.
     """
 
-    __slots__ = ("_c", "_half")
+    __slots__ = ("_c",)
 
-    def __init__(self, start, half=False):
-        """Start from a copy of a field's box (of its half when `half`),
-        or take over a fresh Hermitian coefficient array (a half when
-        `half`)."""
-        self._half = half
-        self._c = self._part(start).copy() if isinstance(start, TorusField) else start
-
-    def _part(self, f):
-        """The coefficients of a term f in the sum's layout."""
-        c = f._c if isinstance(f, Sum) else f.coeffs
-        return c[:, c.shape[0] // 2:] if self._half else c
+    def __init__(self, start):
+        """Start from a copy of a field's half, or take over a fresh
+        half whose k2 = 0 column is Hermitian."""
+        self._c = start.coeffs.copy() if isinstance(start, TorusField) else start
 
     def _take(self, c):
-        """Take over c, a fresh box of larger band, adding the sum into it."""
+        """Take over c, a fresh half of larger band, adding the sum into it."""
         w = _window(c, self._c.shape[0] // 2)
         w += self._c
         self._c = c
         return self
 
     def add(self, f):
-        c = self._part(f)
+        c = f._c if isinstance(f, Sum) else f.coeffs
         if c.shape[0] > self._c.shape[0]:
             return self._take(c.copy())
         w = _window(self._c, c.shape[0] // 2)
@@ -258,7 +266,7 @@ class Sum:
         return self
 
     def sub(self, f):
-        c = self._part(f)
+        c = f._c if isinstance(f, Sum) else f.coeffs
         if c.shape[0] > self._c.shape[0]:
             return self._take(-c)
         w = _window(self._c, c.shape[0] // 2)
@@ -271,9 +279,6 @@ class Sum:
 
     def field(self):
         c, self._c = self._c, None
-        if self._half:
-            c.flags.writeable = False
-            return c
         return TorusField._exact(c)
 
 
@@ -332,8 +337,8 @@ def _phase(out, c, k1_first, sgn):
 
 
 def _signs(K):
-    """(-1)^k for k = -K..K."""
-    return np.where(np.arange(-K, K + 1) % 2 == 0, 1.0, -1.0)
+    """(-1)^k2 for k2 = 0..K."""
+    return np.where(np.arange(K + 1) % 2 == 0, 1.0, -1.0)
 
 
 def good_grid(n):
@@ -341,14 +346,11 @@ def good_grid(n):
     return scipy.fft.next_fast_len(int(n), real=True)
 
 
-def to_grid(f: TorusField | np.ndarray, N: int) -> np.ndarray:
-    """Real samples at the N x N collocation nodes
-    x_ij = 2*pi*(i, j)/N - (pi, pi) of a band-K real field: a
-    TorusField, or the (2K+1, K+1) array of its k2 >= 0 coefficients,
-    indexed [k1+K, k2]. The k2 < 0 half is their mirror conjugate, so it
-    is never read.
+def to_grid(f: TorusField, N: int) -> np.ndarray:
+    """Real samples of the band-K field f at the N x N collocation nodes
+    x_ij = 2*pi*(i, j)/N - (pi, pi).
 
-    The half is phased straight into the first K+1 columns of the zeroed
+    f's half is phased straight into the first K+1 columns of the zeroed
     half spectrum, and the axis-0 pass runs in place on each run of
     columns holding a nonzero coefficient; the real pass along axis 1
     then runs over the whole spectrum (irfft2 makes the same two passes,
@@ -359,11 +361,10 @@ def to_grid(f: TorusField | np.ndarray, N: int) -> np.ndarray:
     Requires N >= 2K+2 so every mode is represented without aliasing
     (raises GridTooSmall otherwise).
     """
-    h = f.coeffs[:, f.band:] if isinstance(f, TorusField) else f
-    K = h.shape[1] - 1
+    h, K = f.coeffs, f.band
     if N < 2 * K + 2:
         raise GridTooSmall(f"grid {N} < 2*{K}+2 required for band {K}")
-    sgn = _signs(K)[K:]
+    sgn = _signs(K)
     w = _workers(N)
     H = np.zeros((N, N // 2 + 1), dtype=np.complex128)
     _phase(H[:K + 1, :K + 1], h[K:], 0, sgn)
@@ -384,12 +385,10 @@ def to_grid(f: TorusField | np.ndarray, N: int) -> np.ndarray:
 def _truncate(H, values, K):
     """Band-K field read off H = rfft2(values, norm="forward").
 
-    The box is read off H by slices, with no gathers: the k2 < 0 half is
-    the k2 >= 0 rows reversed and conjugated, and the phase multiplies k
-    and -k by the same sign, so every entry off the k2 = 0 column is the
-    exact conjugate of its mirror. That column is Hermitian only to
-    rounding, relative to the samples (which bound every bin); it alone
-    is checked at their scale and symmetrised.
+    The k2 >= 0 half is read off H by slices, with no gathers, and
+    phased as it is read. Its k2 = 0 column is Hermitian only to
+    rounding, relative to the samples (which bound every bin); it is
+    checked at their scale and symmetrised.
     """
     N = H.shape[0]
     # max and min propagate NaN and allocate no grid, unlike np.abs(values)
@@ -398,17 +397,11 @@ def _truncate(H, values, K):
     if not np.isfinite(2.0 * N * N * scale):
         raise ValueError(f"non-finite or overflowing sample (max |x| = {scale})")
     sgn = _signs(K)
-    c = np.empty((2 * K + 1, 2 * K + 1), dtype=np.complex128)
-    # k2 >= 0: the k1 < 0 rows sit at the bottom of H, the k1 >= 0 rows
-    # at its top; each is phased as it is read
-    _phase(c[:K, K:], H[N - K:, :K + 1], -K, sgn[K:])
-    _phase(c[K:, K:], H[:K + 1, :K + 1], 0, sgn[K:])
-    # k2 < 0: the conjugate of the bin at -k, so the same rows reversed;
-    # conjugated before the phase, as phasing first can flip a zero's sign
-    np.conjugate(H[K::-1, K:0:-1], out=c[:K + 1, :K])
-    np.conjugate(H[:N - K - 1:-1, K:0:-1], out=c[K + 1:, :K])
-    _phase(c[:, :K], c[:, :K], -K, sgn[:K])
-    col = c[:, K]
+    c = np.empty((2 * K + 1, K + 1), dtype=np.complex128)
+    # the k1 < 0 rows sit at the bottom of H, the k1 >= 0 rows at its top
+    _phase(c[:K], H[N - K:, :K + 1], -K, sgn)
+    _phase(c[K:], H[:K + 1, :K + 1], 0, sgn)
+    col = c[:, 0]
     viol = float(np.abs(col - np.conj(col[::-1])).max())
     if viol > HERMITIAN_RTOL * scale:
         raise ValueError(f"Hermitian symmetry violated: {viol:.3e} > "
@@ -515,10 +508,9 @@ def sqrt_pointwise(f: TorusField, oversample: int = 4, kout: int | None = None,
 
 def inner(f: TorusField, g: TorusField) -> float:
     """L2 pairing <f, g> = int f g dx = (2 pi)^2 sum_k c_f(k) conj(c_g(k)),
-    summed over the modes both fields hold."""
+    summed over the box of the modes both fields hold."""
     K = min(f.band, g.band)
-    a = f.coeffs[f.band - K:f.band + K + 1, f.band - K:f.band + K + 1]
-    b = g.coeffs[g.band - K:g.band + K + 1, g.band - K:g.band + K + 1]
+    a, b = (TorusField._exact(_window(h.coeffs, K)).box() for h in (f, g))
     return float((2.0 * np.pi) ** 2 * np.sum(a * np.conj(b)).real)
 
 
@@ -535,7 +527,7 @@ def random_field(band, rng, mean_zero=True):
     z = 0.5 * (z + np.conj(z[::-1, ::-1]))  # this leaves c(0) real
     if mean_zero:
         z[band, band] = 0.0
-    return TorusField._exact(z)
+    return TorusField._exact(z[:, band:].copy())
 
 
 # -- SQF1 serialization -----------------------------------------------
@@ -557,16 +549,18 @@ def _write_atomic(path, *chunks):
 
 
 def write_sqf1(f: TorusField, path):
-    """Write the field in the SQF1 layout (atomic: temp file + rename)."""
+    """Write the field's whole box in the SQF1 layout (atomic: temp file
+    + rename)."""
     header = struct.pack("<4sIIq", _SQF1_MAGIC, _SQF1_VERSION, f.band,
                          1 if f.mean_zero else 0)
-    _write_atomic(path, header, np.ascontiguousarray(f.coeffs, dtype="<c16"))
+    _write_atomic(path, header, np.ascontiguousarray(f.box(), dtype="<c16"))
 
 
 def read_sqf1(path) -> TorusField:
     """Read an SQF1 field; verifies magic, version and size, and, through
     the checked constructor, finite and Hermitian-symmetric coefficients
-    and the meanZero flag against c(0) (ParseError on any mismatch)."""
+    and the meanZero flag against c(0) (ParseError on any mismatch). The
+    field keeps the k2 >= 0 half of the box."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < 20:

@@ -45,8 +45,10 @@ from .multipliers import (
     L2,
     ModulatedField,
     _inv_div_block,
+    _kgrids,
     _knorm,
     _mass2,
+    _odd_symbols,
     directional_grad,
     fat_lowpass,
     grad_perp,
@@ -57,7 +59,7 @@ from .multipliers import (
     riesz_odd,
     t_op,
 )
-from .norms import _xnorm_symbols, holder_besov, linf, x_norm
+from .norms import holder_besov, linf, x_norm
 from .verify import check_support
 
 SUPPORT_RTOL = 1e-13
@@ -414,16 +416,16 @@ def step(state: StepState, params: IterationParams, grid_cap: int = 4096):
     master residual is inv_div(S + L + N) + q - q_next + qD: the
     decomposition numerator negated plus inv_div's linearity defect, so
     the two agree to rounding. Neither re-evaluates the relaxed relation
-    on f_leq + f_next from scratch. Both numerators are summed on the
-    k2 >= 0 half of their box, all that `linf` reads, and S + L + N
-    differs from S only in the window of L and N, so the direct flux is
-    formed there alone.
+    on f_leq + f_next from scratch. S + L + N differs from S only in the
+    window of L and N, so the direct flux is formed there alone. Like
+    every field, each flux and numerator is held as the k2 >= 0 half of
+    its box.
     """
     sc = scales_for(params, state.n)
-    # |k| grids and X-norm symbols cached before this step are of other
+    # |k| grids and m_j symbols cached before this step are of other
     # bands; left in the heap, they fragment it under this step's grids
     _knorm.cache_clear()
-    _xnorm_symbols.cache_clear()
+    _odd_symbols.cache_clear()
     sep_ok = 48 * sc.lambda_n <= sc.lambda_next
     if not sep_ok and params.separation == "strict48":
         raise SeparationViolated(
@@ -443,32 +445,32 @@ def step(state: StepState, params: IterationParams, grid_cap: int = 4096):
     f1 = pert.f_next
     a1, a2 = pert.a
     # The self flux S is the step's largest product. It is formed while
-    # few fields are alive and released once its half is inverted and
-    # the half window that L and N reach is copied. Each sum below is
-    # built in one box or half (fields.Sum), with the bits of the chained
-    # operators; x + 0.0 turns -0.0 into +0.0, so a zero term such as qd
-    # at nu = 0 is still added.
+    # few fields are alive and released once it is inverted and the
+    # window that L and N reach is copied. Each sum below is built in
+    # one half (fields.Sum), with the bits of the chained operators;
+    # x + 0.0 turns -0.0 into +0.0, so a zero term such as qd at nu = 0
+    # is still added.
     self_flux = nonlinear_flux(f1, f1)
     S = (self_flux.comp1, self_flux.comp2)
     require_mean_zero(S[0], "inv_div component 1")
     require_mean_zero(S[1], "inv_div component 2")
-    halves = [s.coeffs[:, s.band:] for s in S]
-    base = _inv_div_block(*halves)  # inv_div(S) on the half
+    base = _inv_div_block(S[0].coeffs, S[1].coeffs, *_kgrids(S[0].band))  # inv_div(S)
     # L and N reach band(f_leq) + band(f_next); beyond, S + L + N is S
     w = min(f1.band + state.f_leq.band, S[0].band)
-    window = [_window(h, w).copy() for h in halves]
+    window = [_window(s.coeffs, w).copy() for s in S]
     outside = [_mass2(s.coeffs) - _mass2(c) for s, c in zip(S, window)]
-    del self_flux, S, halves
+    del self_flux, S
 
     qt, nl, ln = q_t(f1, state.f_leq)
-    flux = [Sum(c, half=True).add(l).add(n).field()
+    flux = [Sum(c).add(l).add(n).field()
             for c, l, n in zip(window, (ln.comp1, ln.comp2), (nl.comp1, nl.comp2))]
     del window, nl, ln
     # the direct flux keeps its mean check: c(0) lies in the window, and
     # S outside it counts toward the mass
     require_mean_zero(flux[0], "inv_div component 1", outside=outside[0])
     require_mean_zero(flux[1], "inv_div component 2", outside=outside[1])
-    direct_all = _inv_div_block(*flux)  # inv_div(S + L + N) in the window
+    # inv_div(S + L + N) in the window, or wider when L and N reach past S
+    direct_all = _inv_div_block(flux[0].coeffs, flux[1].coeffs, *_kgrids(flux[0].band))
     del flux
 
     qm1 = q_m1(pert.a_perfect[0], pert.a_perfect[1], sc)
@@ -479,7 +481,7 @@ def step(state: StepState, params: IterationParams, grid_cap: int = 4096):
     x_qm3 = x_norm(qm3, os, grid_cap)
     qm = Sum(qm1).add(qm2).add(qm3)  # continued into q_next
     del qm3
-    decomp_num = Sum(base.copy(), half=True).add(state.q).negate().add(qm).field()
+    decomp_num = Sum(base.copy()).add(state.q).negate().add(qm).field()
     q_next = qm.add(qt).add(qd).field()
     # outside the window inv_div(S + L + N) is inv_div(S); a window as
     # wide as the box holds the whole direct flux
@@ -487,7 +489,7 @@ def step(state: StepState, params: IterationParams, grid_cap: int = 4096):
         _window(base, direct_all.shape[0] // 2)[...] = direct_all
         direct_all = base
     del base
-    master_num = Sum(direct_all, half=True).add(state.q).sub(q_next).add(qd).field()
+    master_num = Sum(direct_all).add(state.q).sub(q_next).add(qd).field()
     del direct_all
 
     f_total = state.f_leq + f1

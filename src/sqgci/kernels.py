@@ -3,9 +3,9 @@
 Three inner loops run outside scipy's FFTs: the smooth cutoff profile
 evaluated on wavenumber grids, the shifted-symbol pair for the
 modulated-wave operators, and the Hermitian symmetry scan. The scan
-runs only in the checked constructor, on outside data (user arrays,
-`from_modes`, `constant`, SQF1 reads); fields the program computes,
-transform reads included, skip it.
+runs only in the checked constructor, on the whole boxes of outside
+data (user arrays, `from_modes`, `constant`, SQF1 reads); fields the
+program computes, transform reads included, skip it.
 """
 
 import numpy as np
@@ -33,7 +33,8 @@ def t_symbols(lam, n1, n2, d, K):
     """Symbol grids for the two carrier-correction operators at carrier
     lam*l, l = (n1, n2)/d exactly rational with n1^2 + n2^2 = d^2.
 
-    Returns (t1, t2f), both real (2K+1, 2K+1) arrays over |k|_inf <= K:
+    Returns (t1, t2f), both real (2K+1, K+1) arrays over the k2 >= 0
+    half of |k|_inf <= K, indexed [k1+K, k2]:
     t1(k)  = (|lam l + k| + |lam l - k|)/2 - lam
     t2f(k) = (|lam l + k| - |lam l - k|)/2 - l.k   (the full symbol is i*t2f)
 
@@ -46,7 +47,7 @@ def t_symbols(lam, n1, n2, d, K):
     """
     k = np.arange(-K, K + 1, dtype=np.int64)
     k1 = k[:, None]
-    k2 = k[None, :]
+    k2 = k[None, K:]
     lam = np.int64(lam)
     n1 = np.int64(n1)
     n2 = np.int64(n2)

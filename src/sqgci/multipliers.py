@@ -31,9 +31,11 @@ and `inv_div` inverts it carrier by carrier.
 fields alike, ahead of every negative-order operator (Lambda^s for
 s < 0, riesz, riesz_odd, inv_div, the commutator's theta).
 
-Real-even symbols map real fields to real fields, imaginary-odd ones
-likewise; the symbol grids below are built so that the required
-conjugate symmetry holds to the last bit.
+A dense field stores the k2 >= 0 half of its box, so every symbol grid
+is built on k2 = 0..K alone. Real-even symbols map real fields to real
+fields, imaginary-odd ones likewise, and the grids keep the k2 = 0
+column Hermitian to the last bit. ModulatedField blocks are complex
+amplitudes, not real fields, and keep their whole boxes.
 """
 
 from __future__ import annotations
@@ -89,52 +91,54 @@ DIRECTIONS = (L1, L2)
 
 
 def _kgrids(K):
-    """Broadcastable k1 (column) and k2 (row) for band K, views of one
-    fresh vector."""
+    """Broadcastable k1 = -K..K (a column) and k2 = 0..K (a row) over the
+    half of the band-K box, views of one fresh vector."""
     k = np.arange(-K, K + 1, dtype=np.float64)
-    return k[:, None], k[None, :]
+    return k[:, None], k[None, K:]
 
 
 @lru_cache(maxsize=8)
 def _knorm(K):
-    """The |k| grid for band K, built only for the symbols that read it."""
+    """The |k| grid on the half of the band-K box, built only for the
+    symbols that read it."""
     kn = np.hypot(*_kgrids(K))
     kn.flags.writeable = False
     return kn
 
 
+def _box_knorm(K):
+    """The |k| grid on the whole band-K box, for sums over a box(): the
+    half's grid with its k2 > 0 columns mirrored (hypot is even)."""
+    kn = _knorm(K)
+    return np.concatenate((kn[:, :0:-1], kn), axis=1)
+
+
 def _mass2(c):
-    """Squared coefficient l2 mass of the field held by the box c, or by
-    the k2 >= 0 half of one, whose k2 > 0 columns stand for a mirrored
-    pair."""
-    m = np.vdot(c, c).real
-    if c.shape[1] < c.shape[0]:
-        m = 2.0 * m - np.vdot(c[:, 0], c[:, 0]).real
-    return m
+    """Squared coefficient l2 mass of the field whose k2 >= 0 half is c;
+    its k2 > 0 columns stand for a mirrored pair."""
+    return 2.0 * np.vdot(c, c).real - np.vdot(c[:, 0], c[:, 0]).real
 
 
-def require_mean_zero(f: TorusField | ModulatedField | np.ndarray, what: str,
-                      outside: float = 0.0):
-    """Raise NonZeroMean unless the mean of f, a TorusField (the one
-    block at carrier 0), a ModulatedField or the k2 >= 0 half of a box,
-    is negligible: c0, the sum of the blocks that cover k = 0, is
-    exactly 0 or at most MEAN_RTOL times the coefficient l2 mass. When f
-    holds only the window about k = 0 of a larger field, `outside` is
-    the squared mass of the rest."""
-    if isinstance(f, np.ndarray):
-        blocks, c0 = (f,), f[f.shape[0] // 2, 0]
-    else:
-        by_carrier = f.blocks if isinstance(f, ModulatedField) else {(0, 0): f.coeffs}
+def require_mean_zero(f: TorusField | ModulatedField, what: str, outside: float = 0.0):
+    """Raise NonZeroMean unless the mean of f, a TorusField or a
+    ModulatedField, is negligible: c0, the sum of the blocks that cover
+    k = 0 (a TorusField's c(0)), is exactly 0 or at most MEAN_RTOL times
+    the coefficient l2 mass. When f holds only the window about k = 0 of
+    a larger field, `outside` is the squared mass of the rest."""
+    factored = isinstance(f, ModulatedField)
+    if factored:
         c0 = 0j
-        for p, b in by_carrier.items():
+        for p, b in f.blocks.items():
             K = b.shape[0] // 2
             if max(abs(p[0]), abs(p[1])) <= K:
                 c0 = c0 + b[K - p[0], K - p[1]]
-        blocks = by_carrier.values()
+    else:
+        c0 = f.coeffs[f.band, 0]
     if c0 == 0:
         return
-    mass = np.sqrt(sum(_mass2(b) for b in blocks) + outside)
-    if abs(c0) > MEAN_RTOL * mass:
+    mass2 = (sum(np.vdot(b, b).real for b in f.blocks.values()) if factored
+             else _mass2(f.coeffs))
+    if abs(c0) > MEAN_RTOL * np.sqrt(mass2 + outside):
         raise NonZeroMean(f"{what}: mean coefficient {abs(c0):.3e} is not negligible")
 
 
@@ -150,7 +154,7 @@ def lambda_s(f: TorusField, s: float) -> TorusField:
         require_mean_zero(f, f"Lambda^{s:g}")
         with np.errstate(divide="ignore"):
             m = kn ** s
-        m[K, K] = 0.0
+        m[K, 0] = 0.0
     else:
         m = kn ** s
     return TorusField._exact(f.coeffs * m)
@@ -163,7 +167,7 @@ def _riesz_raw(f: TorusField, j: int) -> TorusField:
     kj = k1 if j == 1 else k2
     with np.errstate(invalid="ignore"):
         m = kj / _knorm(K)
-    m[K, K] = 0.0
+    m[K, 0] = 0.0
     return TorusField._exact(f.coeffs * (1j * m))
 
 
@@ -195,11 +199,23 @@ def riesz_odd_symbol(j, k1, k2):
     return m
 
 
+@lru_cache(maxsize=1)
+def _odd_symbols(K):
+    """m_1 and m_2 on the half of the band-K box. A step reads them at
+    q's band, then at each channel's (qM3 and q_next back to back), so
+    the last band alone is kept; `iteration.step` clears it."""
+    ms = tuple(riesz_odd_symbol(j, *_kgrids(K)) for j in (1, 2))
+    for m in ms:
+        m.flags.writeable = False
+    return ms
+
+
 def riesz_odd(f: TorusField, j: int) -> TorusField:
     """Apply the even rational multiplier m_j. Input must be mean-zero."""
+    if j not in (1, 2):
+        raise ValueError(f"index must be 1 or 2, got {j}")
     require_mean_zero(f, "riesz_odd")
-    m = riesz_odd_symbol(j, *_kgrids(f.band))
-    return TorusField._exact(f.coeffs * m)
+    return TorusField._exact(f.coeffs * _odd_symbols(f.band)[j - 1])
 
 
 def t_op(f: TorusField, order: int, lam: int, l: Direction) -> TorusField:
@@ -237,28 +253,20 @@ def fat_lowpass(f: TorusField, mu: float) -> TorusField:
     return lowpass(f, 4.0 * mu)
 
 
-def _inv_div_block(c1, c2, p=(0, 0)):
-    """inv_div coefficients of the amplitude pair (c1, c2) riding carrier
-    p: the symbol i(p+k).v / (-|p+k|^2) on the amplitude's grid, 0 at
-    p + k = 0. The smaller of two unequal grids is zero-padded. At
-    p = 0, c1 and c2 may be the k2 >= 0 halves of two boxes, (2K+1, K+1)
-    arrays; the symbol acts coefficient by coefficient, so the result is
-    the half of the boxes' result bit for bit."""
-    K = max(c1.shape[0], c2.shape[0]) // 2
-    half = max(c1.shape[1], c2.shape[1]) < 2 * K + 1
-    c1, c2 = _pad(c1, K, half), _pad(c2, K, half)
-    k1, k2 = _kgrids(K)
-    if half:
-        k2 = k2[:, K:]
-    k1, k2 = k1 + p[0], k2 + p[1]
+def _inv_div_block(c1, c2, k1, k2):
+    """inv_div coefficients of the pair (c1, c2) held at the wave vectors
+    (k1, k2): k1 a column and k2 a row of consecutive integers, as
+    floats. The symbol is i k.v / (-|k|^2), 0 at k = 0; it acts
+    coefficient by coefficient, so a field's half gives the half of its
+    box's result bit for bit."""
     # 1j * (k1 c1 + k2 c2) / den with the same ufuncs in the same order,
     # in one buffer
     num = k1 * c1
     num += k2 * c2
     num *= 1j
     den = -(k1 * k1 + k2 * k2)
-    origin = (K - p[0], (0 if half else K) - p[1])
-    covers_origin = max(abs(p[0]), abs(p[1])) <= K
+    origin = (-int(k1[0, 0]), -int(k2[0, 0]))
+    covers_origin = 0 <= origin[0] < den.shape[0] and 0 <= origin[1] < den.shape[1]
     if covers_origin:
         den[origin] = 1.0
     np.divide(num, den, out=num)
@@ -280,9 +288,15 @@ def inv_div(v: VectorField) -> TorusField | ModulatedField:
     require_mean_zero(x, "inv_div component 1")
     require_mean_zero(y, "inv_div component 2")
     if factored:
-        return ModulatedField({p: _inv_div_block(bx, y.blocks[p], p)
-                               for p, bx in x.blocks.items()})
-    return TorusField._exact(_inv_div_block(x.coeffs, y.coeffs))
+        blocks = {}
+        for p, bx in x.blocks.items():
+            K = max(bx.shape[0], y.blocks[p].shape[0]) // 2
+            k = _kgrids(K)[0]  # k.T is the k2 row of a whole block
+            blocks[p] = _inv_div_block(_pad(bx, K), _pad(y.blocks[p], K), k + p[0], k.T + p[1])
+        return ModulatedField(blocks)
+    K = max(x.band, y.band)
+    return TorusField._exact(_inv_div_block(x.pad_to(K).coeffs, y.pad_to(K).coeffs,
+                                            *_kgrids(K)))
 
 
 def partial(f: TorusField, j: int) -> TorusField:
@@ -319,11 +333,10 @@ def riesz_commutator(psi: TorusField, theta: TorusField, j: int) -> TorusField:
     return first - second
 
 
-def _pad(b, K, half=False):
-    """Block b zero-padded to band K; a k2 >= 0 half (`half`) is padded
-    on its k2 > 0 side only."""
+def _pad(b, K):
+    """Block b zero-padded to band K."""
     w = K - b.shape[0] // 2
-    return b if w == 0 else np.pad(b, ((w, w), (0 if half else w, w)))
+    return b if w == 0 else np.pad(b, w)
 
 
 class ModulatedField:
@@ -371,7 +384,7 @@ class ModulatedField:
         if trig not in ("cos", "sin"):
             raise ValueError(f"trig must be 'cos' or 'sin', got {trig!r}")
         p = (int(p[0]), int(p[1]))
-        blocks = a.blocks if isinstance(a, ModulatedField) else {(0, 0): a.coeffs}
+        blocks = a.blocks if isinstance(a, ModulatedField) else {(0, 0): a.box()}
         out = cls({})
         for q, b in blocks.items():
             if trig == "cos":
@@ -406,20 +419,32 @@ class ModulatedField:
     __rmul__ = __mul__
 
     def to_dense(self) -> TorusField:
-        """The field on one coefficient box of band max_p (K_p + |p|_inf),
-        the smallest that holds every block. Blocks are added at their
-        carriers' offsets. Where three blocks meet, the sum at k need not
-        mirror the sum at -k, so a box with overlapping blocks is
-        symmetrised to stay Hermitian bit for bit."""
+        """The field at band max_p (K_p + |p|_inf), the smallest box that
+        holds every block. Blocks are added at their carriers' offsets
+        into the box's k2 >= 0 half. Where three blocks meet, the sum at
+        k need not mirror the sum at -k, so with overlapping blocks the
+        half is averaged with the conjugate of the mirror sums, c(-k),
+        added block by block in the same order: the half of the
+        symmetrised box, bit for bit."""
         reach = [(p, b.shape[0] // 2) for p, b in self.blocks.items()]
         Kout = max(K + max(abs(p[0]), abs(p[1])) for p, K in reach)
-        box = np.zeros((2 * Kout + 1, 2 * Kout + 1), dtype=np.complex128)
-        for (p, K), b in zip(reach, self.blocks.values()):
-            lo1, lo2 = Kout + p[0] - K, Kout + p[1] - K
-            box[lo1:lo1 + 2 * K + 1, lo2:lo2 + 2 * K + 1] += b
+        half = _place(self.blocks.items(), Kout)
         if any(max(abs(p[0] - r[0]), abs(p[1] - r[1])) <= K + J
                for i, (p, K) in enumerate(reach) for r, J in reach[:i]):
-            box += np.conj(box[::-1, ::-1])
-            box *= 0.5
-        return TorusField._exact(box)
+            half += np.conj(_place((((-p[0], -p[1]), b[::-1, ::-1])
+                                    for p, b in self.blocks.items()), Kout))
+            half *= 0.5
+        return TorusField._exact(half)
+
+
+def _place(blocks, Kout):
+    """The k2 >= 0 half of the band-Kout box with each (carrier, block)
+    pair added, in order, at its carrier's offset."""
+    half = np.zeros((2 * Kout + 1, Kout + 1), dtype=np.complex128)
+    for p, b in blocks:
+        K = b.shape[0] // 2
+        lo1, lo2 = Kout + p[0] - K, p[1] - K
+        skip = min(max(-lo2, 0), 2 * K + 1)  # the block's k2 < 0 columns
+        half[lo1:lo1 + 2 * K + 1, lo2 + skip:lo2 + 2 * K + 1] += b[:, skip:]
+    return half
 

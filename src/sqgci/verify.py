@@ -30,8 +30,8 @@ from .multipliers import (
     L1,
     L2,
     ModulatedField,
+    _box_knorm,
     _kgrids,
-    _knorm,
     directional_grad,
     lambda_s,
     riesz,
@@ -64,8 +64,8 @@ def _carrier_pairing(c, h, inv_kn, root_kn, p) -> complex:
 
         w_p(kappa) = (p2 kappa1 - p1 kappa2) (1/|kappa + p| - 1/|kappa|),
 
-    over the kappa for which kappa and kappa + p both lie in the box of
-    c, h, inv_kn = 1/|k| (0 at k = 0) and root_kn = |k|^{1/2}. Both
+    over the kappa for which kappa and kappa + p both lie in the whole
+    box of c, h, inv_kn = 1/|k| (0 at k = 0) and root_kn = |k|^{1/2}. Both
     symbols at kappa + p are read off the box at offset p, as
     `_inv_div_block` evaluates its symbol at p + k."""
     n = c.shape[0]
@@ -73,8 +73,8 @@ def _carrier_pairing(c, h, inv_kn, root_kn, p) -> complex:
         return 0j
     src = tuple(slice(max(0, -s), n - max(0, s)) for s in p)
     dst = tuple(slice(max(0, s), n + min(0, s)) for s in p)
-    k1, k2 = _kgrids(n // 2)
-    w = p[1] * k1[src[0]] - p[0] * k2[:, src[1]]
+    k1 = _kgrids(n // 2)[0]
+    w = p[1] * k1[src[0]] - p[0] * k1.T[:, src[1]]
     w *= inv_kn[dst] - inv_kn[src]
     w *= root_kn[dst]
     return complex(np.vdot(c[src], w * h[dst]))
@@ -103,12 +103,13 @@ def weak_residual(theta: TorusField, q, nu: float, gamma: float,
     is one block per carrier p, -a_p w_p(kappa) theta^(kappa) at
     kappa + p (w_p as in `_carrier_pairing`). Each block is weighted by
     the shifted symbol |kappa + p|^{1/2} and paired with Lambda^{-1/2}
-    theta on theta's own box; both phases share the carrier sums.
+    theta on theta's own whole box; both phases share the carrier sums.
     """
     reports = []
     th_half = lambda_s(theta, -0.5)
+    c, h = theta.box(), th_half.box()
     K = theta.band
-    kn = _knorm(K)
+    kn = _box_knorm(K)
     with np.errstate(divide="ignore"):
         inv_kn = 1.0 / kn
     inv_kn[K, K] = 0.0
@@ -128,8 +129,7 @@ def weak_residual(theta: TorusField, q, nu: float, gamma: float,
             terms = []
             for p, a in psi.blocks.items():
                 if p not in sums:
-                    sums[p] = _carrier_pairing(theta.coeffs, th_half.coeffs,
-                                               inv_kn, root_kn, p)
+                    sums[p] = _carrier_pairing(c, h, inv_kn, root_kn, p)
                 terms.append(complex(a[0, 0]).conjugate() * sums[p])
             nl = -0.5 * (2.0 * np.pi) ** 2 * sum(terms[1:], terms[0]).real
             diss = nu * inner(th_half, lambda_s(dense, gamma + 0.5)) if nu else 0.0
@@ -160,8 +160,9 @@ def check_algebraic(kmax: int) -> float:
 def check_support(f: TorusField, radius: float) -> float:
     """Largest coefficient magnitude beyond |k| > radius."""
     k = np.arange(-f.band, f.band + 1)
-    # |k| > radius as k2^2 > radius^2 - k1^2: no |k| grid is built
-    outside = (k * k)[None, :] > (radius * radius - k * k)[:, None]
+    # |k| > radius as k2^2 > radius^2 - k1^2 over the half: no |k| grid
+    # is built
+    outside = (k * k)[None, f.band:] > (radius * radius - k * k)[:, None]
     if not outside.any():
         return 0.0
     return float(np.abs(f.coeffs[outside]).max())

@@ -124,7 +124,7 @@ def _irfft2_oracle(f: TorusField, N: int) -> np.ndarray:
     K = f.band
     H = np.zeros((N, N // 2 + 1), dtype=np.complex128)
     rows = np.arange(-K, K + 1) % N
-    H[rows[:, None], np.arange(K + 1)[None, :]] = (f.coeffs * _phase_grid(K))[:, K:]
+    H[rows[:, None], np.arange(K + 1)[None, :]] = (f.box() * _phase_grid(K))[:, K:]
     return scipy.fft.irfft2(H, s=(N, N), norm="forward")
 
 
@@ -163,11 +163,10 @@ def _test_field(fill, band, rng, mean_zero):
     if fill == "zero":
         return TorusField.zero(band)
     if fill == "columns":
-        keep = rng.random(band + 1) < 0.5
+        keep = rng.random(band + 1) < 0.5  # over k2 = 0..band
         keep[0] = keep[-1] = False
-        mask = np.concatenate((keep[:0:-1], keep))  # over k2 = -band..band
         c = random_field(band, rng, mean_zero=mean_zero).coeffs
-        return TorusField._exact(np.where(mask, c, 0.0))
+        return TorusField._exact(np.where(keep, c, 0.0))
     b = band // 4
     reach = band - b
     p = (int(rng.integers(-reach, reach + 1)), reach)
@@ -208,11 +207,10 @@ def test_transforms_equal_the_full_spectrum_oracles(band, kind, extra, seed, fil
             nonzero = want_grid != 0
             assert np.array_equal(got.view(np.uint64)[nonzero],
                                   want_grid.view(np.uint64)[nonzero])
-            # the k2 >= 0 half alone is the same input, bit for bit
-            half = to_grid(f.coeffs[:, band:], N)
-            assert np.array_equal(half.view(np.uint64), got.view(np.uint64))
+            # a read keeps the k2 >= 0 half of the symmetrised box
             read = from_grid(values, band).coeffs
-            assert np.array_equal(read.view(np.uint64), want_read.view(np.uint64))
+            assert read.shape == (2 * band + 1, band + 1)
+            assert np.array_equal(read.view(np.uint64), want_read[:, band:].view(np.uint64))
             with pytest.raises(GridTooSmall):
                 to_grid(f, 2 * band + 1)
             with pytest.raises(GridTooSmall):
@@ -374,7 +372,7 @@ def test_mean_zero_flag_enforced():
     with pytest.raises(NonZeroMean):
         TorusField(c, mean_zero=True)
     f = TorusField(c)
-    assert f.coeffs[1, 1].real == 0.7
+    assert f.coeffs[1, 0].real == 0.7
 
 
 def test_from_modes_autoconjugates():
@@ -425,7 +423,7 @@ def test_inner_sums_common_modes_and_is_symmetric(band_f, band_g, seed):
     f = random_field(band_f, rng, mean_zero=False)
     g = random_field(band_g, rng, mean_zero=False)
     K = max(band_f, band_g)
-    padded = (2.0 * np.pi) ** 2 * np.sum(f.pad_to(K).coeffs * np.conj(g.pad_to(K).coeffs)).real
+    padded = (2.0 * np.pi) ** 2 * np.sum(f.pad_to(K).box() * np.conj(g.pad_to(K).box())).real
     # relative to the Cauchy-Schwarz bound: the pairing itself may cancel
     scale = np.sqrt(inner(f, f) * inner(g, g))
     assert abs(inner(f, g) - padded) <= 1e-14 * max(scale, 1e-300)
@@ -446,27 +444,32 @@ def test_difference_is_sum_with_negation_bit_for_bit(band_a, band_b, seed, scale
     assert got.coeffs.tobytes() == want.coeffs.tobytes()
 
 
-def _add_oracle(a: TorusField, b: TorusField) -> np.ndarray:
-    """a + b as two boxes: the larger copied, the smaller added into its
-    window."""
-    big, small = (a, b) if a.band >= b.band else (b, a)
-    c = big.coeffs.copy()
-    lo, hi = big.band - small.band, big.band + small.band + 1
-    c[lo:hi, lo:hi] += small.coeffs
+def _add_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a + b of two whole boxes: the larger copied, the smaller added
+    into its window."""
+    big, small = (a, b) if a.shape[0] >= b.shape[0] else (b, a)
+    c = big.copy()
+    lo, hi = (big.shape[0] - small.shape[0]) // 2, (big.shape[0] + small.shape[0]) // 2
+    c[lo:hi, lo:hi] += small
     return c
 
 
-def _sub_oracle(a: TorusField, b: TorusField) -> np.ndarray:
-    """a - b: the subtrahend subtracted in a's copy, or, when it is the
-    larger, negated and a added into its window."""
-    lo, hi = abs(a.band - b.band), a.band + b.band + 1
-    if a.band >= b.band:
-        c = a.coeffs.copy()
-        c[lo:hi, lo:hi] -= b.coeffs
+def _sub_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a - b of two whole boxes: the subtrahend subtracted in a's copy,
+    or, when it is the larger, negated and a added into its window."""
+    lo, hi = abs(a.shape[0] - b.shape[0]) // 2, (a.shape[0] + b.shape[0]) // 2
+    if a.shape[0] >= b.shape[0]:
+        c = a.copy()
+        c[lo:hi, lo:hi] -= b
     else:
-        c = -b.coeffs
-        c[lo:hi, lo:hi] += a.coeffs
+        c = -b
+        c[lo:hi, lo:hi] += a
     return c
+
+
+def _half(box: np.ndarray) -> np.ndarray:
+    """The k2 >= 0 half of a whole box."""
+    return box[:, box.shape[0] // 2:]
 
 
 _SIGNED_SCALES = st.sampled_from([1.0, -1.0, 0.0, -0.0])
@@ -484,17 +487,16 @@ def test_sum_chains_equal_the_operator_oracles_bit_for_bit(bands, scales, minus,
     terms = [random_field(b, rng, mean_zero=False) * s for b, s in zip(bands, scales)]
     terms.append(TorusField.zero())
     before = [t.coeffs.tobytes() for t in terms]
-    want = terms[0].coeffs
+    want = terms[0].box()
     acc = Sum(terms[0].coeffs.copy() if fresh else terms[0])
     ops = terms[0]
     for t, m in zip(terms[1:], minus):
-        prev = TorusField._exact(want)
-        want = _sub_oracle(prev, t) if m else _add_oracle(prev, t)
+        want = _sub_oracle(want, t.box()) if m else _add_oracle(want, t.box())
         acc = acc.sub(t) if m else acc.add(t)
         ops = ops - t if m else ops + t
     got = acc.field()
-    assert got.coeffs.tobytes() == want.tobytes()
-    assert ops.coeffs.tobytes() == want.tobytes()
+    assert got.coeffs.tobytes() == _half(want).tobytes()
+    assert ops.coeffs.tobytes() == _half(want).tobytes()
     assert not got.coeffs.flags.writeable
     assert [t.coeffs.tobytes() for t in terms] == before
 
@@ -508,7 +510,7 @@ def test_negated_sum_plus_a_field_is_the_difference_bit_for_bit(band_a, band_b, 
     a = random_field(band_a, rng, mean_zero=False) * scale_a
     b = random_field(band_b, rng, mean_zero=False) * scale_b
     got = Sum(b.coeffs.copy() if fresh else b).negate().add(a).field()
-    assert got.coeffs.tobytes() == _sub_oracle(a, b).tobytes()
+    assert got.coeffs.tobytes() == _half(_sub_oracle(a.box(), b.box())).tobytes()
 
 
 @settings(max_examples=80, deadline=None)
@@ -522,36 +524,35 @@ def test_negated_sum_plus_a_field_is_the_difference_bit_for_bit(band_a, band_b, 
          negate=[False, True, False, False, False], seed=0, fresh=False)
 def test_half_sum_is_the_half_of_the_box_sum_bit_for_bit(bands, scales, minus, negate,
                                                          seed, fresh):
+    # the oracle runs the chain on whole boxes: copies, window adds and
+    # subtractions, in-place negations, and a wider term taken over
     rng = np.random.default_rng(seed)
     terms = [random_field(b, rng, mean_zero=False) * s for b, s in zip(bands, scales)]
     terms.append(TorusField.zero())
     first = terms[0]
-    box = Sum(first)
-    half = Sum(first.coeffs[:, first.band:].copy() if fresh else first, half=True)
+    box = first.box()
+    half = Sum(first.coeffs.copy() if fresh else first)
     for t, m, n in zip(terms[1:], minus, negate):
         if n:
-            box.negate()
+            np.negative(box, out=box)
             half.negate()
-        box = box.sub(t) if m else box.add(t)
+        box = _sub_oracle(box, t.box()) if m else _add_oracle(box, t.box())
         half = half.sub(t) if m else half.add(t)
-    want, got = box.field(), half.field()
-    assert got.shape == (2 * want.band + 1, want.band + 1)
-    assert got.tobytes() == want.coeffs[:, want.band:].tobytes()
-    assert not got.flags.writeable
+    got = half.field()
+    K = box.shape[0] // 2
+    assert got.band == K and got.coeffs.shape == (2 * K + 1, K + 1)
+    assert got.coeffs.tobytes() == _half(box).tobytes()
+    assert not got.coeffs.flags.writeable
 
 
 def test_a_running_sum_is_a_term_as_it_stands():
     rng = np.random.default_rng(5)
     a, b, c = (random_field(k, rng, mean_zero=False) for k in (6, 3, 8))
     run = Sum(a).add(b)
-    wider = Sum(c, half=True).sub(run).field()       # the sum goes into c's window
-    taken = Sum(b, half=True).add(run).field()       # the running sum is taken over
-    boxed = Sum(b).add(run).field()                  # and in a box
-    whole = c - (a + b)
-    assert wider.tobytes() == whole.coeffs[:, whole.band:].tobytes()
-    whole = b + (a + b)
-    assert taken.tobytes() == whole.coeffs[:, whole.band:].tobytes()
-    assert boxed.coeffs.tobytes() == whole.coeffs.tobytes()
+    wider = Sum(c).sub(run).field()      # the sum goes into c's window
+    taken = Sum(b).add(run).field()      # the running sum is taken over
+    assert wider.coeffs.tobytes() == (c - (a + b)).coeffs.tobytes()
+    assert taken.coeffs.tobytes() == (b + (a + b)).coeffs.tobytes()
     # reading the running sum left it as it was
     assert run.add(c).field().coeffs.tobytes() == ((a + b) + c).coeffs.tobytes()
 
@@ -603,6 +604,67 @@ def test_sqf1_round_trip_is_bit_exact(sqf1_dir, band, seed, mean, scale):
     assert np.array_equal(back.coeffs.view(np.uint64), f.coeffs.view(np.uint64))
     write_sqf1(back, p2)
     assert open(p1, "rb").read() == open(p2, "rb").read()
+
+
+def _computed_fields(seed):
+    """Fields the program computes, not read: transform reads, exact
+    products, a factored wave, a symbol image and a sum."""
+    rng = np.random.default_rng(seed)
+    f = random_field(5, rng, mean_zero=True)
+    g = random_field(3, rng, mean_zero=False)
+    return [from_grid(rng.standard_normal((16, 16)), 6), multiply(f, g),
+            ModulatedField.wave(g, (4, -3), "sin").to_dense(), riesz(f, 2),
+            inv_div(VectorField(f, g - TorusField.constant(g.coeff(0, 0).real))),
+            f - g * 0.0, TorusField.zero(2)]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_sqf1_write_read_write_of_computed_fields_is_byte_identical(tmp_path, seed):
+    # the file holds the whole box, rebuilt from the half; a read keeps
+    # the half, signed zeros included, so a rewrite gives the same bytes
+    for i, f in enumerate(_computed_fields(seed)):
+        p1, p2 = str(tmp_path / f"{i}a.sqf1"), str(tmp_path / f"{i}b.sqf1")
+        write_sqf1(f, p1)
+        back = read_sqf1(p1)
+        assert np.array_equal(back.coeffs.view(np.uint64), f.coeffs.view(np.uint64)), i
+        write_sqf1(back, p2)
+        assert open(p1, "rb").read() == open(p2, "rb").read(), i
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_box_of_a_computed_field_is_hermitian_bit_for_bit(seed):
+    # c(-k) == conj(c(k)) everywhere, with the same bits wherever a part
+    # is nonzero; on the k2 = 0 column x - x gives +0.0 from both sides,
+    # so only there may a zero part's sign differ from its conjugate's
+    for f in _computed_fields(seed):
+        c = f.box()
+        K = f.band
+        assert c.shape == (2 * K + 1, 2 * K + 1)
+        a, b = c.view(np.float64), np.conj(c[::-1, ::-1]).view(np.float64)
+        assert np.array_equal(a, b)
+        nz = a != 0
+        assert np.array_equal(a.view(np.uint64)[nz], b.view(np.uint64)[nz])
+        assert np.array_equal(c[:, :K].view(np.uint64),
+                              np.conj(c[::-1, 2 * K:K:-1]).view(np.uint64))
+        assert np.array_equal(c[:, K:].view(np.uint64), f.coeffs.view(np.uint64))
+        assert not np.shares_memory(c, f.coeffs)  # a fresh array
+
+
+def test_coeff_reads_the_mirror_conjugate_below_k2_zero_and_zero_outside():
+    f = TorusField.from_modes(3, {(2, 1): 0.25 - 0.5j, (-1, 3): 1.5j, (3, 0): 2.0 + 1.0j,
+                                  (0, 0): 0.75})
+    box = f.box()
+    for k1 in range(-5, 6):
+        for k2 in range(-5, 6):
+            want = box[k1 + 3, k2 + 3] if max(abs(k1), abs(k2)) <= 3 else 0j
+            got = f.coeff(k1, k2)
+            assert isinstance(got, complex)
+            assert got == want, (k1, k2)
+            if k2 < 0 and max(abs(k1), abs(k2)) <= 3:
+                assert got == f.coeffs[3 - k1, -k2].conjugate()
+    assert f.coeff(-2, -1) == 0.25 + 0.5j and f.coeff(1, -3) == -1.5j
+    assert f.coeff(-3, 0) == 2.0 - 1.0j and f.coeff(0, 0) == 0.75
+    assert f.coeff(4, 0) == 0j and f.coeff(0, -4) == 0j and f.coeff(-9, 9) == 0j
 
 
 def test_sqf1_corruption_detected(tmp_path):
@@ -678,7 +740,7 @@ def test_random_field_reproducible_and_banded():
     assert a.mean_zero
     k = np.arange(-5, 6)
     outside = (k[:, None] ** 2 + k[None, :] ** 2) > 25
-    assert np.all(a.coeffs[outside] == 0.0)
+    assert np.all(a.box()[outside] == 0.0)
 
 
 def _carriers(band, p):
@@ -733,11 +795,14 @@ def test_exact_producers_are_hermitian_and_frozen(band, seed, p, trig, lam_gap, 
     symbols = ("lambda_s", "riesz", "partial", "t_op", "directional_grad")
     for name, fld in outputs:
         c = fld.coeffs
-        assert np.array_equal(c, np.conj(c[::-1, ::-1])), name
+        K = fld.band
+        # the half is stored; its k2 = 0 column is Hermitian in itself
+        assert c.shape == (2 * K + 1, K + 1), name
+        assert np.array_equal(c[:, 0], np.conj(c[::-1, 0])), name
         with pytest.raises(ValueError):  # frozen
             c[0, 0] = 1.0
         if name in mean_free or name.startswith(symbols):
-            assert c[fld.band, fld.band] == 0 and fld.mean_zero, name
+            assert c[K, 0] == 0 and fld.mean_zero, name
 
 
 def test_checked_construction_copies_its_input():

@@ -46,9 +46,10 @@ def test_cutoff_accepts_scalar_and_2d():
 def test_t_symbols_match_direct_formula():
     lam, n1, n2, d, K = 8, 1, 0, 1, 4
     t1, t2f = t_symbols(lam, n1, n2, d, K)
+    assert t1.shape == t2f.shape == (2 * K + 1, K + 1)  # k2 = 0..K
     for i in range(2 * K + 1):
-        for j in range(2 * K + 1):
-            k1, k2 = i - K, j - K
+        for j in range(K + 1):
+            k1, k2 = i - K, j
             a = math.hypot(lam * n1 / d + k1, lam * n2 / d + k2)
             b = math.hypot(lam * n1 / d - k1, lam * n2 / d - k2)
             lk = (n1 * k1 + n2 * k2) / d
@@ -60,17 +61,21 @@ def test_t_symbols_rational_direction():
     lam, n1, n2, d, K = 40, 3, 4, 5, 4
     t1, t2f = t_symbols(lam, n1, n2, d, K)
     # center: k = 0 makes both shifts equal lam
-    assert t1[K, K] == 0.0
-    assert t2f[K, K] == 0.0
+    assert t1[K, 0] == 0.0
+    assert t2f[K, 0] == 0.0
     # collinear k = l*d = (3, 4): |lam l +- k| = lam +- d exactly
-    assert t1[K + 3, K + 4] == pytest.approx(0.0, abs=1e-12)
-    assert t2f[K + 3, K + 4] == pytest.approx(0.0, abs=1e-12)
+    assert t1[K + 3, 4] == pytest.approx(0.0, abs=1e-12)
+    assert t2f[K + 3, 4] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_t_symbols_parity():
-    t1, t2f = t_symbols(64, 1, 0, 1, 5)
-    np.testing.assert_allclose(t1, t1[::-1, ::-1], atol=1e-13)
-    np.testing.assert_allclose(t2f, -t2f[::-1, ::-1], atol=1e-13)
+    # k and -k both lie in the k2 >= 0 half only on its k2 = 0 column,
+    # where t1 is even and t2f odd to the last bit, as a real field's
+    # Hermitian column needs
+    for n1, n2, d in ((1, 0, 1), (3, 4, 5), (-4, 3, 5)):
+        t1, t2f = t_symbols(64, n1, n2, d, 5)
+        np.testing.assert_array_equal(t1[:, 0], t1[::-1, 0])
+        np.testing.assert_array_equal(t2f[:, 0], -t2f[::-1, 0])
 
 
 def test_t_symbols_decay_with_lambda():
@@ -78,7 +83,7 @@ def test_t_symbols_decay_with_lambda():
     a, _ = t_symbols(256, 1, 0, 1, 4)
     b, _ = t_symbols(512, 1, 0, 1, 4)
     mask = np.ones_like(a, dtype=bool)
-    mask[4, 4] = False
+    mask[4, 0] = False
     assert np.max(np.abs(b[mask])) < 0.6 * np.max(np.abs(a[mask]))
 
 

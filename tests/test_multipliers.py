@@ -80,16 +80,18 @@ def test_lambda_negative_power_needs_mean_zero():
 def test_every_mean_check_trips_at_the_threshold(rho):
     # a mean of rho * MEAN_RTOL times the l2 mass: below the threshold at
     # rho = 1/2, above it at rho = 2, with one verdict for every caller
-    # (a field, its k2 >= 0 half, and its band-2 window with the mass
-    # outside passed on)
+    # (a field, its whole box as a factored block, and its band-2 window
+    # with the mass outside passed on)
     r = random_field(6, np.random.default_rng(61))
-    t = r + TorusField.constant(rho * MEAN_RTOL * np.linalg.norm(r.coeffs))
+    t = r + TorusField.constant(rho * MEAN_RTOL * np.linalg.norm(r.box()))
     assert t.coeff(0, 0) != 0
-    window = t.coeffs[4:9, 6:9].copy()
-    outside = _mass2(t.coeffs) - _mass2(window)
+    window = TorusField._exact(t.coeffs[4:9, :3].copy())
+    assert window.band == 2
+    outside = _mass2(t.coeffs) - _mass2(window.coeffs)
+    assert outside == pytest.approx(np.vdot(t.box(), t.box()).real
+                                    - np.vdot(window.box(), window.box()).real, rel=1e-12)
     checks = (lambda: require_mean_zero(t, "t"),
-              lambda: require_mean_zero(ModulatedField({(0, 0): t.coeffs}), "t"),
-              lambda: require_mean_zero(t.coeffs[:, 6:], "t"),
+              lambda: require_mean_zero(ModulatedField({(0, 0): t.box()}), "t"),
               lambda: require_mean_zero(window, "t", outside=outside),
               lambda: lambda_s(t, -0.5),
               lambda: riesz(t, 1),
@@ -281,26 +283,31 @@ def test_inv_div_block_equals_the_one_expression_oracle_bit_for_bit(b1, b2, seed
         return (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) * s
 
     c1, c2 = block(b1, s1), block(b2, s2)
-    got = _inv_div_block(c1, c2, p)
+    K = max(b1, b2)
+    k = np.arange(-K, K + 1, dtype=np.float64)
+    c1p, c2p = (np.pad(c, K - c.shape[0] // 2) for c in (c1, c2))
+    got = _inv_div_block(c1p, c2p, k[:, None] + p[0], k[None, :] + p[1])
     assert got.tobytes() == _inv_div_block_oracle(c1, c2, p).tobytes()
+    # the factored path pads and shifts the same way
+    if max(abs(p[0]), abs(p[1])) > K:  # no block covers k = 0, so no mean
+        blocks = inv_div(VectorField(ModulatedField({p: c1}), ModulatedField({p: c2}))).blocks
+        assert blocks[p].tobytes() == got.tobytes()
 
 
 @settings(max_examples=60, deadline=None)
 @given(b1=st.integers(0, 6), b2=st.integers(0, 6), seed=st.integers(0, 2 ** 32 - 1),
        s1=st.sampled_from([1.0, -1.0, 0.0, -0.0]), s2=st.sampled_from([1.0, -1.0, 0.0, -0.0]))
 def test_inv_div_block_on_halves_is_the_half_of_the_box_result(b1, b2, seed, s1, s2):
-    # the halves are views into their boxes, as `step` passes them
+    # dense fields hold the k2 >= 0 halves of their boxes; the oracle
+    # inverts the whole boxes, padded to one band
     rng = np.random.default_rng(seed)
-
-    def block(b, s):
-        n = 2 * b + 1
-        return (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) * s
-
-    c1, c2 = block(b1, s1), block(b2, s2)
+    f = random_field(b1, rng, mean_zero=True) * s1
+    g = random_field(b2, rng, mean_zero=True) * s2
     K = max(b1, b2)
-    got = _inv_div_block(c1[:, b1:], c2[:, b2:])
-    assert got.shape == (2 * K + 1, K + 1)
-    assert got.tobytes() == np.ascontiguousarray(_inv_div_block(c1, c2)[:, K:]).tobytes()
+    got = inv_div(VectorField(f, g))
+    want = _inv_div_block_oracle(f.box(), g.box(), (0, 0))
+    assert got.band == K and got.coeffs.shape == (2 * K + 1, K + 1)
+    assert got.coeffs.tobytes() == np.ascontiguousarray(want[:, K:]).tobytes()
 
 
 def test_inv_div_kills_perp_gradients():
@@ -342,6 +349,42 @@ def test_modulate_matches_product():
         multiply(a, w).pad_to(15).coeffs, atol=1e-13)
 
 
+def _to_dense_box_oracle(blocks):
+    """The whole box of the blocks added at their carriers' offsets,
+    symmetrised where blocks overlap."""
+    reach = [(p, b.shape[0] // 2) for p, b in blocks.items()]
+    Kout = max(K + max(abs(p[0]), abs(p[1])) for p, K in reach)
+    box = np.zeros((2 * Kout + 1, 2 * Kout + 1), dtype=np.complex128)
+    for (p, K), b in zip(reach, blocks.values()):
+        lo1, lo2 = Kout + p[0] - K, Kout + p[1] - K
+        box[lo1:lo1 + 2 * K + 1, lo2:lo2 + 2 * K + 1] += b
+    if any(max(abs(p[0] - r[0]), abs(p[1] - r[1])) <= K + J
+           for i, (p, K) in enumerate(reach) for r, J in reach[:i]):
+        box += np.conj(box[::-1, ::-1])
+        box *= 0.5
+    return box
+
+
+@settings(max_examples=80, deadline=None)
+@given(bands=st.lists(st.integers(0, 4), min_size=1, max_size=3),
+       carriers=st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)),
+                         min_size=3, max_size=3),
+       trigs=st.lists(st.sampled_from(["cos", "sin"]), min_size=3, max_size=3),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_to_dense_is_the_half_of_the_box_oracle_bit_for_bit(bands, carriers, trigs, seed):
+    # sums of waves put blocks apart, side by side, across k2 = 0 and on
+    # top of each other, where the box is symmetrised
+    rng = np.random.default_rng(seed)
+    m = ModulatedField({})
+    for b, p, trig in zip(bands, carriers, trigs):
+        m = m + ModulatedField.wave(random_field(b, rng, mean_zero=False), p, trig)
+    got = m.to_dense()
+    want = _to_dense_box_oracle(m.blocks)
+    K = want.shape[0] // 2
+    assert got.band == K
+    assert got.coeffs.tobytes() == np.ascontiguousarray(want[:, K:]).tobytes()
+
+
 def test_riesz_commutator_collinear_vanishes():
     phi = TorusField.from_modes(1, {(1, 0): 0.5})
     theta = TorusField.from_modes(2, {(2, 0): 0.5}, mean_zero=True)
@@ -355,7 +398,7 @@ def test_riesz_pairing_identity():
     for _ in range(5):
         theta = random_field(5, rng)
         phi = random_field(4, rng, mean_zero=False)
-        scale = max(inner(theta, theta) * max(1.0, abs(phi.coeffs[4, 4].real)), 1e-30)
+        scale = max(inner(theta, theta) * max(1.0, abs(phi.coeff(0, 0).real)), 1e-30)
         for j in (1, 2):
             lhs = inner(multiply(theta, riesz(theta, j)), phi)
             rhs = -0.5 * inner(theta, riesz_commutator(phi, theta, j))

@@ -154,3 +154,34 @@ def test_the_rule_sees_an_inverse_transform(tmp_path):
                    encoding="utf-8")
     assert list(_inverse_transforms(src)) == [(2, "to_grid"), (3, "to_grid"), (5, "f"),
                                               (9, "C.g"), (12, "")]
+
+
+def _half_parameters(path):
+    """Line of every function or lambda in a source file that takes a
+    parameter named `half`, of any kind."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            names = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]
+            names += [p.arg for p in (a.vararg, a.kwarg) if p is not None]
+            if "half" in names:
+                yield node.lineno
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "sqgci").glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_function_takes_a_half_flag(path):
+    # a field stores only its k2 >= 0 half, so no code path chooses
+    # between a half and a whole box
+    assert list(_half_parameters(path)) == []
+
+
+def test_the_rule_sees_a_half_parameter(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text("def f(c, half=False):\n    pass\n"
+                   "class C:\n    def g(self, *, half):\n        pass\n"
+                   "h = lambda half: half\n"
+                   "def k(c, halves, *half):\n    pass\n"
+                   "async def m(half, /):\n    pass\n"
+                   "def n(c, **kw):\n    return kw.get('half')\n", encoding="utf-8")
+    assert sorted(_half_parameters(src)) == [1, 4, 6, 7, 9]

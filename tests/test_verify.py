@@ -74,7 +74,7 @@ def test_check_support_equals_the_hypot_grid_oracle(band, eighths, seed):
     radius = eighths / 8.0
     k = np.arange(-band, band + 1, dtype=np.float64)
     outside = np.hypot(k[:, None], k[None, :]) > radius
-    want = float(np.abs(f.coeffs[outside]).max()) if outside.any() else 0.0
+    want = float(np.abs(f.box()[outside]).max()) if outside.any() else 0.0
     assert check_support(f, radius) == want
 
 
@@ -196,7 +196,7 @@ def test_weak_residual_nonlinear_equals_the_product_oracle(kind, band, seed, mod
     ks = [tuple(int(v) for v in rng.integers(-band - 3, band + 4, size=2))
           for _ in range(modes)]
     half = lambda_s(theta, -0.5)
-    scale = (2.0 * np.pi) ** 2 * float(np.sum(np.abs(theta.coeffs) ** 2))
+    scale = (2.0 * np.pi) ** 2 * float(np.sum(np.abs(theta.box()) ** 2))
     for rep in weak_residual(theta, None, 0.0, 1.0, ks):
         k = rep.test_mode
         if k == (0, 0):

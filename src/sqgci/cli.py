@@ -56,7 +56,7 @@ from .iteration import (
     scales_for,
     step,
 )
-from .multipliers import (DIRECTIONS, L1, ModulatedField, _box_knorm, lambda_s, riesz,
+from .multipliers import (DIRECTIONS, L1, ModulatedField, _knorm, lambda_s, riesz,
                           riesz_commutator)
 from .norms import sobolev
 from .verify import (
@@ -212,8 +212,10 @@ def export_spectrum(f: TorusField, path: str):
 
 def export_shells(f: TorusField, path: str):
     """Energy per integer radial shell (shell = nearest integer to |k|)."""
-    shells = np.rint(_box_knorm(f.band)).astype(np.int64).ravel()
-    energy = np.bincount(shells, weights=(np.abs(f.box()) ** 2).ravel())
+    shells = np.rint(_knorm(f.band)).astype(np.int64).ravel()
+    mass = np.abs(f.coeffs) ** 2
+    mass[:, 1:] *= 2.0  # a k2 > 0 column of the half stands for itself and its mirror
+    energy = np.bincount(shells, weights=mass.ravel())
     lines = ["shell,energy"]
     for s, e in enumerate(energy):
         if e > 0.0:

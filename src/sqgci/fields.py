@@ -9,10 +9,11 @@ of the (2K+1) x (2K+1) coefficient box is redundant: a field stores
 only its k2 >= 0 half, a frozen (2K+1) x (K+1) complex array indexed
 [k1+K, k2], whose k2 = 0 column is Hermitian in itself. `coeff` reads
 any k, and `box()` is the one place the whole box is rebuilt, its
-k2 < 0 half as the mirror conjugate, for the sums that run over the
-box in its order (SQF1 writes, the CSV exports, `inner`, `sobolev`, the
-weak-residual pairing). A field is mean-zero when c(0) is exactly 0, a
-fact read off the array.
+k2 < 0 half as the mirror conjugate, for SQF1 writes, the spectrum
+export, a dense field's block in `ModulatedField.wave` and the carrier
+pairing of `verify.weak_residual`. Sums over the box (`inner`, Sobolev
+norms, shell energies) count a k2 > 0 column of the half twice. A field
+is mean-zero when c(0) is exactly 0, a fact read off the array.
 
 Only outside data (user arrays, `from_modes`, `constant`, SQF1 reads)
 goes through the checked constructor `TorusField(coeffs, mean_zero)`,
@@ -160,7 +161,8 @@ class TorusField:
     def box(self):
         """The whole (2K+1, 2K+1) coefficient box, indexed [k1+K, k2+K],
         as a fresh array: the stored half, and the k2 < 0 half as its
-        mirror conjugate."""
+        mirror conjugate. Only `write_sqf1`, `cli.export_spectrum`,
+        `ModulatedField.wave` and `verify.weak_residual` read it."""
         h, K = self.coeffs, self.band
         c = np.empty((2 * K + 1, 2 * K + 1), dtype=np.complex128)
         c[:, K:] = h
@@ -382,6 +384,11 @@ def to_grid(f: TorusField, N: int) -> np.ndarray:
     return scipy.fft.irfft(H, n=N, axis=1, norm="forward", workers=w)
 
 
+def _max_abs(g) -> float:
+    # np.abs(g).max() with no |g| grid: max and min propagate NaN
+    return float(np.abs([g.max(), g.min()]).max())
+
+
 def _truncate(H, values, K):
     """Band-K field read off H = rfft2(values, norm="forward").
 
@@ -391,8 +398,7 @@ def _truncate(H, values, K):
     checked at their scale and symmetrised.
     """
     N = H.shape[0]
-    # max and min propagate NaN and allocate no grid, unlike np.abs(values)
-    scale = float(np.abs([values.max(), values.min()]).max())
+    scale = _max_abs(values)
     # no partial sum of the transform can overflow below this bound
     if not np.isfinite(2.0 * N * N * scale):
         raise ValueError(f"non-finite or overflowing sample (max |x| = {scale})")
@@ -506,12 +512,17 @@ def sqrt_pointwise(f: TorusField, oversample: int = 4, kout: int | None = None,
     return _truncate(H, vals, kout), tail
 
 
+def _half_vdot(a, b) -> float:
+    """Re sum over the whole box of conj(a(k)) b(k) for the k2 >= 0 halves
+    a and b: a k2 > 0 column stands for itself and its mirror."""
+    return 2.0 * np.vdot(a, b).real - np.vdot(a[:, 0], b[:, 0]).real
+
+
 def inner(f: TorusField, g: TorusField) -> float:
     """L2 pairing <f, g> = int f g dx = (2 pi)^2 sum_k c_f(k) conj(c_g(k)),
-    summed over the box of the modes both fields hold."""
+    summed over the half of the modes both fields hold."""
     K = min(f.band, g.band)
-    a, b = (TorusField._exact(_window(h.coeffs, K)).box() for h in (f, g))
-    return float((2.0 * np.pi) ** 2 * np.sum(a * np.conj(b)).real)
+    return float((2.0 * np.pi) ** 2 * _half_vdot(_window(g.coeffs, K), _window(f.coeffs, K)))
 
 
 def random_field(band, rng, mean_zero=True):

@@ -246,15 +246,6 @@ def nonlinear_flux(f: TorusField, g: TorusField) -> VectorField:
     return _times(lambda_s(f, 1.0), grad_perp(g))
 
 
-def assemble_main(a1: TorusField, a2: TorusField, lam5: int) -> VectorField:
-    """-(lam5/4) sum_l ((l.grad)(a_l^2)) l_perp."""
-    out = VectorField(TorusField.zero(), TorusField.zero())
-    for a, l in ((a1, L1), (a2, L2)):
-        d = directional_grad(multiply(a, a), l)
-        out = out + _scaled_perp(d, l, -0.25 * lam5)
-    return out
-
-
 def assemble_nonosc(a1: TorusField, a2: TorusField, lam5: int) -> VectorField:
     """-(lam5/2) sum_l (T2 a_l) a_l l_perp + (1/2) sum_l (T1 a_l) grad_perp(a_l)."""
     out = VectorField(TorusField.zero(), TorusField.zero())

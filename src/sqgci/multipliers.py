@@ -46,7 +46,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BandExceedsLambda, NonZeroMean
-from .fields import TorusField, VectorField, multiply
+from .fields import TorusField, VectorField, _half_vdot, multiply
 from .kernels import cutoff_profile, t_symbols
 
 # require_mean_zero compares |c(0)| with the coefficient l2 mass: transform
@@ -106,17 +106,9 @@ def _knorm(K):
     return kn
 
 
-def _box_knorm(K):
-    """The |k| grid on the whole band-K box, for sums over a box(): the
-    half's grid with its k2 > 0 columns mirrored (hypot is even)."""
-    kn = _knorm(K)
-    return np.concatenate((kn[:, :0:-1], kn), axis=1)
-
-
 def _mass2(c):
-    """Squared coefficient l2 mass of the field whose k2 >= 0 half is c;
-    its k2 > 0 columns stand for a mirrored pair."""
-    return 2.0 * np.vdot(c, c).real - np.vdot(c[:, 0], c[:, 0]).real
+    """Squared coefficient l2 mass of the field whose k2 >= 0 half is c."""
+    return _half_vdot(c, c)
 
 
 def require_mean_zero(f: TorusField | ModulatedField, what: str, outside: float = 0.0):
@@ -405,12 +397,6 @@ class ModulatedField:
                 b = _pad(blocks[p], K) + _pad(b, K)
             blocks[p] = b
         return ModulatedField(blocks)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return ModulatedField({p: -b for p, b in self.blocks.items()})
 
     def __mul__(self, scalar):
         s = float(scalar)

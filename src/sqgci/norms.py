@@ -6,8 +6,8 @@ norm. The one sampler, `linf`, takes a field, and every sample goes
 through `fields.to_grid`. The X-norm stacks L-infinity of the field and
 of its two images under the even rational multipliers, `riesz_odd`.
 Holder regularity is tracked by a Besov-type proxy whose dyadic shells
-are cut from the field's half. Homogeneous Sobolev norms come straight
-from the coefficients of the whole box.
+are cut from the field's half. Homogeneous Sobolev norms are summed
+over the half, each k2 > 0 column counted for itself and its mirror.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ import math
 import numpy as np
 
 from .errors import GridBudgetExceeded
-from .fields import TorusField, good_grid, to_grid
-from .multipliers import _box_knorm, _knorm, require_mean_zero, riesz_odd
+from .fields import TorusField, _half_vdot, _max_abs, good_grid, to_grid
+from .multipliers import _knorm, require_mean_zero, riesz_odd
 
 
 def _grid_side(K: int, oversample: int, grid_cap) -> int:
@@ -37,11 +37,6 @@ def _grid_side(K: int, oversample: int, grid_cap) -> int:
         return minimal
     raise GridBudgetExceeded(
         f"band {K} needs a {minimal}-point axis, cap is {grid_cap}")
-
-
-def _max_abs(g) -> float:
-    # the float np.abs(g).max() gives, with no |g| grid
-    return float(np.abs([g.max(), g.min()]).max())
 
 
 def linf(f: TorusField, oversample: int = 4, grid_cap=None) -> float:
@@ -68,12 +63,11 @@ def sobolev(f: TorusField, s: float) -> float:
     s = float(s)
     if s < 0:
         require_mean_zero(f, f"sobolev s={s:g}")
-    kn = _box_knorm(f.band)
-    mask = kn > 0
-    if not mask.any():
-        return 0.0
-    w = kn[mask] ** (2.0 * s)
-    return float(np.sqrt(np.sum(w * np.abs(f.box()[mask]) ** 2)))
+    c = f.coeffs
+    with np.errstate(divide="ignore"):
+        w = _knorm(f.band) ** (2.0 * s)
+    w[f.band, 0] = 0.0
+    return float(np.sqrt(_half_vdot(c, w * c)))
 
 
 def holder_besov(f: TorusField, alpha: float, oversample: int = 4,

@@ -6,13 +6,12 @@ Four groups:
   bookkeeping identity relating the quadratic flux, dissipation, and
   the stress against the Laplacian of the test function), with the
   test wave built by `ModulatedField.wave` and the commutator against
-  it evaluated per carrier on theta's own coefficient box, without
-  products or transforms,
+  it paired per carrier with theta on theta's own coefficient box,
+  without products, transforms or Lambda^{-1/2} weights,
 * the exact per-wavenumber symbol identity
       sum_j (l_j.k)(l_j_perp.k) m_j(k) = |k|^2,
-* measured-constant monitors for the smoothing estimates (Riesz log
-  bound, shifted-operator bounds, commutator Sobolev bound), reported
-  as empirical ratios, never asserted as theorems,
+* a measured-constant monitor for the commutator Sobolev bound,
+  reported as an empirical ratio, never asserted as a theorem,
 * the feasibility arithmetic on the parameter exponents.
 """
 
@@ -24,22 +23,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import TorusField, inner, random_field
+from .fields import TorusField, random_field
 from .multipliers import (
-    DIRECTIONS,
     L1,
     L2,
     ModulatedField,
-    _box_knorm,
     _kgrids,
+    _knorm,
     directional_grad,
     lambda_s,
-    riesz,
+    require_mean_zero,
     riesz_commutator,
     riesz_odd_symbol,
     t_op,
 )
-from .norms import linf, sobolev
+from .norms import sobolev
 
 
 @dataclass(frozen=True)
@@ -59,15 +57,15 @@ class ResidualReport:
     total: float
 
 
-def _carrier_pairing(c, h, inv_kn, root_kn, p) -> complex:
-    """sum over kappa of h(kappa + p) |kappa + p|^{1/2} w_p(kappa) conj(c(kappa)),
+def _carrier_pairing(c, inv_kn, p) -> complex:
+    """sum over kappa of w_p(kappa) conj(c(kappa)) c(kappa + p),
 
         w_p(kappa) = (p2 kappa1 - p1 kappa2) (1/|kappa + p| - 1/|kappa|),
 
     over the kappa for which kappa and kappa + p both lie in the whole
-    box of c, h, inv_kn = 1/|k| (0 at k = 0) and root_kn = |k|^{1/2}. Both
-    symbols at kappa + p are read off the box at offset p, as
-    `_inv_div_block` evaluates its symbol at p + k."""
+    box of c, with inv_kn = 1/|k| (0 at k = 0) on that box. The symbol
+    at kappa + p is read off the box at offset p, as `_inv_div_block`
+    evaluates its symbol at p + k."""
     n = c.shape[0]
     if max(abs(p[0]), abs(p[1])) >= n:
         return 0j
@@ -76,8 +74,7 @@ def _carrier_pairing(c, h, inv_kn, root_kn, p) -> complex:
     k1 = _kgrids(n // 2)[0]
     w = p[1] * k1[src[0]] - p[0] * k1.T[:, src[1]]
     w *= inv_kn[dst] - inv_kn[src]
-    w *= root_kn[dst]
-    return complex(np.vdot(c[src], w * h[dst]))
+    return complex(np.vdot(c[src], w * c[dst]))
 
 
 def weak_residual(theta: TorusField, q, nu: float, gamma: float,
@@ -92,48 +89,54 @@ def weak_residual(theta: TorusField, q, nu: float, gamma: float,
     relaxed relation exactly has total = 0 for every mode. theta must
     be mean-zero.
 
+    The weights cancel: theta is band-limited, so a pairing
+    <Lambda^{-1/2} theta, Lambda^{1/2} g> is a finite sum over k != 0 of
+    theta^(k) conj(g^(k)) |k|^{-1/2} |k|^{1/2}, term by term <theta, g>
+    when g^(0) = 0 (and Lambda^gamma psi taken off k = 0 for the
+    dissipation). No weight is formed, so none is rounded.
+
     The commutator needs no product: with R_j of symbol i k_j/|k|,
     [R_j, e^{ip.x}] theta has coefficient (m_j(kappa + p) - m_j(kappa))
     theta^(kappa) at kappa + p, so for the test wave
     psi = ModulatedField.wave(1, k, phase) = sum_p a_p e^{ip.x}, whose
     1x1 blocks a_p sit at p = +-k (one block when k = 0),
 
-        [Rperp, grad psi] theta = [R_1, d2 psi] theta - [R_2, d1 psi] theta
+        g = [Rperp, grad psi] theta = [R_1, d2 psi] theta - [R_2, d1 psi] theta
 
     is one block per carrier p, -a_p w_p(kappa) theta^(kappa) at
-    kappa + p (w_p as in `_carrier_pairing`). Each block is weighted by
-    the shifted symbol |kappa + p|^{1/2} and paired with Lambda^{-1/2}
-    theta on theta's own whole box; both phases share the carrier sums.
+    kappa + p (w_p as in `_carrier_pairing`); w_p(-p) = 0, so g^(0) = 0.
+    Each block is paired with theta on theta's one box, both phases
+    sharing the carrier sums, and theta and q are read at the carriers
+    for the other terms. Every term vanishes at p = 0.
     """
-    reports = []
-    th_half = lambda_s(theta, -0.5)
-    c, h = theta.box(), th_half.box()
-    K = theta.band
-    kn = _box_knorm(K)
+    require_mean_zero(theta, "weak_residual theta")
+    c, K = theta.box(), theta.band
+    kn = _knorm(K)  # cached on the half; |k| is even, so the box mirrors it
     with np.errstate(divide="ignore"):
-        inv_kn = 1.0 / kn
+        inv_kn = 1.0 / np.concatenate((kn[:, :0:-1], kn), axis=1)
     inv_kn[K, K] = 0.0
-    root_kn = np.sqrt(kn)
-    one = TorusField.constant(1.0)
+    one = ModulatedField({(0, 0): np.ones((1, 1), dtype=np.complex128)})
+    tau = (2.0 * np.pi) ** 2
+    reports = []
     for k in psi_modes:
         k = (int(k[0]), int(k[1]))
         sums = {}
         for phase in ("cos", "sin"):
-            psi = ModulatedField.wave(one, k, phase)
-            dense = psi.to_dense()
-            if dense.max_abs_coeff() == 0.0:
-                reports.append(ResidualReport(k, phase, 0.0, 0.0, 0.0, 0.0))
-                continue
-            # <h, g> = (2 pi)^2 Re sum h conj(g), and g's block at p
-            # carries -a_p
-            terms = []
-            for p, a in psi.blocks.items():
+            # <h, g> = (2 pi)^2 Re sum h conj(g), by carrier
+            nl = diss = pres = 0.0
+            for p, a in ModulatedField.wave(one, k, phase).blocks.items():
+                if p == (0, 0):
+                    continue
+                a = complex(a[0, 0]).conjugate()
                 if p not in sums:
-                    sums[p] = _carrier_pairing(c, h, inv_kn, root_kn, p)
-                terms.append(complex(a[0, 0]).conjugate() * sums[p])
-            nl = -0.5 * (2.0 * np.pi) ** 2 * sum(terms[1:], terms[0]).real
-            diss = nu * inner(th_half, lambda_s(dense, gamma + 0.5)) if nu else 0.0
-            pres = inner(q, lambda_s(dense, 2.0)) if q is not None else 0.0
+                    sums[p] = _carrier_pairing(c, inv_kn, p)
+                nl += (a * sums[p]).real  # g's block at p carries -a_p
+                diss += math.hypot(*p) ** gamma * (a * theta.coeff(*p)).real
+                if q is not None:
+                    pres += (p[0] * p[0] + p[1] * p[1]) * (a * q.coeff(*p)).real
+            nl *= -0.5 * tau
+            diss *= nu * tau
+            pres *= tau
             reports.append(ResidualReport(k, phase, nl, diss, pres,
                                           nl + diss + pres))
     return reports
@@ -214,42 +217,6 @@ def commutator_ratio(trials: int, band_phi: int, band_theta: int,
         "median": statistics.median(ratios) if ratios else 0.0,
         "trials": len(ratios),
     }
-
-
-def log_bound_ratio(mu: int, trials: int, seed: int = 0,
-                    oversample: int = 2) -> float:
-    """Max over seeded band-mu fields of ‖R_j a‖∞ / (‖a‖∞ log mu)."""
-    rng = np.random.default_rng(seed)
-    best = 0.0
-    lg = math.log(mu)
-    for _ in range(trials):
-        a = random_field(mu, rng, mean_zero=True)
-        na = linf(a, oversample)
-        if na == 0.0:
-            continue
-        for j in (1, 2):
-            best = max(best, linf(riesz(a, j), oversample) / (na * lg))
-    return best
-
-
-def t_bound_ratios(lam: int, mu: int, trials: int, seed: int = 0,
-                   oversample: int = 2) -> tuple:
-    """Max over seeded band-mu fields of the shifted-operator ratios
-    ‖T1 a‖∞ / (mu^2/lam ‖a‖∞) and ‖T2 a‖∞ / (mu^3/lam^2 ‖a‖∞),
-    maxed over both directions."""
-    rng = np.random.default_rng(seed)
-    b1 = b2 = 0.0
-    s1 = mu * mu / lam
-    s2 = mu ** 3 / lam ** 2
-    for _ in range(trials):
-        a = random_field(mu, rng, mean_zero=True)
-        na = linf(a, oversample)
-        if na == 0.0:
-            continue
-        for l in DIRECTIONS:
-            b1 = max(b1, linf(t_op(a, 1, lam, l), oversample) / (s1 * na))
-            b2 = max(b2, linf(t_op(a, 2, lam, l), oversample) / (s2 * na))
-    return b1, b2
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from sqgci import cli
 from sqgci.cli import main, parse_config, render_json
 from sqgci.errors import ParseError, ValidationError
-from sqgci.fields import TorusField, read_sqf1, write_sqf1
+from sqgci.fields import TorusField, random_field, read_sqf1, write_sqf1
 from sqgci.iteration import step
 from sqgci.multipliers import lambda_s
 from sqgci.norms import sobolev
@@ -339,6 +339,24 @@ def test_cli_export_spectrum_and_shells(tmp_path):
     assert lines[0] == "shell,energy"
     assert lines[1].startswith("1,0.5")
     assert len(lines) == 2
+
+
+@pytest.mark.parametrize("band, mean", [(0, True), (1, False), (7, False), (7, True),
+                                        (40, True)])
+def test_export_shells_equals_the_whole_box_energies(tmp_path, band, mean):
+    # the half, its k2 > 0 columns counted twice, against the whole box
+    f = random_field(band, np.random.default_rng(band), mean_zero=not mean)
+    path = str(tmp_path / "shells.csv")
+    cli.export_shells(f, path)
+    k = np.arange(-band, band + 1, dtype=np.float64)
+    shells = np.rint(np.hypot(k[:, None], k[None, :])).astype(np.int64).ravel()
+    want = np.bincount(shells, weights=(np.abs(f.box()) ** 2).ravel())
+    lines = open(path, encoding="utf-8").read().splitlines()
+    assert lines[0] == "shell,energy"
+    got = {int(a): float(b) for a, b in (line.split(",") for line in lines[1:])}
+    assert sorted(got) == [s for s, e in enumerate(want) if e > 0.0]
+    for s, e in got.items():
+        assert abs(e - want[s]) <= 1e-14 * want[s]
 
 
 def test_cli_exit_codes(tmp_path, capsys):

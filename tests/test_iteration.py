@@ -22,7 +22,6 @@ from sqgci.fields import TorusField, VectorField, multiply, random_field
 from sqgci.iteration import (
     IterationParams,
     _scaled_perp,
-    assemble_main,
     assemble_nonosc,
     assemble_osc,
     build_f_next,
@@ -53,6 +52,8 @@ from sqgci.multipliers import (
 )
 from sqgci.norms import linf
 from sqgci.verify import check_support
+
+from test_acceptance import assemble_main
 
 WORKHORSE = IterationParams(lambda0=2, b=5.0, beta=0.25, nu=0.0, gamma=1.0)
 

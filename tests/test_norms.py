@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sqgci import norms
-from sqgci.errors import GridBudgetExceeded
+from sqgci.errors import GridBudgetExceeded, NonZeroMean
 from sqgci.fields import TorusField, good_grid, random_field, to_grid
 from sqgci.multipliers import ModulatedField, lambda_s, lowpass, riesz_odd, riesz_odd_symbol
 from sqgci.norms import (
@@ -42,6 +42,29 @@ def test_sobolev_shift_property():
         a = sobolev(lambda_s(f, s), t)
         b = sobolev(f, s + t)
         assert abs(a - b) < 1e-12 * max(1.0, b)
+
+
+def _whole_box_sobolev(f, s):
+    """Oracle: the Sobolev sum over the whole box, k != 0."""
+    k = np.arange(-f.band, f.band + 1, dtype=np.float64)
+    kn = np.hypot(k[:, None], k[None, :])
+    mask = kn > 0
+    return float(np.sqrt(np.sum(kn[mask] ** (2.0 * s) * np.abs(f.box()[mask]) ** 2)))
+
+
+@pytest.mark.parametrize("band", [0, 1, 7, 40])
+@pytest.mark.parametrize("s, mean", [(-0.5, False), (0.0, False), (0.5, False), (3.0, False),
+                                     (0.0, True), (0.5, True), (3.0, True)])
+def test_sobolev_equals_the_whole_box_formula(band, s, mean):
+    # the half, its k2 > 0 columns counted twice, against the whole box;
+    # a mean is left out of the sum, and a negative s refuses it
+    f = random_field(band, np.random.default_rng(band), mean_zero=not mean)
+    want = _whole_box_sobolev(f, s)
+    assert abs(sobolev(f, s) - want) <= 1e-14 * want
+    if mean and band > 0:
+        assert f.coeff(0, 0) != 0
+        with pytest.raises(NonZeroMean):
+            sobolev(f, -0.5)
 
 
 def test_linf_exact_at_nodes():

@@ -185,3 +185,37 @@ def test_the_rule_sees_a_half_parameter(tmp_path):
                    "async def m(half, /):\n    pass\n"
                    "def n(c, **kw):\n    return kw.get('half')\n", encoding="utf-8")
     assert sorted(_half_parameters(src)) == [1, 4, 6, 7, 9]
+
+
+def _is_box_call(node):
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "box")
+
+
+def _box_calls(path):
+    """(line, scope) of every `x.box()` call in a source file."""
+    return _scoped(path, _is_box_call)
+
+
+BOX_CALLERS = {"fields.write_sqf1", "cli.export_spectrum", "multipliers.ModulatedField.wave",
+               "verify.weak_residual"}
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "sqgci").glob("*.py")),
+                         ids=lambda p: p.name)
+def test_only_the_box_readers_rebuild_a_whole_box(path):
+    # a field stores its k2 >= 0 half; sums over the box read the half,
+    # so a whole box is rebuilt only for a file or export in box order, a
+    # dense field's carrier-0 block, and the shifted carrier pairing
+    assert [(line, name) for line, name in _box_calls(path)
+            if f"{path.stem}.{name}" not in BOX_CALLERS] == []
+
+
+def test_the_rule_sees_a_box_call(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text("def write_sqf1(f):\n    f.box()\n"
+                   "def inner(f, g):\n    return f.box() * g.coeffs\n"
+                   "class C:\n    def wave(self, a):\n        return {0: a.box()}\n"
+                   "box(f)\nf.boxes()\nf.box\nc = f.pad_to(3).box()\n", encoding="utf-8")
+    assert list(_box_calls(src)) == [(2, "write_sqf1"), (4, "inner"), (7, "C.wave"),
+                                     (11, "")]

@@ -11,7 +11,8 @@ import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqgci import fields
+from sqgci import fields, multipliers, verify
+from sqgci.errors import NonZeroMean
 from sqgci.fields import TorusField, inner, random_field
 from sqgci.iteration import IterationParams, make_base, nonlinear_flux, step
 from sqgci.multipliers import (
@@ -31,11 +32,11 @@ from sqgci.verify import (
     commutator_ratio,
     feasibility,
     leibniz_residual,
-    log_bound_ratio,
     report,
-    t_bound_ratios,
     weak_residual,
 )
+
+from test_acceptance import log_bound_ratio, t_bound_ratios
 
 
 def test_algebraic_identity_hand_values():
@@ -217,13 +218,83 @@ def test_weak_residual_runs_without_transforms_or_products(monkeypatch):
     want = weak_residual(theta, q, 1.0, 0.5, modes)
 
     def boom(*args, **kwargs):
-        raise AssertionError("weak_residual reached a transform or a product")
+        raise AssertionError("weak_residual reached a transform, a product, "
+                             "a dense test wave, a weight or a dense pairing")
 
     for name in ("rfft2", "irfft", "ifft"):
         monkeypatch.setattr(scipy.fft, name, boom)
     monkeypatch.setattr(fields, "products", boom)
+    monkeypatch.setattr(ModulatedField, "to_dense", boom)
+    for name in ("inner", "lambda_s"):
+        for mod in (fields, multipliers, verify):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, boom)
+    boxes = []
+    box = TorusField.box
+    monkeypatch.setattr(TorusField, "box", lambda f: boxes.append(f) or box(f))
     assert weak_residual(theta, q, 1.0, 0.5, modes) == want
+    assert boxes == [theta]  # theta's one box, whatever the modes
     assert any(abs(r.nonlinear) > 0.0 for r in want)
+
+
+def test_weak_residual_needs_a_mean_zero_theta():
+    theta = random_field(4, np.random.default_rng(67), mean_zero=False)
+    assert theta.coeff(0, 0) != 0
+    with pytest.raises(NonZeroMean, match="^weak_residual theta"):
+        weak_residual(theta, None, 0.0, 1.0, [(1, 0)])
+
+
+def _weighted_carrier_sum(theta, p):
+    """Oracle: the nonlinear carrier sum with the Lambda^{-/+1/2} weights
+    kept, sum over kappa of h(kappa + p) |kappa + p|^{1/2} w_p(kappa)
+    conj(c(kappa)) with h = Lambda^{-1/2} theta, on whole boxes (w_p as in
+    verify._carrier_pairing)."""
+    c, h = theta.box(), lambda_s(theta, -0.5).box()
+    n = c.shape[0]
+    if max(abs(p[0]), abs(p[1])) >= n:
+        return 0j
+    k = np.arange(-(n // 2), n // 2 + 1, dtype=np.float64)[:, None]
+    kn = np.hypot(k, k.T)
+    with np.errstate(divide="ignore"):
+        inv_kn = 1.0 / kn
+    inv_kn[n // 2, n // 2] = 0.0
+    src = tuple(slice(max(0, -s), n - max(0, s)) for s in p)
+    dst = tuple(slice(max(0, s), n + min(0, s)) for s in p)
+    w = p[1] * k[src[0]] - p[0] * k.T[:, src[1]]
+    w *= inv_kn[dst] - inv_kn[src]
+    w *= np.sqrt(kn)[dst]
+    return complex(np.vdot(c[src], w * h[dst]))
+
+
+@pytest.mark.parametrize("nu, gamma", [(0.0, 1.0), (1.0, 1.0), (1.0, 0.5), (0.0, 0.5)])
+@pytest.mark.parametrize("kind", ["disc", "mode", "carrier"])
+def test_weak_residual_equals_the_weighted_pairings(kind, nu, gamma):
+    # the weighted forms the weights cancel out of: the nonlinear carrier
+    # sum against Lambda^{-1/2} theta, nu <Lambda^{-1/2} theta,
+    # Lambda^{gamma+1/2} psi> and <q, Lambda^2 psi> with psi dense; modes
+    # with k2 < 0, beyond theta's band (partly and wholly outside its
+    # box), beyond q's band, and k = 0
+    band = 7
+    rng = np.random.default_rng(71 + band)
+    theta = _pairing_theta(kind, band, rng)
+    q = random_field(5, rng, mean_zero=False)
+    modes = [(0, 0), (1, 0), (2, -3), (-1, -4), (6, 5), (band + 2, -1),
+             (3, -(band + 5)), (2 * band + 1, 0)]
+    scale = (2.0 * np.pi) ** 2 * float(np.sum(np.abs(theta.box()) ** 2))
+    half = lambda_s(theta, -0.5)
+    for rep in weak_residual(theta, q, nu, gamma, modes):
+        k = rep.test_mode
+        wave = ModulatedField.wave(TorusField.constant(1.0), k, rep.phase)
+        terms = [complex(a[0, 0]).conjugate() * _weighted_carrier_sum(theta, p)
+                 for p, a in wave.blocks.items()]
+        nl = -0.5 * (2.0 * np.pi) ** 2 * sum(terms).real
+        psi = wave.to_dense()
+        diss = nu * inner(half, lambda_s(psi, gamma + 0.5))
+        pres = inner(q, lambda_s(psi, 2.0))
+        assert abs(rep.nonlinear - nl) <= PAIRING_RTOL * scale * (1.0 + math.hypot(*k))
+        assert abs(rep.dissipation - diss) <= 1e-14 * abs(diss)
+        assert abs(rep.pressure - pres) <= 1e-14 * abs(pres)
+        assert rep.total == rep.nonlinear + rep.dissipation + rep.pressure
 
 
 def test_leibniz_residual_bound():

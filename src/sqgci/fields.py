@@ -10,10 +10,10 @@ only its k2 >= 0 half, a frozen (2K+1) x (K+1) complex array indexed
 [k1+K, k2], whose k2 = 0 column is Hermitian in itself. `coeff` reads
 any k, and `box()` is the one place the whole box is rebuilt, its
 k2 < 0 half as the mirror conjugate, for SQF1 writes, the spectrum
-export, a dense field's block in `ModulatedField.wave` and the carrier
-pairing of `verify.weak_residual`. Sums over the box (`inner`, Sobolev
-norms, shell energies) count a k2 > 0 column of the half twice. A field
-is mean-zero when c(0) is exactly 0, a fact read off the array.
+export and a dense field's block in `ModulatedField.wave`; `support()`
+lists the half's nonzero rows and columns. Sums over the box (`inner`,
+Sobolev norms, shell energies) count a k2 > 0 column of the half twice.
+A field is mean-zero when c(0) is exactly 0, a fact read off the array.
 
 Only outside data (user arrays, `from_modes`, `constant`, SQF1 reads)
 goes through the checked constructor `TorusField(coeffs, mean_zero)`,
@@ -161,8 +161,8 @@ class TorusField:
     def box(self):
         """The whole (2K+1, 2K+1) coefficient box, indexed [k1+K, k2+K],
         as a fresh array: the stored half, and the k2 < 0 half as its
-        mirror conjugate. Only `write_sqf1`, `cli.export_spectrum`,
-        `ModulatedField.wave` and `verify.weak_residual` read it."""
+        mirror conjugate. Only `write_sqf1`, `cli.export_spectrum` and
+        `ModulatedField.wave` read it."""
         h, K = self.coeffs, self.band
         c = np.empty((2 * K + 1, 2 * K + 1), dtype=np.complex128)
         c[:, K:] = h
@@ -186,17 +186,19 @@ class TorusField:
         w = band - self.band
         return TorusField._exact(np.pad(self.coeffs, ((w, w), (0, w))))
 
+    def support(self):
+        """k1 of the half's nonzero rows and k2 of its nonzero columns, ascending."""
+        nz = self.coeffs != 0
+        return np.flatnonzero(nz.any(axis=1)) - self.band, np.flatnonzero(nz.any(axis=0))
+
     def trim(self):
         """Smallest band holding all nonzero coefficients. The slice is
         copied, so the result never keeps this field's half alive."""
-        nz = np.argwhere(self.coeffs != 0)
-        if nz.size == 0:
+        rows, cols = self.support()
+        if cols.size == 0:
             return TorusField.zero(0)
-        K = self.band
-        # c(k) and c(-k) are zero together, so the half's rows and
-        # columns give the band
-        b = max(int(np.abs(nz[:, 0] - K).max()), int(nz[:, 1].max()))
-        if b == K:
+        b = max(-int(rows[0]), int(rows[-1]), int(cols[-1]))
+        if b == self.band:
             return self
         return TorusField._exact(_window(self.coeffs, b).copy())
 

@@ -6,8 +6,8 @@ Four groups:
   bookkeeping identity relating the quadratic flux, dissipation, and
   the stress against the Laplacian of the test function), with the
   test wave built by `ModulatedField.wave` and the commutator against
-  it paired per carrier with theta on theta's own coefficient box,
-  without products, transforms or Lambda^{-1/2} weights,
+  it paired per carrier with theta on theta's support, without boxes,
+  products, transforms or Lambda^{-1/2} weights,
 * the exact per-wavenumber symbol identity
       sum_j (l_j.k)(l_j_perp.k) m_j(k) = |k|^2,
 * a measured-constant monitor for the commutator Sobolev bound,
@@ -28,8 +28,6 @@ from .multipliers import (
     L1,
     L2,
     ModulatedField,
-    _kgrids,
-    _knorm,
     directional_grad,
     lambda_s,
     require_mean_zero,
@@ -57,23 +55,27 @@ class ResidualReport:
     total: float
 
 
-def _carrier_pairing(c, inv_kn, p) -> complex:
+def _support_grid(theta: TorusField):
+    """(c, k1, k2, inv_kn): theta's coefficients, read off its half, and 1/|k|
+    (0 at k = 0) on its nonzero rows k1 x columns k2, mirrored and sorted."""
+    rows, cols = theta.support()
+    k1, k2 = np.union1d(rows, -rows), np.union1d(cols, -cols)
+    h = theta.coeffs[np.ix_(k1 + theta.band, cols)]
+    c = np.concatenate((np.conj(h[::-1, ::-1][:, :k2.size - cols.size]), h), axis=1)
+    kn = np.hypot(k1[:, None], k2)
+    return c, k1, k2, np.divide(1.0, kn, out=np.zeros_like(kn), where=kn > 0)
+
+
+def _carrier_pairing(c, k1, k2, inv_kn, p) -> complex:
     """sum over kappa of w_p(kappa) conj(c(kappa)) c(kappa + p),
 
         w_p(kappa) = (p2 kappa1 - p1 kappa2) (1/|kappa + p| - 1/|kappa|),
 
-    over the kappa for which kappa and kappa + p both lie in the whole
-    box of c, with inv_kn = 1/|k| (0 at k = 0) on that box. The symbol
-    at kappa + p is read off the box at offset p, as `_inv_div_block`
-    evaluates its symbol at p + k."""
-    n = c.shape[0]
-    if max(abs(p[0]), abs(p[1])) >= n:
-        return 0j
-    src = tuple(slice(max(0, -s), n - max(0, s)) for s in p)
-    dst = tuple(slice(max(0, s), n + min(0, s)) for s in p)
-    k1 = _kgrids(n // 2)[0]
-    w = p[1] * k1[src[0]] - p[0] * k1.T[:, src[1]]
-    w *= inv_kn[dst] - inv_kn[src]
+    over the `_support_grid` rows and columns where kappa and kappa + p
+    both lie (c is 0 off it); w_p is 0 at kappa = 0 and kappa = -p."""
+    src = np.ix_(np.isin(k1 + p[0], k1), np.isin(k2 + p[1], k2))
+    dst = np.ix_(np.isin(k1 - p[0], k1), np.isin(k2 - p[1], k2))
+    w = (p[1] * k1[src[0]] - p[0] * k2[src[1]]) * (inv_kn[dst] - inv_kn[src])
     return complex(np.vdot(c[src], w * c[dst]))
 
 
@@ -105,16 +107,12 @@ def weak_residual(theta: TorusField, q, nu: float, gamma: float,
 
     is one block per carrier p, -a_p w_p(kappa) theta^(kappa) at
     kappa + p (w_p as in `_carrier_pairing`); w_p(-p) = 0, so g^(0) = 0.
-    Each block is paired with theta on theta's one box, both phases
+    Each block is paired with theta on its `_support_grid`, both phases
     sharing the carrier sums, and theta and q are read at the carriers
     for the other terms. Every term vanishes at p = 0.
     """
     require_mean_zero(theta, "weak_residual theta")
-    c, K = theta.box(), theta.band
-    kn = _knorm(K)  # cached on the half; |k| is even, so the box mirrors it
-    with np.errstate(divide="ignore"):
-        inv_kn = 1.0 / np.concatenate((kn[:, :0:-1], kn), axis=1)
-    inv_kn[K, K] = 0.0
+    grid = _support_grid(theta)
     one = ModulatedField({(0, 0): np.ones((1, 1), dtype=np.complex128)})
     tau = (2.0 * np.pi) ** 2
     reports = []
@@ -129,7 +127,7 @@ def weak_residual(theta: TorusField, q, nu: float, gamma: float,
                     continue
                 a = complex(a[0, 0]).conjugate()
                 if p not in sums:
-                    sums[p] = _carrier_pairing(c, inv_kn, p)
+                    sums[p] = _carrier_pairing(*grid, p)
                 nl += (a * sums[p]).real  # g's block at p carries -a_p
                 diss += math.hypot(*p) ** gamma * (a * theta.coeff(*p)).real
                 if q is not None:

@@ -391,6 +391,29 @@ def test_pad_and_trim():
         p.pad_to(3)
 
 
+@settings(max_examples=80, deadline=None)
+@given(band=st.integers(0, 10),
+       modes=st.lists(st.tuples(st.integers(-10, 10), st.integers(-10, 10)), max_size=5),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(band=5, modes=[(-3, 0)], seed=0)  # one k1 < 0 mode on the k2 = 0 column
+@example(band=5, modes=[(2, 5), (-4, -5)], seed=1)  # the half's last column only
+@example(band=5, modes=[], seed=2)  # the zero field
+def test_trim_is_the_smallest_band_holding_every_nonzero(band, modes, seed):
+    rng = np.random.default_rng(seed)
+    amps = {k: complex(*rng.standard_normal(2)) if k != (0, 0) else rng.standard_normal()
+            for k in modes if max(abs(k[0]), abs(k[1])) <= band}
+    f = TorusField.from_modes(band, amps)
+    box = f.box()
+    nz = np.argwhere(box != 0) - band
+    t = f.trim()
+    assert t.band == (int(np.abs(nz).max()) if nz.size else 0)
+    assert np.array_equal(t.pad_to(band).box(), box)
+    rows, cols = f.support()
+    half = f.coeffs != 0
+    assert rows.tolist() == [k1 - band for k1 in range(2 * band + 1) if half[k1].any()]
+    assert cols.tolist() == [k2 for k2 in range(band + 1) if half[:, k2].any()]
+
+
 def test_arithmetic_and_mean_zero_propagation():
     rng = np.random.default_rng(8)
     f = random_field(2, rng, mean_zero=True)

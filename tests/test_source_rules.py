@@ -197,16 +197,16 @@ def _box_calls(path):
     return _scoped(path, _is_box_call)
 
 
-BOX_CALLERS = {"fields.write_sqf1", "cli.export_spectrum", "multipliers.ModulatedField.wave",
-               "verify.weak_residual"}
+BOX_CALLERS = {"fields.write_sqf1", "cli.export_spectrum", "multipliers.ModulatedField.wave"}
 
 
 @pytest.mark.parametrize("path", sorted((ROOT / "src" / "sqgci").glob("*.py")),
                          ids=lambda p: p.name)
 def test_only_the_box_readers_rebuild_a_whole_box(path):
     # a field stores its k2 >= 0 half; sums over the box read the half,
-    # so a whole box is rebuilt only for a file or export in box order, a
-    # dense field's carrier-0 block, and the shifted carrier pairing
+    # so a whole box is rebuilt only for a file or export in box order and
+    # a dense field's carrier-0 block; the carrier pairing reads theta's
+    # support off its half
     assert [(line, name) for line, name in _box_calls(path)
             if f"{path.stem}.{name}" not in BOX_CALLERS] == []
 

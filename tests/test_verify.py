@@ -219,12 +219,15 @@ def test_weak_residual_runs_without_transforms_or_products(monkeypatch):
 
     def boom(*args, **kwargs):
         raise AssertionError("weak_residual reached a transform, a product, "
-                             "a dense test wave, a weight or a dense pairing")
+                             "a dense test wave, a weight, a dense pairing "
+                             "or a k-grid cache")
 
     for name in ("rfft2", "irfft", "ifft"):
         monkeypatch.setattr(scipy.fft, name, boom)
     monkeypatch.setattr(fields, "products", boom)
     monkeypatch.setattr(ModulatedField, "to_dense", boom)
+    for name in ("_knorm", "_kgrids"):
+        monkeypatch.setattr(multipliers, name, boom)
     for name in ("inner", "lambda_s"):
         for mod in (fields, multipliers, verify):
             if hasattr(mod, name):
@@ -233,7 +236,7 @@ def test_weak_residual_runs_without_transforms_or_products(monkeypatch):
     box = TorusField.box
     monkeypatch.setattr(TorusField, "box", lambda f: boxes.append(f) or box(f))
     assert weak_residual(theta, q, 1.0, 0.5, modes) == want
-    assert boxes == [theta]  # theta's one box, whatever the modes
+    assert boxes == []  # theta's support is read off its half
     assert any(abs(r.nonlinear) > 0.0 for r in want)
 
 
@@ -244,15 +247,13 @@ def test_weak_residual_needs_a_mean_zero_theta():
         weak_residual(theta, None, 0.0, 1.0, [(1, 0)])
 
 
-def _weighted_carrier_sum(theta, p):
-    """Oracle: the nonlinear carrier sum with the Lambda^{-/+1/2} weights
-    kept, sum over kappa of h(kappa + p) |kappa + p|^{1/2} w_p(kappa)
-    conj(c(kappa)) with h = Lambda^{-1/2} theta, on whole boxes (w_p as in
-    verify._carrier_pairing)."""
-    c, h = theta.box(), lambda_s(theta, -0.5).box()
-    n = c.shape[0]
+def _box_symbol(n, p):
+    """Oracle pieces on the whole n x n box: the slices src and dst of the
+    kappa and kappa + p that both lie in it, w_p(kappa) (as in
+    verify._carrier_pairing) on src, and |k| on the box; None when the
+    shift by p leaves the box."""
     if max(abs(p[0]), abs(p[1])) >= n:
-        return 0j
+        return None
     k = np.arange(-(n // 2), n // 2 + 1, dtype=np.float64)[:, None]
     kn = np.hypot(k, k.T)
     with np.errstate(divide="ignore"):
@@ -262,8 +263,69 @@ def _weighted_carrier_sum(theta, p):
     dst = tuple(slice(max(0, s), n + min(0, s)) for s in p)
     w = p[1] * k[src[0]] - p[0] * k.T[:, src[1]]
     w *= inv_kn[dst] - inv_kn[src]
+    return src, dst, w, kn
+
+
+def _box_carrier_pairing(theta, p):
+    """Oracle: the carrier sum of verify._carrier_pairing over theta's
+    whole box, sum over kappa of w_p(kappa) conj(c(kappa)) c(kappa + p),
+    and its scale, the same sum of |w_p| |c(kappa)| |c(kappa + p)|."""
+    c = theta.box()
+    sym = _box_symbol(c.shape[0], p)
+    if sym is None:
+        return 0j, 0.0
+    src, dst, w, _ = sym
+    scale = float(np.sum(np.abs(w) * np.abs(c[src]) * np.abs(c[dst])))
+    return complex(np.vdot(c[src], w * c[dst])), scale
+
+
+def _weighted_carrier_sum(theta, p):
+    """Oracle: the nonlinear carrier sum with the Lambda^{-/+1/2} weights
+    kept, sum over kappa of h(kappa + p) |kappa + p|^{1/2} w_p(kappa)
+    conj(c(kappa)) with h = Lambda^{-1/2} theta, on whole boxes."""
+    c, h = theta.box(), lambda_s(theta, -0.5).box()
+    sym = _box_symbol(c.shape[0], p)
+    if sym is None:
+        return 0j
+    src, dst, w, kn = sym
     w *= np.sqrt(kn)[dst]
     return complex(np.vdot(c[src], w * h[dst]))
+
+
+def _gapped_theta(band, rng):
+    """theta on two carrier pairs whose blocks leave empty rows and
+    columns between them and about k = 0, in both halves of the box."""
+    amp = random_field(1, rng, mean_zero=False)
+    return (ModulatedField.wave(amp, (band - 1, 2), "cos")
+            + ModulatedField.wave(amp, (2, 1 - band), "sin")).to_dense()
+
+
+@pytest.mark.parametrize("kind", ["disc", "gapped", "carrier", "mode", "axis mode",
+                                  "lower mode", "zero"])
+@pytest.mark.parametrize("seed", range(2))
+def test_support_pairing_equals_the_box_pairing(kind, seed):
+    # every carrier that reaches theta's box, on it and shifted partly or
+    # wholly off it, and |p|_inf >= 2K+1
+    rng = np.random.default_rng(seed)
+    band = 9 + seed
+    if kind in ("disc", "carrier", "mode"):
+        theta = _pairing_theta(kind, band, rng)
+    elif kind == "gapped":
+        theta = _gapped_theta(band, rng)
+    elif kind == "zero":
+        theta = TorusField.zero(band)
+    elif kind == "axis mode":  # k1 < 0 on the k2 = 0 column
+        theta = TorusField.from_modes(band, {(-3, 0): 1.0 - 2.0j}, mean_zero=True)
+    else:  # one mode at k2 < 0
+        theta = TorusField.from_modes(band, {(4, -5): 0.5 + 1.5j}, mean_zero=True)
+    grid = verify._support_grid(theta)
+    reach = 2 * theta.band + 3
+    ps = [(p1, p2) for p1 in range(-reach, reach + 1) for p2 in range(-reach, reach + 1)
+          if (p1, p2) != (0, 0)]
+    for p in ps:
+        want, scale = _box_carrier_pairing(theta, p)
+        got = verify._carrier_pairing(*grid, p)
+        assert abs(got - want) <= 1e-14 * scale, (p, got, want, scale)
 
 
 @pytest.mark.parametrize("nu, gamma", [(0.0, 1.0), (1.0, 1.0), (1.0, 0.5), (0.0, 0.5)])

@@ -298,9 +298,6 @@ class VectorField:
     def __add__(self, other):
         return VectorField(self.comp1 + other.comp1, self.comp2 + other.comp2)
 
-    def __sub__(self, other):
-        return VectorField(self.comp1 - other.comp1, self.comp2 - other.comp2)
-
     def __mul__(self, scalar):
         return VectorField(self.comp1 * scalar, self.comp2 * scalar)
 

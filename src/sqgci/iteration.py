@@ -46,9 +46,7 @@ from .multipliers import (
     ModulatedField,
     _inv_div_block,
     _kgrids,
-    _knorm,
     _mass2,
-    _odd_symbols,
     directional_grad,
     fat_lowpass,
     grad_perp,
@@ -413,10 +411,6 @@ def step(state: StepState, params: IterationParams, grid_cap: int = 4096):
     its box.
     """
     sc = scales_for(params, state.n)
-    # |k| grids and m_j symbols cached before this step are of other
-    # bands; left in the heap, they fragment it under this step's grids
-    _knorm.cache_clear()
-    _odd_symbols.cache_clear()
     sep_ok = 48 * sc.lambda_n <= sc.lambda_next
     if not sep_ok and params.separation == "strict48":
         raise SeparationViolated(

@@ -68,10 +68,6 @@ class Direction:
             raise ValueError(f"({self.n1}, {self.n2}, {self.d}) is not a rational unit vector")
 
     @property
-    def vec(self):
-        return (self.n1 / self.d, self.n2 / self.d)
-
-    @property
     def perp(self):
         """Rotate by +90 degrees: (-l2, l1)."""
         return Direction(-self.n2, self.n1, self.d)
@@ -81,7 +77,8 @@ class Direction:
         w1, r1 = divmod(int(scale) * self.n1, self.d)
         w2, r2 = divmod(int(scale) * self.n2, self.d)
         if r1 or r2:
-            raise ValueError(f"{scale}*l is not a lattice vector for l = {self.vec}")
+            raise ValueError(f"{scale}*l is not a lattice vector for l = "
+                             f"{(self.n1 / self.d, self.n2 / self.d)}")
         return (w1, w2)
 
 
@@ -97,13 +94,10 @@ def _kgrids(K):
     return k[:, None], k[None, K:]
 
 
-@lru_cache(maxsize=8)
 def _knorm(K):
-    """The |k| grid on the half of the band-K box, built only for the
-    symbols that read it."""
-    kn = np.hypot(*_kgrids(K))
-    kn.flags.writeable = False
-    return kn
+    """The |k| grid on the half of the band-K box, built fresh on every
+    call; the caller owns it."""
+    return np.hypot(*_kgrids(K))
 
 
 def _mass2(c):
@@ -193,9 +187,12 @@ def riesz_odd_symbol(j, k1, k2):
 
 @lru_cache(maxsize=1)
 def _odd_symbols(K):
-    """m_1 and m_2 on the half of the band-K box. A step reads them at
-    q's band, then at each channel's (qM3 and q_next back to back), so
-    the last band alone is kept; `iteration.step` clears it."""
+    """m_1 and m_2 on the half of the band-K box, the program's one
+    cached k-grid. A step reads them at q's band, then at each channel's
+    (qM3 and q_next back to back), so the last band alone is kept. The
+    pair depends on K alone and is never stale; the next step's first
+    call, at its q's band, evicts it before any large grid exists, so
+    no caller clears it."""
     ms = tuple(riesz_odd_symbol(j, *_kgrids(K)) for j in (1, 2))
     for m in ms:
         m.flags.writeable = False
@@ -296,10 +293,6 @@ def partial(f: TorusField, j: int) -> TorusField:
     k1, k2 = _kgrids(f.band)
     kj = k1 if j == 1 else k2
     return TorusField._exact(f.coeffs * (1j * kj))
-
-
-def grad(f: TorusField) -> VectorField:
-    return VectorField(partial(f, 1), partial(f, 2))
 
 
 def grad_perp(f: TorusField) -> VectorField:

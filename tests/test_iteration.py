@@ -16,7 +16,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from sqgci import iteration
+from sqgci import iteration, multipliers
+from sqgci.cli import render_json
 from sqgci.errors import GridBudgetExceeded, NonZeroMean, SeparationViolated
 from sqgci.fields import TorusField, VectorField, multiply, random_field
 from sqgci.iteration import (
@@ -48,6 +49,7 @@ from sqgci.multipliers import (
     inv_div,
     lambda_s,
     lowpass,
+    riesz_odd,
     t_op,
 )
 from sqgci.norms import linf
@@ -188,15 +190,16 @@ def _wave(g, p, trig):
 
 
 def _dense_mod2(g, pa, pb, ta, tb):
-    """g(x) trig_a(pa.x) trig_b(pb.x) on dense boxes (oracle)."""
+    """g(x) trig_a(pa.x) trig_b(pb.x) on dense boxes (oracle); a
+    difference is a sum with the negated term, the same floats."""
     ps = (pa[0] + pb[0], pa[1] + pb[1])
     pd = (pa[0] - pb[0], pa[1] - pb[1])
     if (ta, tb) == ("sin", "sin"):
-        return 0.5 * (_wave(g, pd, "cos") - _wave(g, ps, "cos"))
+        return 0.5 * (_wave(g, pd, "cos") + -1.0 * _wave(g, ps, "cos"))
     if (ta, tb) == ("sin", "cos"):
         return 0.5 * (_wave(g, ps, "sin") + _wave(g, pd, "sin"))
     if (ta, tb) == ("cos", "sin"):
-        return 0.5 * (_wave(g, ps, "sin") - _wave(g, pd, "sin"))
+        return 0.5 * (_wave(g, ps, "sin") + -1.0 * _wave(g, pd, "sin"))
     return 0.5 * (_wave(g, ps, "cos") + _wave(g, pd, "cos"))
 
 
@@ -571,6 +574,30 @@ def test_step_peak_memory_in_band_2b_boxes(nu):
     finally:
         tracemalloc.stop()
     assert peak <= 5.5 * box, peak / box
+
+
+@pytest.mark.parametrize("nu", [0.0, 1.0])
+def test_step_does_not_depend_on_what_the_odd_symbol_cache_holds(nu):
+    # _odd_symbols keeps the last band's m_j pair across steps: empty, at
+    # q_next's band (the band of qM3 and q_next), at q's band (read first,
+    # so a hit from the start) or at an unrelated band, the step writes
+    # the same row and the same fields
+    params = dataclasses.replace(WORKHORSE, nu=nu)
+    st = make_base(params, seed=0, kind="synthetic")
+
+    def run(band):
+        multipliers._odd_symbols.cache_clear()
+        if band is not None:
+            riesz_odd(random_field(band, np.random.default_rng(band), mean_zero=True), 1)
+            assert multipliers._odd_symbols.cache_info().currsize == 1
+        new, row = step(st, params, grid_cap=1024)
+        return render_json(row), new.q.band, new.q.coeffs.tobytes(), new.f_leq.coeffs.tobytes()
+
+    empty = run(None)
+    assert empty[1] == 334
+    assert run(334) == empty
+    assert run(st.q.band) == empty
+    assert run(57) == empty
 
 
 def test_step_respects_strict_separation():

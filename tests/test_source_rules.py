@@ -219,3 +219,59 @@ def test_the_rule_sees_a_box_call(tmp_path):
                    "box(f)\nf.boxes()\nf.box\nc = f.pad_to(3).box()\n", encoding="utf-8")
     assert list(_box_calls(src)) == [(2, "write_sqf1"), (4, "inner"), (7, "C.wave"),
                                      (11, "")]
+
+
+CACHES = ("lru_cache", "cache")
+
+
+def _functools_caches(path):
+    """(line, scope) of every reference to functools.lru_cache or
+    functools.cache in a source file, by attribute or imported name; a
+    decorator's scope is the function it wraps."""
+    names = {a.asname or a.name
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.ImportFrom) and node.module == "functools"
+             for a in node.names if a.name in CACHES}
+
+    def hit(node):
+        return ((isinstance(node, ast.Name) and node.id in names)
+                or (isinstance(node, ast.Attribute) and node.attr in CACHES
+                    and ast.unparse(node.value) == "functools"))
+
+    return _scoped(path, hit)
+
+
+def _cache_clears(path):
+    """(line, scope) of every `x.cache_clear()` call in a source file."""
+    return _scoped(path, lambda node: isinstance(node, ast.Call)
+                   and isinstance(node.func, ast.Attribute)
+                   and node.func.attr == "cache_clear")
+
+
+CACHED = {"multipliers._odd_symbols"}
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "sqgci").glob("*.py")),
+                         ids=lambda p: p.name)
+def test_the_odd_symbols_are_the_one_cache_and_nothing_clears_it(path):
+    # the m_j pair depends on its band alone and holds one band, which the
+    # next step's first call evicts; a cache of other grids would keep
+    # them alive through a step's memory peak, and a clear would manage
+    # a cache from outside its module
+    assert [(line, name) for line, name in _functools_caches(path)
+            if f"{path.stem}.{name}" not in CACHED] == []
+    assert list(_cache_clears(path)) == []
+
+
+def test_the_rule_sees_a_cache_and_a_clear(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text("import functools\nfrom functools import lru_cache, cache as memo\n"
+                   "@lru_cache(maxsize=1)\ndef _odd_symbols(K):\n    pass\n"
+                   "class C:\n    @functools.cache\n    def f(self):\n        pass\n"
+                   "g = functools.lru_cache()(len)\n"
+                   "def h():\n    @memo\n    def k():\n        pass\n    cache = {}\n"
+                   "    _odd_symbols.cache_clear()\n    return cache\n"
+                   "functools.partial(len)\nC.f.cache_clear\n", encoding="utf-8")
+    assert list(_functools_caches(src)) == [(3, "_odd_symbols"), (7, "C.f"), (10, ""),
+                                            (12, "h.k")]
+    assert list(_cache_clears(src)) == [(16, "h")]

@@ -191,23 +191,30 @@ def render_json(obj) -> str:
 
 
 def _write_text(path: str, text: str):
-    _write_atomic(path, text.encode("utf-8"))
+    _write_atomic(path, (text.encode("utf-8"),))
 
 
 # -- CSV exports -------------------------------------------------------
 
 def export_spectrum(f: TorusField, path: str):
-    """Nonzero coefficients as rows k1,k2,|k|,re,im,modulus."""
+    """Nonzero coefficients as rows k1,k2,|k|,re,im,modulus, written
+    one chunk per k1 row of the box, so no whole text is held."""
     K = f.band
     box = f.box()
-    lines = ["k1,k2,|k|,re,im,modulus"]
-    for i1, i2 in np.argwhere(box != 0):
-        k1 = int(i1) - K
-        k2 = int(i2) - K
-        c = complex(box[i1, i2])
-        lines.append(",".join((str(k1), str(k2), _scalar(math.hypot(k1, k2)),
-                               _scalar(c.real), _scalar(c.imag), _scalar(abs(c)))))
-    _write_text(path, "\n".join(lines) + "\n")
+
+    def chunks():
+        yield b"k1,k2,|k|,re,im,modulus\n"
+        for k1, row in enumerate(box, -K):
+            lines = []
+            for i2 in np.flatnonzero(row):
+                k2 = int(i2) - K
+                c = complex(row[i2])
+                lines.append(",".join((str(k1), str(k2), _scalar(math.hypot(k1, k2)),
+                                       _scalar(c.real), _scalar(c.imag), _scalar(abs(c)))))
+            if lines:
+                yield ("\n".join(lines) + "\n").encode("utf-8")
+
+    _write_atomic(path, chunks())
 
 
 def export_shells(f: TorusField, path: str):

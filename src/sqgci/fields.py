@@ -15,18 +15,19 @@ lists the half's nonzero rows and columns. Sums over the box (`inner`,
 Sobolev norms, shell energies) count a k2 > 0 column of the half twice.
 A field is mean-zero when c(0) is exactly 0, a fact read off the array.
 
-Only outside data (user arrays, `from_modes`, `constant`, SQF1 reads)
-goes through the checked constructor `TorusField(coeffs, mean_zero)`,
-which takes a whole box: copy, finite check, Hermitian check over the
-box (1e-13 relative to the largest coefficient), exact symmetrisation
-of a box that is Hermitian only to rounding, and then only the half is
-kept; a declared mean-zero field must have a negligible c(0), which is
-then zeroed. A box that passes unchanged keeps its bits, so SQF1 round
-trips are bit for bit. Every field the program computes is frozen in
-place by `TorusField._exact`. Exact operations (multipliers, lattice
-shifts, sums, scalar multiples, pad, trim) act coefficient by
-coefficient on the half, and a transform read is checked (at the scale
-of the samples) and symmetrised on its k2 = 0 column alone.
+One Hermitian rule, two doors. Whole boxes from outside (user arrays,
+`from_modes`, `constant`, SQF1 reads) go through the checked
+constructor `TorusField(coeffs, mean_zero)`: copy, finite check,
+Hermitian check over the box (1e-13 relative to the largest
+coefficient), exact symmetrisation of a box Hermitian only to rounding,
+and then only the half is kept; a declared mean-zero c(0) must be
+negligible and is then zeroed. A box that passes unchanged keeps its
+bits, so SQF1 round trips are bit for bit. Computed halves, transform
+reads and factored fields (`ModulatedField.to_dense`), go through
+`_computed_half`, which checks their k2 = 0 column (1e-13 relative to a
+bound on every coefficient) and symmetrises it. Exact operations
+(multipliers, lattice shifts, sums, scalar multiples, pad, trim) act
+coefficient by coefficient on the half, frozen by `TorusField._exact`.
 
 Collocation uses the nodes x_ij = 2*pi*(i, j)/N - (pi, pi) and real
 transforms, which read and write only the k2 >= 0 half. `to_grid`
@@ -392,9 +393,8 @@ def _truncate(H, values, K):
     """Band-K field read off H = rfft2(values, norm="forward").
 
     The k2 >= 0 half is read off H by slices, with no gathers, and
-    phased as it is read. Its k2 = 0 column is Hermitian only to
-    rounding, relative to the samples (which bound every bin); it is
-    checked at their scale and symmetrised.
+    phased as it is read. Its k2 = 0 column goes to `_computed_half` at
+    the scale of the samples, which bound every bin.
     """
     N = H.shape[0]
     scale = _max_abs(values)
@@ -406,6 +406,13 @@ def _truncate(H, values, K):
     # the k1 < 0 rows sit at the bottom of H, the k1 >= 0 rows at its top
     _phase(c[:K], H[N - K:, :K + 1], -K, sgn)
     _phase(c[K:], H[:K + 1, :K + 1], 0, sgn)
+    return _computed_half(c, scale)
+
+
+def _computed_half(c, scale):
+    """Freeze c, a fresh computed half, after checking its k2 = 0 column
+    Hermitian to HERMITIAN_RTOL * scale, scale bounding every coefficient
+    (ValueError otherwise), and symmetrising it in place."""
     col = c[:, 0]
     viol = float(np.abs(col - np.conj(col[::-1])).max())
     if viol > HERMITIAN_RTOL * scale:
@@ -527,24 +534,25 @@ def inner(f: TorusField, g: TorusField) -> float:
 def random_field(band, rng, mean_zero=True):
     """Seeded Gaussian random field: independent complex normal
     coefficients, flat over the Euclidean ball |k| <= band, Hermitian
-    symmetrized. `rng` is a numpy Generator (pass default_rng(seed) for
-    reproducibility)."""
+    symmetrized on the half that is kept. `rng` is a numpy Generator
+    (pass default_rng(seed) for reproducibility)."""
     n = 2 * band + 1
     z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     k = np.arange(-band, band + 1)
     outside = (k[:, None] ** 2 + k[None, :] ** 2) > band * band
     z[outside] = 0.0
-    z = 0.5 * (z + np.conj(z[::-1, ::-1]))  # this leaves c(0) real
+    h = 0.5 * (z[:, band:] + np.conj(z[::-1, band::-1]))  # this leaves c(0) real
     if mean_zero:
-        z[band, band] = 0.0
-    return TorusField._exact(z[:, band:].copy())
+        h[band, 0] = 0.0
+    return TorusField._exact(h)
 
 
 # -- SQF1 serialization -----------------------------------------------
 
-def _write_atomic(path, *chunks):
-    """Write the byte chunks to path atomically: a temp file in the same
-    directory, then a rename. The temp file is removed on any error."""
+def _write_atomic(path, chunks):
+    """Write an iterable of byte chunks to path atomically, drawing one at
+    a time: a temp file in the same directory, then a rename. The temp
+    file is removed on any error."""
     d = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".part.")
     try:
@@ -563,7 +571,7 @@ def write_sqf1(f: TorusField, path):
     + rename)."""
     header = struct.pack("<4sIIq", _SQF1_MAGIC, _SQF1_VERSION, f.band,
                          1 if f.mean_zero else 0)
-    _write_atomic(path, header, np.ascontiguousarray(f.box(), dtype="<c16"))
+    _write_atomic(path, (header, np.ascontiguousarray(f.box(), dtype="<c16")))
 
 
 def read_sqf1(path) -> TorusField:

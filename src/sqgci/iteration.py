@@ -55,10 +55,9 @@ from .multipliers import (
     lowpass,
     require_mean_zero,
     riesz_odd,
-    t_op,
+    t_ops,
 )
 from .norms import holder_besov, linf, x_norm
-from .verify import check_support
 
 SUPPORT_RTOL = 1e-13
 _FLOAT_MAX = Decimal(sys.float_info.max)
@@ -248,8 +247,7 @@ def assemble_nonosc(a1: TorusField, a2: TorusField, lam5: int) -> VectorField:
     """-(lam5/2) sum_l (T2 a_l) a_l l_perp + (1/2) sum_l (T1 a_l) grad_perp(a_l)."""
     out = VectorField(TorusField.zero(), TorusField.zero())
     for a, l in ((a1, L1), (a2, L2)):
-        t1a = t_op(a, 1, lam5, l)
-        t2a = t_op(a, 2, lam5, l)
+        t1a, t2a = t_ops(a, lam5, l)
         out = out + _scaled_perp(multiply(t2a, a), l, -0.5 * lam5)
         out = out + _times(t1a, grad_perp(a)) * 0.5
     return out
@@ -276,8 +274,9 @@ def assemble_osc(a1: TorusField, a2: TorusField, lam5: int) -> VectorField:
     s = []
     c = []
     for a, l in zip(amps, DIRECTIONS):
-        s.append(directional_grad(a, l) + t_op(a, 2, lam5, l))
-        c.append(t_op(a, 1, lam5, l))
+        t1a, t2a = t_ops(a, lam5, l)
+        s.append(directional_grad(a, l) + t2a)
+        c.append(t1a)
     terms = []
     for i, l in enumerate(DIRECTIONS):
         a = amps[i]
@@ -384,6 +383,17 @@ def make_base(params: IterationParams, seed: int = 0, kind: str = "zero",
     else:
         raise ArithmeticError("could not scale the synthetic base into budget")
     return StepState(n=0, f_leq=f0 * h, q=q0)
+
+
+def check_support(f: TorusField, radius: float) -> float:
+    """Largest coefficient magnitude beyond |k| > radius."""
+    k = np.arange(-f.band, f.band + 1)
+    # |k| > radius as k2^2 > radius^2 - k1^2 over the half: no |k| grid
+    # is built
+    outside = (k * k)[None, f.band:] > (radius * radius - k * k)[:, None]
+    if not outside.any():
+        return 0.0
+    return float(np.abs(f.coeffs[outside]).max())
 
 
 def _rel_linf(num: TorusField, denom: float, oversample: int, grid_cap) -> float:

@@ -7,9 +7,10 @@ Everything here acts coefficientwise on TorusField spectra:
     riesz_odd    the even rational pair
                  m1(k) = 25 (k2^2 - k1^2) / (12 |k|^2)
                  m2(k) =  7 (k2^2 - k1^2) / (12 |k|^2) + 4 k1 k2 / |k|^2
-    t_op         the shifted-norm symbols attached to a direction l,
-                 order 1: (|lam*l + k| + |lam*l - k|)/2 - lam   (real even)
-                 order 2: i ((|lam*l + k| - |lam*l - k|)/2 - l.k)  (imag odd)
+    t_ops        the pair (T1 f, T2 f) of shifted-norm symbols attached
+                 to a direction l, from one symbol build:
+                 T1: (|lam*l + k| + |lam*l - k|)/2 - lam   (real even)
+                 T2: i ((|lam*l + k| - |lam*l - k|)/2 - l.k)  (imag odd)
     lowpass      psi(|k|/mu) with the exponential-glue cutoff psi
     fat_lowpass  psi(|k|/(4 mu)), identity up to 2 mu, zero from 4 mu
     inv_div      p with Laplacian(p) = div v, i.e. p^(k) = i k.v^(k)/(-|k|^2)
@@ -24,7 +25,8 @@ e^{i p.x} with small amplitudes A_p; sums and scalar multiples act on
 the amplitude grids. `ModulatedField.wave` is the one place a field is
 multiplied by cos(p.x) or sin(p.x), exactly, as a shift of carriers: a
 product of waves is nested `wave` calls, and `to_dense` gives the dense
-view. A factored vector field is a VectorField of two ModulatedFields,
+view, its k2 = 0 column checked and symmetrised as a transform read's
+is. A factored vector field is a VectorField of two ModulatedFields,
 and `inv_div` inverts it carrier by carrier.
 
 `require_mean_zero` is the one mean check, for dense and factored
@@ -46,7 +48,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BandExceedsLambda, NonZeroMean
-from .fields import TorusField, VectorField, _half_vdot, multiply
+from .fields import TorusField, VectorField, _computed_half, _half_vdot, multiply
 from .kernels import cutoff_profile, t_symbols
 
 # require_mean_zero compares |c(0)| with the coefficient l2 mass: transform
@@ -207,8 +209,9 @@ def riesz_odd(f: TorusField, j: int) -> TorusField:
     return TorusField._exact(f.coeffs * _odd_symbols(f.band)[j - 1])
 
 
-def t_op(f: TorusField, order: int, lam: int, l: Direction) -> TorusField:
-    """Shifted-norm multiplier of the given order at frequency lam along l.
+def t_ops(f: TorusField, lam: int, l: Direction) -> tuple:
+    """(T1 f, T2 f), the shifted-norm multipliers at frequency lam along
+    l, from one build of their symbols.
 
     The symbols are smooth only inside |k| < lam, so the band of f must
     stay strictly below lam (BandExceedsLambda otherwise). Both symbols
@@ -218,13 +221,7 @@ def t_op(f: TorusField, order: int, lam: int, l: Direction) -> TorusField:
     if f.band >= lam:
         raise BandExceedsLambda(f"band {f.band} >= lambda {lam}")
     t1, t2f = t_symbols(lam, l.n1, l.n2, l.d, f.band)
-    if order == 1:
-        c = f.coeffs * t1
-    elif order == 2:
-        c = f.coeffs * (1j * t2f)
-    else:
-        raise ValueError(f"order must be 1 or 2, got {order}")
-    return TorusField._exact(c)
+    return TorusField._exact(f.coeffs * t1), TorusField._exact(f.coeffs * (1j * t2f))
 
 
 def lowpass(f: TorusField, mu: float) -> TorusField:
@@ -338,7 +335,7 @@ class ModulatedField:
     Sums and scalar multiples act per carrier on the small amplitude
     grids, with the float operations the dense box would apply to each
     coefficient; so does `inv_div` on a factored pair. Only `to_dense`
-    places blocks into one box, whose c(0) says, as for any field,
+    places blocks into one field, whose c(0) says, as for any field,
     whether F is mean-zero.
     """
 
@@ -399,31 +396,17 @@ class ModulatedField:
 
     def to_dense(self) -> TorusField:
         """The field at band max_p (K_p + |p|_inf), the smallest box that
-        holds every block. Blocks are added at their carriers' offsets
-        into the box's k2 >= 0 half. Where three blocks meet, the sum at
-        k need not mirror the sum at -k, so with overlapping blocks the
-        half is averaged with the conjugate of the mirror sums, c(-k),
-        added block by block in the same order: the half of the
-        symmetrised box, bit for bit."""
-        reach = [(p, b.shape[0] // 2) for p, b in self.blocks.items()]
-        Kout = max(K + max(abs(p[0]), abs(p[1])) for p, K in reach)
-        half = _place(self.blocks.items(), Kout)
-        if any(max(abs(p[0] - r[0]), abs(p[1] - r[1])) <= K + J
-               for i, (p, K) in enumerate(reach) for r, J in reach[:i]):
-            half += np.conj(_place((((-p[0], -p[1]), b[::-1, ::-1])
-                                    for p, b in self.blocks.items()), Kout))
-            half *= 0.5
-        return TorusField._exact(half)
-
-
-def _place(blocks, Kout):
-    """The k2 >= 0 half of the band-Kout box with each (carrier, block)
-    pair added, in order, at its carrier's offset."""
-    half = np.zeros((2 * Kout + 1, Kout + 1), dtype=np.complex128)
-    for p, b in blocks:
-        K = b.shape[0] // 2
-        lo1, lo2 = Kout + p[0] - K, p[1] - K
-        skip = min(max(-lo2, 0), 2 * K + 1)  # the block's k2 < 0 columns
-        half[lo1:lo1 + 2 * K + 1, lo2 + skip:lo2 + 2 * K + 1] += b[:, skip:]
-    return half
-
+        holds every block, each added once at its carrier's offset into
+        the half. Its k2 = 0 column, c(k) and c(-k) summed in different
+        orders, goes to `_computed_half` at the scale sum_p max|A_p|: a
+        field that is not real raises ValueError, as a bad transform read
+        does."""
+        Kout = max(b.shape[0] // 2 + max(abs(p[0]), abs(p[1]))
+                   for p, b in self.blocks.items())
+        half = np.zeros((2 * Kout + 1, Kout + 1), dtype=np.complex128)
+        for p, b in self.blocks.items():
+            K = b.shape[0] // 2
+            lo1, lo2 = Kout + p[0] - K, p[1] - K
+            skip = min(max(-lo2, 0), 2 * K + 1)  # the block's k2 < 0 columns
+            half[lo1:lo1 + 2 * K + 1, lo2 + skip:lo2 + 2 * K + 1] += b[:, skip:]
+        return _computed_half(half, sum(float(np.abs(b).max()) for b in self.blocks.values()))

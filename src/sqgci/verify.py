@@ -33,7 +33,7 @@ from .multipliers import (
     require_mean_zero,
     riesz_commutator,
     riesz_odd_symbol,
-    t_op,
+    t_ops,
 )
 from .norms import sobolev
 
@@ -158,17 +158,6 @@ def check_algebraic(kmax: int) -> float:
     return float(defect.max())
 
 
-def check_support(f: TorusField, radius: float) -> float:
-    """Largest coefficient magnitude beyond |k| > radius."""
-    k = np.arange(-f.band, f.band + 1)
-    # |k| > radius as k2^2 > radius^2 - k1^2 over the half: no |k| grid
-    # is built
-    outside = (k * k)[None, f.band:] > (radius * radius - k * k)[:, None]
-    if not outside.any():
-        return 0.0
-    return float(np.abs(f.coeffs[outside]).max())
-
-
 def leibniz_residual(a: TorusField, lam5: int, l) -> float:
     """Relative defect of the splitting of Lambda applied to a
     modulated wave:
@@ -180,10 +169,11 @@ def leibniz_residual(a: TorusField, lam5: int, l) -> float:
     p = l.wave(lam5)
     g = wave(a, p, "cos")
     direct = lambda_s(g.to_dense(), 1.0)
+    t1a, t2a = t_ops(a, lam5, l)
     rebuilt = (float(lam5) * g
                + wave(directional_grad(a, l), p, "sin")
-               + wave(t_op(a, 1, lam5, l), p, "cos")
-               + wave(t_op(a, 2, lam5, l), p, "sin")).to_dense()
+               + wave(t1a, p, "cos")
+               + wave(t2a, p, "sin")).to_dense()
     scale = direct.max_abs_coeff()
     if scale == 0.0:
         return 0.0

@@ -20,6 +20,7 @@ from sqgci.fields import TorusField, VectorField, random_field, read_sqf1, write
 from sqgci.iteration import (
     IterationParams,
     _scaled_perp,
+    check_support,
     lambda_at,
     make_base,
     perfect_amplitude,
@@ -35,12 +36,11 @@ from sqgci.multipliers import (
     lambda_s,
     multiply,
     riesz,
-    t_op,
+    t_ops,
 )
 from sqgci.norms import linf
 from sqgci.verify import (
     check_algebraic,
-    check_support,
     commutator_ratio,
     feasibility,
     leibniz_residual,
@@ -210,8 +210,9 @@ def t_bound_ratios(lam: int, mu: int, trials: int, seed: int = 0,
         if na == 0.0:
             continue
         for l in DIRECTIONS:
-            b1 = max(b1, linf(t_op(a, 1, lam, l), oversample) / (s1 * na))
-            b2 = max(b2, linf(t_op(a, 2, lam, l), oversample) / (s2 * na))
+            t1a, t2a = t_ops(a, lam, l)
+            b1 = max(b1, linf(t1a, oversample) / (s1 * na))
+            b2 = max(b2, linf(t2a, oversample) / (s2 * na))
     return b1, b2
 
 

@@ -341,6 +341,26 @@ def test_cli_export_spectrum_and_shells(tmp_path):
     assert len(lines) == 2
 
 
+@pytest.mark.parametrize("f", [TorusField.constant(0.0), TorusField.constant(-3.0),
+                               TorusField.from_modes(6, {(2, 5): 0.5 - 0.25j, (0, 3): 1.0}),
+                               random_field(9, np.random.default_rng(9), mean_zero=False)],
+                         ids=["zero", "constant", "empty rows", "disc"])
+def test_export_spectrum_writes_the_nonzero_box_entries_in_order(tmp_path, f):
+    # the file, written one chunk per k1 row, holds the joined lines of
+    # every nonzero entry of the whole box in row-major order
+    K = f.band
+    box = f.box()
+    lines = ["k1,k2,|k|,re,im,modulus"]
+    for i1, i2 in np.argwhere(box != 0):
+        k1, k2 = int(i1) - K, int(i2) - K
+        c = complex(box[i1, i2])
+        lines.append(",".join((str(k1), str(k2)) + tuple(
+            render_json(x) for x in (math.hypot(k1, k2), c.real, c.imag, abs(c)))))
+    path = tmp_path / "s.csv"
+    cli.export_spectrum(f, str(path))
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+
+
 @pytest.mark.parametrize("band, mean", [(0, True), (1, False), (7, False), (7, True),
                                         (40, True)])
 def test_export_shells_equals_the_whole_box_energies(tmp_path, band, mean):

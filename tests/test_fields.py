@@ -45,7 +45,7 @@ from sqgci.multipliers import (
     partial,
     riesz,
     riesz_odd,
-    t_op,
+    t_ops,
 )
 
 
@@ -756,6 +756,17 @@ def test_sqf1_atomic_write_leaves_no_temp(tmp_path):
     assert os.listdir(tmp_path) == ["g.sqf1"]
 
 
+def test_atomic_write_whose_chunks_fail_partway_leaves_nothing(tmp_path):
+    def chunks():
+        yield b"k1,k2\n"
+        yield b"1,0\n"
+        raise RuntimeError("row 2 failed")
+
+    with pytest.raises(RuntimeError, match="row 2 failed"):
+        fields._write_atomic(str(tmp_path / "s.csv"), chunks())
+    assert os.listdir(tmp_path) == []
+
+
 def test_random_field_reproducible_and_banded():
     a = random_field(5, np.random.default_rng(42))
     b = random_field(5, np.random.default_rng(42))
@@ -764,6 +775,23 @@ def test_random_field_reproducible_and_banded():
     k = np.arange(-5, 6)
     outside = (k[:, None] ** 2 + k[None, :] ** 2) > 25
     assert np.all(a.box()[outside] == 0.0)
+
+
+@pytest.mark.parametrize("band", [0, 1, 5, 12])
+@pytest.mark.parametrize("seed", [0, 9])
+@pytest.mark.parametrize("mean_zero", [False, True])
+def test_random_field_is_the_half_of_the_symmetrised_box_bit_for_bit(band, seed, mean_zero):
+    # the whole box drawn, masked and symmetrised, then its half kept
+    rng = np.random.default_rng(seed)
+    n = 2 * band + 1
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    k = np.arange(-band, band + 1)
+    z[(k[:, None] ** 2 + k[None, :] ** 2) > band * band] = 0.0
+    z = 0.5 * (z + np.conj(z[::-1, ::-1]))
+    if mean_zero:
+        z[band, band] = 0.0
+    f = random_field(band, np.random.default_rng(seed), mean_zero=mean_zero)
+    assert f.coeffs.tobytes() == np.ascontiguousarray(z[:, band:]).tobytes()
 
 
 def _carriers(band, p):
@@ -797,7 +825,7 @@ def _exact_outputs(band, seed, p, trig, lam_gap, scale):
         out += [(f"riesz {j}", riesz(f, j)), (f"riesz_odd {j}", riesz_odd(f, j)),
                 (f"partial {j}", partial(h, j))]
     for l in DIRECTIONS:
-        out += [(f"t_op {k} {l}", t_op(f, k, lam, l)) for k in (1, 2)]
+        out += [(f"t_ops {k} {l}", t) for k, t in zip((1, 2), t_ops(f, lam, l))]
         out.append((f"directional_grad {l}", directional_grad(h, l)))
     out += [("lowpass", lowpass(h, 1.0 + band / 2)),
             ("fat_lowpass", fat_lowpass(h, 1.0 + band / 8))]
@@ -815,7 +843,7 @@ def test_exact_producers_are_hermitian_and_frozen(band, seed, p, trig, lam_gap, 
     # are mean-zero, or the wave's carrier clears the band of its amplitude
     mean_free = {"zero", "random_field", "add mean-zero", "sub", "inv_div"}
     mean_free |= {f"wave {q}" for q in _carriers(band, p)[2:]}
-    symbols = ("lambda_s", "riesz", "partial", "t_op", "directional_grad")
+    symbols = ("lambda_s", "riesz", "partial", "t_ops", "directional_grad")
     for name, fld in outputs:
         c = fld.coeffs
         K = fld.band

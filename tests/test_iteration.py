@@ -26,6 +26,7 @@ from sqgci.iteration import (
     assemble_nonosc,
     assemble_osc,
     build_f_next,
+    check_support,
     lambda_at,
     make_base,
     nonlinear_flux,
@@ -50,10 +51,9 @@ from sqgci.multipliers import (
     lambda_s,
     lowpass,
     riesz_odd,
-    t_op,
+    t_ops,
 )
 from sqgci.norms import linf
-from sqgci.verify import check_support
 
 from test_acceptance import assemble_main
 
@@ -208,8 +208,9 @@ def _dense_assemble_osc(a1, a2, lam5):
     assembly `assemble_osc` keeps factored by carrier (oracle)."""
     amps = (a1, a2)
     waves = tuple(l.wave(lam5) for l in DIRECTIONS)
-    s = [directional_grad(a, l) + t_op(a, 2, lam5, l) for a, l in zip(amps, DIRECTIONS)]
-    c = [t_op(a, 1, lam5, l) for a, l in zip(amps, DIRECTIONS)]
+    ts = [t_ops(a, lam5, l) for a, l in zip(amps, DIRECTIONS)]
+    s = [directional_grad(a, l) + t[1] for a, l, t in zip(amps, DIRECTIONS, ts)]
+    c = [t[0] for t in ts]
     out = VectorField(TorusField.zero(), TorusField.zero())
     for i, l in enumerate(DIRECTIONS):
         a = amps[i]

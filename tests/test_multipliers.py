@@ -32,7 +32,7 @@ from sqgci.multipliers import (
     riesz_commutator,
     riesz_odd,
     riesz_odd_symbol,
-    t_op,
+    t_ops,
 )
 from sqgci.norms import x_norm
 
@@ -187,16 +187,16 @@ def test_riesz_odd_field_real_even():
 
 def test_t_op_hand_values():
     f = TorusField.from_modes(1, {(0, 1): 0.5}, mean_zero=True)
-    g = t_op(f, 1, 10, L2)
+    g = t_ops(f, 10, L2)[0]
     want = 0.5 * (math.sqrt(101.0) - 10.0)
     assert abs(g.coeff(0, 1) - want) < 1e-14
 
     # order 2 vanishes on collinear modes: (|lam l + k| - |lam l - k|)/2 = l.k
-    h = t_op(TorusField.from_modes(1, {(1, 0): 0.5}, mean_zero=True), 2, 10, L2)
+    h = t_ops(TorusField.from_modes(1, {(1, 0): 0.5}, mean_zero=True), 10, L2)[1]
     assert h.max_abs_coeff() < 1e-14
 
     f2 = TorusField.from_modes(1, {(1, 1): 0.5}, mean_zero=True)
-    g2 = t_op(f2, 2, 10, L2)
+    g2 = t_ops(f2, 10, L2)[1]
     want2 = 0.5j * ((math.sqrt(122.0) - math.sqrt(82.0)) / 2.0 - 1.0)
     assert abs(g2.coeff(1, 1) - want2) < 1e-14
 
@@ -204,7 +204,7 @@ def test_t_op_hand_values():
 def test_t_op_band_guard():
     f = TorusField.from_modes(8, {(8, 0): 0.5}, mean_zero=True)
     with pytest.raises(BandExceedsLambda):
-        t_op(f, 1, 8, L2)
+        t_ops(f, 8, L2)
 
 
 def test_lowpass_flat_and_kill():
@@ -348,20 +348,27 @@ def test_modulate_matches_product():
         multiply(a, w).pad_to(15).coeffs, atol=1e-13)
 
 
-def _to_dense_box_oracle(blocks):
-    """The whole box of the blocks added at their carriers' offsets,
-    symmetrised where blocks overlap."""
+def _placed_box(blocks):
+    """The whole box of the blocks added, in order, at their carriers'
+    offsets."""
     reach = [(p, b.shape[0] // 2) for p, b in blocks.items()]
     Kout = max(K + max(abs(p[0]), abs(p[1])) for p, K in reach)
     box = np.zeros((2 * Kout + 1, 2 * Kout + 1), dtype=np.complex128)
     for (p, K), b in zip(reach, blocks.values()):
         lo1, lo2 = Kout + p[0] - K, Kout + p[1] - K
         box[lo1:lo1 + 2 * K + 1, lo2:lo2 + 2 * K + 1] += b
-    if any(max(abs(p[0] - r[0]), abs(p[1] - r[1])) <= K + J
-           for i, (p, K) in enumerate(reach) for r, J in reach[:i]):
-        box += np.conj(box[::-1, ::-1])
-        box *= 0.5
     return box
+
+
+def _to_dense_box_oracle(blocks):
+    """The k2 >= 0 half of the placed box, its k2 = 0 column then
+    symmetrised."""
+    box = _placed_box(blocks)
+    half = box[:, box.shape[0] // 2:].copy()
+    col = half[:, 0]
+    col += np.conj(col[::-1])
+    col *= 0.5
+    return half
 
 
 @settings(max_examples=80, deadline=None)
@@ -372,16 +379,36 @@ def _to_dense_box_oracle(blocks):
        seed=st.integers(0, 2 ** 32 - 1))
 def test_to_dense_is_the_half_of_the_box_oracle_bit_for_bit(bands, carriers, trigs, seed):
     # sums of waves put blocks apart, side by side, across k2 = 0 and on
-    # top of each other, where the box is symmetrised
+    # top of each other
     rng = np.random.default_rng(seed)
     m = ModulatedField({})
     for b, p, trig in zip(bands, carriers, trigs):
         m = m + ModulatedField.wave(random_field(b, rng, mean_zero=False), p, trig)
     got = m.to_dense()
     want = _to_dense_box_oracle(m.blocks)
-    K = want.shape[0] // 2
+    K = want.shape[1] - 1
     assert got.band == K
-    assert got.coeffs.tobytes() == np.ascontiguousarray(want[:, K:]).tobytes()
+    assert got.coeffs.tobytes() == want.tobytes()
+    # where blocks overlap, the direct sums stay within rounding of the
+    # symmetrised box, the average of the sums at k and -k
+    box = _placed_box(m.blocks)
+    box += np.conj(box[::-1, ::-1])
+    box *= 0.5
+    scale = sum(float(np.abs(b).max()) for b in m.blocks.values())
+    assert np.abs(got.coeffs - box[:, K:]).max() <= 4.0 * np.finfo(float).eps * scale
+
+
+def test_to_dense_of_a_field_that_is_not_real_raises():
+    # one complex block at carrier (1, 0) has no mirror at (-1, 0), so the
+    # k2 = 0 column of its half is not Hermitian, as in a bad transform read
+    rng = np.random.default_rng(5)
+    b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    with pytest.raises(ValueError, match="Hermitian symmetry violated"):
+        ModulatedField({(1, 0): b}).to_dense()
+    # with its mirror conjugate at (-1, 0) the field is real
+    real = ModulatedField({(1, 0): b, (-1, 0): np.conj(b[::-1, ::-1])}).to_dense()
+    assert real.band == 2
+    assert real.coeff(2, 1) == b[2, 2]
 
 
 def test_riesz_commutator_collinear_vanishes():

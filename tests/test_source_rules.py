@@ -275,3 +275,42 @@ def test_the_rule_sees_a_cache_and_a_clear(tmp_path):
     assert list(_functools_caches(src)) == [(3, "_odd_symbols"), (7, "C.f"), (10, ""),
                                             (12, "h.k")]
     assert list(_cache_clears(src)) == [(16, "h")]
+
+
+def _verify_imports(path):
+    """(line, scope) of every import of `sqgci.verify` in a source file,
+    absolute or relative, as a module or from it."""
+    def hit(node):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            # the package's modules sit at its top, so a relative import
+            # starts from sqgci
+            base = "sqgci" if node.level else ""
+            base = ".".join(x for x in (base, node.module) if x)
+            names = [base] + [f"{base}.{a.name}" for a in node.names]
+        else:
+            return False
+        return "sqgci.verify" in names
+
+    return _scoped(path, hit)
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "sqgci").glob("*.py")),
+                         ids=lambda p: p.name)
+def test_only_the_cli_imports_verify(path):
+    # verify checks what a run computed and wrote; a module the run
+    # imports could not be read back by it without an import cycle
+    if path.stem != "cli":
+        assert list(_verify_imports(path)) == []
+
+
+def test_the_rule_sees_a_verify_import(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text("from .verify import weak_residual\nfrom . import fields, verify\n"
+                   "import sqgci.verify\nfrom sqgci.verify import report\n"
+                   "from sqgci import verify as v\nfrom .verifier import x\n"
+                   "from .fields import verify\nimport verify\n"
+                   "def f():\n    from .verify import check\n", encoding="utf-8")
+    assert list(_verify_imports(src)) == [(1, ""), (2, ""), (3, ""), (4, ""), (5, ""),
+                                          (10, "f")]

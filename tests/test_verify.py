@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from sqgci import fields, multipliers, verify
 from sqgci.errors import NonZeroMean
 from sqgci.fields import TorusField, inner, random_field
-from sqgci.iteration import IterationParams, make_base, nonlinear_flux, step
+from sqgci.iteration import IterationParams, check_support, make_base, nonlinear_flux, step
 from sqgci.multipliers import (
     DIRECTIONS,
     L1,
@@ -28,7 +28,6 @@ from sqgci.multipliers import (
 )
 from sqgci.verify import (
     check_algebraic,
-    check_support,
     commutator_ratio,
     feasibility,
     leibniz_residual,

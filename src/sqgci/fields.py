@@ -348,7 +348,28 @@ def good_grid(n):
     return scipy.fft.next_fast_len(int(n), real=True)
 
 
-def to_grid(f: TorusField, N: int) -> np.ndarray:
+# Rows of the spectrum that `to_grid`'s max-abs mode runs the axis-1
+# pass over at a time, and rows of a field's half that a symbol is
+# evaluated on at a time. A block of samples is 8 * GRID_BLOCK * N bytes.
+GRID_BLOCK = 64
+
+
+def _fill(H, h, k1_first, sgn, symbol):
+    """Phase the rows of the half h, row i at k1 = k1_first + i, into
+    the rows of H. With a symbol, each block of GRID_BLOCK rows is
+    multiplied by symbol(k1, k2) (k1 a column, k2 = 0..K a row, as
+    floats) on its way in, with the bits of m * h phased."""
+    if symbol is None:
+        _phase(H, h, k1_first, sgn)
+        return
+    k2 = np.arange(h.shape[1], dtype=np.float64)[None, :]
+    for a in range(0, h.shape[0], GRID_BLOCK):
+        b = min(a + GRID_BLOCK, h.shape[0])
+        k1 = np.arange(k1_first + a, k1_first + b, dtype=np.float64)[:, None]
+        _phase(H[a:b], h[a:b] * symbol(k1, k2), k1_first + a, sgn)
+
+
+def to_grid(f: TorusField, N: int, symbol=None, max_abs: bool = False):
     """Real samples of the band-K field f at the N x N collocation nodes
     x_ij = 2*pi*(i, j)/N - (pi, pi).
 
@@ -360,6 +381,15 @@ def to_grid(f: TorusField, N: int) -> np.ndarray:
     nonzero sample has irfft2's bits; a zero sample may differ in its
     sign.
 
+    symbol, a real-even multiplier m(k1, k2) such as
+    `multipliers.riesz_odd_symbol`, samples m f instead, with the bits
+    of sampling the image f.coeffs * m: it is evaluated on blocks of the
+    half's rows as they are written, so neither the image nor a
+    whole-band symbol grid is built. max_abs returns the largest |sample|
+    (NaN if any sample is NaN) instead of the grid: the axis-1 pass runs
+    over GRID_BLOCK rows of the spectrum at a time, so no N x N sample
+    grid is held.
+
     Requires N >= 2K+2 so every mode is represented without aliasing
     (raises GridTooSmall otherwise).
     """
@@ -369,19 +399,25 @@ def to_grid(f: TorusField, N: int) -> np.ndarray:
     sgn = _signs(K)
     w = _workers(N)
     H = np.zeros((N, N // 2 + 1), dtype=np.complex128)
-    _phase(H[:K + 1, :K + 1], h[K:], 0, sgn)
-    _phase(H[N - K:, :K + 1], h[:K], -K, sgn)
+    top, bottom = H[:K + 1, :K + 1], H[N - K:, :K + 1]
+    _fill(top, h[K:], 0, sgn, symbol)
+    _fill(bottom, h[:K], -K, sgn, symbol)
     # column k2 is nonempty when filled[k2 + 1]; the edges of its runs of
     # nonempty columns alternate between starts and stops
     filled = np.zeros(K + 3, dtype=bool)
-    np.any(h, axis=0, out=filled[1:-1])
+    np.any(top, axis=0, out=filled[1:-1])
+    filled[1:-1] |= np.any(bottom, axis=0)
     edges = np.flatnonzero(filled[1:] != filled[:-1]).tolist()
     for a, b in zip(edges[::2], edges[1::2]):
         run = H[:, a:b]
         out = scipy.fft.ifft(run, axis=0, norm="forward", workers=w, overwrite_x=True)
         if not np.may_share_memory(out, run):  # scipy may decline to work in place
             run[...] = out
-    return scipy.fft.irfft(H, n=N, axis=1, norm="forward", workers=w)
+    if not max_abs:
+        return scipy.fft.irfft(H, n=N, axis=1, norm="forward", workers=w)
+    return float(np.max([
+        _max_abs(scipy.fft.irfft(H[i:i + GRID_BLOCK], n=N, axis=1, norm="forward", workers=w))
+        for i in range(0, N, GRID_BLOCK)]))
 
 
 def _max_abs(g) -> float:
@@ -389,15 +425,15 @@ def _max_abs(g) -> float:
     return float(np.abs([g.max(), g.min()]).max())
 
 
-def _truncate(H, values, K):
-    """Band-K field read off H = rfft2(values, norm="forward").
+def _truncate(H, scale, K):
+    """Band-K field read off H = rfft2(values, norm="forward"), scale
+    being _max_abs(values).
 
     The k2 >= 0 half is read off H by slices, with no gathers, and
     phased as it is read. Its k2 = 0 column goes to `_computed_half` at
     the scale of the samples, which bound every bin.
     """
     N = H.shape[0]
-    scale = _max_abs(values)
     # no partial sum of the transform can overflow below this bound
     if not np.isfinite(2.0 * N * N * scale):
         raise ValueError(f"non-finite or overflowing sample (max |x| = {scale})")
@@ -436,7 +472,7 @@ def from_grid(values: np.ndarray, K: int) -> TorusField:
     if N < 2 * K + 2:
         raise GridTooSmall(f"grid {N} < 2*{K}+2 required to read band {K}")
     return _truncate(scipy.fft.rfft2(values, norm="forward", workers=_workers(N)),
-                     values, K)
+                     _max_abs(values), K)
 
 
 def products(f: TorusField, gs) -> list:
@@ -444,22 +480,31 @@ def products(f: TorusField, gs) -> list:
 
     Each is computed by collocation on a grid holding its full product
     band, so no aliasing can occur, and f is transformed once per grid
-    size, however many factors share it.
+    size, however many factors share it. f's grid is dropped after the
+    last factor that uses it, and each product's samples once their
+    forward transform is taken.
     """
+    sides = [good_grid(2 * (f.band + g.band) + 2) if f.band and g.band else None
+             for g in gs]
+    last = {N: i for i, N in enumerate(sides)}
     out, grids = [], {}
-    for g in gs:
+    for i, (g, N) in enumerate(zip(gs, sides)):
         if f.band == 0:
             out.append(g * f.coeffs[0, 0].real)
         elif g.band == 0:
             out.append(f * g.coeffs[0, 0].real)
         else:
-            Kout = f.band + g.band
-            N = good_grid(2 * Kout + 2)
-            if N not in grids:
-                grids[N] = to_grid(f, N)
+            fvals = grids.pop(N) if N in grids else to_grid(f, N)
+            if last[N] > i:
+                grids[N] = fvals
             vals = to_grid(g, N)
-            np.multiply(grids[N], vals, out=vals)
-            out.append(from_grid(vals, Kout))
+            np.multiply(fvals, vals, out=vals)
+            del fvals
+            scale = _max_abs(vals)
+            H = scipy.fft.rfft2(vals, norm="forward", workers=_workers(N))
+            del vals
+            out.append(_truncate(H, scale, f.band + g.band))
+            del H
     return out
 
 
@@ -515,7 +560,7 @@ def sqrt_pointwise(f: TorusField, oversample: int = 4, kout: int | None = None,
         w[-1] = 1.0
     shell = norm2 > (N / 4.0) ** 2
     tail = float(np.sqrt(np.sum((np.abs(H) ** 2 * w[None, :])[shell])))
-    return _truncate(H, vals, kout), tail
+    return _truncate(H, _max_abs(vals), kout), tail
 
 
 def _half_vdot(a, b) -> float:

@@ -34,16 +34,17 @@ fields alike, ahead of every negative-order operator (Lambda^s for
 s < 0, riesz, riesz_odd, inv_div, the commutator's theta).
 
 A dense field stores the k2 >= 0 half of its box, so every symbol grid
-is built on k2 = 0..K alone. Real-even symbols map real fields to real
-fields, imaginary-odd ones likewise, and the grids keep the k2 = 0
-column Hermitian to the last bit. ModulatedField blocks are complex
+is built on k2 = 0..K alone, fresh for the call that needs it: no
+k-grid is cached. `norms.x_norm` passes `riesz_odd_symbol` to the
+sampler instead of building an image. Real-even symbols map real
+fields to real fields, imaginary-odd ones likewise, and the grids keep
+the k2 = 0 column Hermitian to the last bit. ModulatedField blocks are complex
 amplitudes, not real fields, and keep their whole boxes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -187,26 +188,13 @@ def riesz_odd_symbol(j, k1, k2):
     return m
 
 
-@lru_cache(maxsize=1)
-def _odd_symbols(K):
-    """m_1 and m_2 on the half of the band-K box, the program's one
-    cached k-grid. A step reads them at q's band, then at each channel's
-    (qM3 and q_next back to back), so the last band alone is kept. The
-    pair depends on K alone and is never stale; the next step's first
-    call, at its q's band, evicts it before any large grid exists, so
-    no caller clears it."""
-    ms = tuple(riesz_odd_symbol(j, *_kgrids(K)) for j in (1, 2))
-    for m in ms:
-        m.flags.writeable = False
-    return ms
-
-
 def riesz_odd(f: TorusField, j: int) -> TorusField:
-    """Apply the even rational multiplier m_j. Input must be mean-zero."""
+    """Apply the even rational multiplier m_j, its symbol built fresh on
+    f's half. Input must be mean-zero."""
     if j not in (1, 2):
         raise ValueError(f"index must be 1 or 2, got {j}")
     require_mean_zero(f, "riesz_odd")
-    return TorusField._exact(f.coeffs * _odd_symbols(f.band)[j - 1])
+    return TorusField._exact(f.coeffs * riesz_odd_symbol(j, *_kgrids(f.band)))
 
 
 def t_ops(f: TorusField, lam: int, l: Direction) -> tuple:

@@ -7,8 +7,10 @@ Both are O(slow) on purpose.
 
 from __future__ import annotations
 
+import functools
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -45,6 +47,7 @@ from sqgci.multipliers import (
     partial,
     riesz,
     riesz_odd,
+    riesz_odd_symbol,
     t_ops,
 )
 
@@ -215,6 +218,83 @@ def test_transforms_equal_the_full_spectrum_oracles(band, kind, extra, seed, fil
                 to_grid(f, 2 * band + 1)
             with pytest.raises(GridTooSmall):
                 from_grid(values[:2 * band + 1, :2 * band + 1], band)
+
+
+def _odd_image(f: TorusField, j: int) -> TorusField:
+    """m_j f as a field, built on f's half whatever f's mean (m_j(0) = 0)."""
+    k = np.arange(-f.band, f.band + 1, dtype=np.float64)
+    return TorusField._exact(f.coeffs * riesz_odd_symbol(j, k[:, None], k[None, f.band:]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(band=st.integers(0, 40),
+       kind=st.sampled_from(["minimal", "oversampled", "odd", "below_crossover",
+                             "at_crossover", "above_crossover"]),
+       extra=st.integers(1, 20),
+       seed=st.integers(0, 2**32 - 1),
+       fill=st.sampled_from(["disc", "columns", "wave", "zero"]),
+       scale=st.sampled_from([1.0, 0.0, -0.0, 1e-300]))
+# N = 64 is one whole block; N = 432 ends on a partial one
+@example(band=31, kind="minimal", extra=1, seed=0, fill="disc", scale=1.0)
+@example(band=40, kind="at_crossover", extra=1, seed=1, fill="columns", scale=1e-300)
+@example(band=1, kind="minimal", extra=1, seed=1, fill="wave", scale=-0.0)
+@example(band=0, kind="odd", extra=3, seed=2, fill="disc", scale=1.0)
+def test_block_reduced_samples_equal_the_grid_maximum(band, kind, extra, seed, fill, scale):
+    # max_abs runs the axis-1 pass over blocks of rows and keeps only the
+    # maximum; a symbol samples m f from f's half. Both give the bits of
+    # the whole grid and of the image
+    rng = np.random.default_rng(seed)
+    f = _test_field(fill, band, rng, bool(seed % 2)) * scale
+    N = _grid_side(band, kind, extra)
+    for cpus in (1, 2):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fields, "_cpu_count", lambda: cpus)
+            want = fields._max_abs(to_grid(f, N))
+            assert to_grid(f, N, max_abs=True).hex() == want.hex()
+            for j in (1, 2):
+                symbol = functools.partial(riesz_odd_symbol, j)
+                image = to_grid(_odd_image(f, j), N)
+                assert to_grid(f, N, symbol=symbol).tobytes() == image.tobytes()
+                assert (to_grid(f, N, symbol=symbol, max_abs=True).hex()
+                        == fields._max_abs(image).hex())
+    if f.mean_zero:
+        for j in (1, 2):
+            assert _odd_image(f, j).coeffs.tobytes() == riesz_odd(f, j).coeffs.tobytes()
+
+
+def test_block_reduced_maximum_propagates_nan():
+    c = np.zeros((7, 4), dtype=np.complex128)
+    c[4, 2] = np.nan
+    f = TorusField._exact(c)
+    for N in (8, 200):
+        assert np.isnan(to_grid(f, N, max_abs=True))
+        assert np.isnan(to_grid(f, N, symbol=functools.partial(riesz_odd_symbol, 1),
+                                max_abs=True))
+
+
+def _traced_peak(fn):
+    """Peak tracemalloc bytes above the start while fn runs."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_products_drop_each_grid_once_spent():
+    # two band-300 products on a 625-point grid: f's grid, the second
+    # factor's spectrum and samples and the first product's half are
+    # alive at once. Keeping the first product's samples until the second
+    # factor's were built, as the products did before, held one grid more
+    rng = np.random.default_rng(0)
+    f, g1, g2 = (random_field(150, rng, mean_zero=False) for _ in range(3))
+    N = good_grid(2 * 300 + 2)
+    grid, spectrum, half = 8 * N * N, 16 * N * (N // 2 + 1), 16 * 601 * 301
+    peak = _traced_peak(lambda: products(f, (g1, g2)))
+    assert peak <= 2 * grid + spectrum + half + grid / 8, peak / grid
 
 
 def test_multiply_matches_convolution_oracle():

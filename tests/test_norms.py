@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from sqgci import norms
 from sqgci.errors import GridBudgetExceeded, NonZeroMean
-from sqgci.fields import TorusField, good_grid, random_field, to_grid
+from sqgci.fields import GRID_BLOCK, TorusField, good_grid, random_field, to_grid
 from sqgci.multipliers import ModulatedField, lambda_s, lowpass, riesz_odd, riesz_odd_symbol
 from sqgci.norms import (
     _grid_side,
@@ -20,6 +20,8 @@ from sqgci.norms import (
     sobolev,
     x_norm,
 )
+
+from test_fields import _traced_peak
 
 
 def _cos(k1, k2):
@@ -261,3 +263,16 @@ def test_x_norm_equals_the_riesz_box_oracle_bit_for_bit(band, seed, oversample, 
     assert sup.hex() == _linf_oracle(q, oversample, grid_cap).hex()
     assert x_norm(q, oversample, grid_cap).hex() == want.hex()
     assert x_norm(q, oversample, grid_cap, sup=sup).hex() == want.hex()
+
+
+def test_linf_and_x_norm_hold_no_sample_grid_and_no_image():
+    # band 200 at 2x samples on an 810-point grid. linf holds the half
+    # spectrum and one block of samples: the whole sample grid took
+    # 8 N^2 bytes more. x_norm samples m_j q from q's half: an image of
+    # the half would add its bytes
+    q = random_field(200, np.random.default_rng(0), mean_zero=True)
+    N = _grid_side(200, 2, None)
+    assert N == 810
+    spectrum, block = 16 * N * (N // 2 + 1), 8 * GRID_BLOCK * N
+    assert _traced_peak(lambda: linf(q, 2)) < spectrum + 1.25 * block
+    assert _traced_peak(lambda: x_norm(q, 2)) < spectrum + q.coeffs.nbytes

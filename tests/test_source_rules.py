@@ -248,16 +248,17 @@ def _cache_clears(path):
                    and node.func.attr == "cache_clear")
 
 
-CACHED = {"multipliers._odd_symbols"}
+CACHED = set()
 
 
 @pytest.mark.parametrize("path", sorted((ROOT / "src" / "sqgci").glob("*.py")),
                          ids=lambda p: p.name)
 def test_the_odd_symbols_are_the_one_cache_and_nothing_clears_it(path):
-    # the m_j pair depends on its band alone and holds one band, which the
-    # next step's first call evicts; a cache of other grids would keep
-    # them alive through a step's memory peak, and a clear would manage
-    # a cache from outside its module
+    # no function is cached: the m_j symbols, once the one cached k-grid,
+    # are evaluated block by block as the sampler writes its spectrum, or
+    # built fresh for the amplitudes; a cached grid would stay alive
+    # through a step's memory peak, and a clear would manage a cache
+    # from outside its module
     assert [(line, name) for line, name in _functools_caches(path)
             if f"{path.stem}.{name}" not in CACHED] == []
     assert list(_cache_clears(path)) == []

@@ -38,8 +38,8 @@ is built on k2 = 0..K alone, fresh for the call that needs it: no
 k-grid is cached. `norms.x_norm` passes `riesz_odd_symbol` to the
 sampler instead of building an image. Real-even symbols map real
 fields to real fields, imaginary-odd ones likewise, and the grids keep
-the k2 = 0 column Hermitian to the last bit. ModulatedField blocks are complex
-amplitudes, not real fields, and keep their whole boxes.
+the k2 = 0 column Hermitian to the last bit. ModulatedField blocks are
+complex amplitudes, not real fields, and keep their whole boxes.
 """
 
 from __future__ import annotations

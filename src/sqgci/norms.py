@@ -9,8 +9,8 @@ X-norm stacks L-infinity of the field and of its two images under the
 even rational multipliers m_j, each sampled through its symbol with no
 image and no k-grid built. Holder regularity is tracked by a
 Besov-type proxy whose dyadic shells are cut from windows of the
-field's half. Homogeneous Sobolev norms are summed
-over the half, each k2 > 0 column counted for itself and its mirror.
+field's half. Homogeneous Sobolev norms are summed over the half, each
+k2 > 0 column counted for itself and its mirror.
 """
 
 from __future__ import annotations
@@ -27,14 +27,15 @@ from .multipliers import _knorm, require_mean_zero, riesz_odd_symbol
 
 def _grid_side(K: int, oversample: int, grid_cap) -> int:
     """Side of the grid `linf` samples a band-K field on: the first of
-    good_grid(s * (2K+2)), s = oversample down to 2, then 2K+2 itself,
-    that fits under grid_cap. good_grid(n) >= n, so the search starts at
-    the largest s whose grid can fit."""
+    good_grid(s * (2K+2)), s = oversample down to 1, that fits under
+    grid_cap, and 2K+2 itself only when even good_grid(2K+2) does not,
+    which a power-of-two cap never allows. good_grid(n) >= n, so the
+    search starts at the largest s whose grid can fit."""
     if oversample < 2:
         raise ValueError(f"oversample must be >= 2, got {oversample}")
     minimal = 2 * K + 2
     top = oversample if grid_cap is None else min(oversample, grid_cap // minimal)
-    for s in range(top, 1, -1):
+    for s in range(top, 0, -1):
         N = good_grid(s * minimal)
         if grid_cap is None or N <= grid_cap:
             return N

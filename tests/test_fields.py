@@ -285,10 +285,10 @@ def _traced_peak(fn):
 
 
 def test_products_drop_each_grid_once_spent():
-    # two band-300 products on a 625-point grid: f's grid, the second
-    # factor's spectrum and samples and the first product's half are
-    # alive at once. Keeping the first product's samples until the second
-    # factor's were built, as the products did before, held one grid more
+    # two band-300 products on a 625-point grid: at most f's grid, the
+    # second factor's spectrum and samples and the first product's half
+    # are alive at once. Keeping the first product's samples (or its
+    # spectrum) until the second factor's are built holds one grid more
     rng = np.random.default_rng(0)
     f, g1, g2 = (random_field(150, rng, mean_zero=False) for _ in range(3))
     N = good_grid(2 * 300 + 2)

@@ -183,25 +183,33 @@ def test_grid_budget_cap():
 
 
 def _eager_grid_side(K: int, oversample: int, grid_cap):
-    """The first fitting grid of oversample, ..., 2 times the minimal
-    one, then the minimal one, from the whole list of candidates."""
+    """The first fitting grid of good_grid(oversample, ..., 1 times the
+    minimal one), then the minimal one, from the whole list of
+    candidates."""
     minimal = 2 * K + 2
-    for N in [good_grid(s * minimal) for s in range(oversample, 1, -1)] + [minimal]:
+    for N in [good_grid(s * minimal) for s in range(oversample, 0, -1)] + [minimal]:
         if grid_cap is None or N <= grid_cap:
             return N
     return None
 
 
 def test_grid_side_searches_only_grids_that_can_fit(monkeypatch):
-    for K in range(6):
+    # from K = 6 on, good_grid(2K+2) can exceed 2K+2 (14 -> 15)
+    for K in range(10):
         for oversample in range(2, 9):
-            for grid_cap in (None, 1, 2, 11, 12, 16, 30, 64, 100):
+            for grid_cap in (None, 1, 2, 11, 12, 14, 15, 16, 22, 30, 64, 100):
                 want = _eager_grid_side(K, oversample, grid_cap)
                 if want is None:
                     with pytest.raises(GridBudgetExceeded):
                         _grid_side(K, oversample, grid_cap)
                 else:
                     assert _grid_side(K, oversample, grid_cap) == want
+    # the last resort is FFT-friendly whenever it fits: band 986 under the
+    # 2048 cap samples 2000 = 2^4 5^3 points, not 1974 = 2 3 7 47; the
+    # raw 2K+2 is left only when good_grid(2K+2) is over the cap
+    assert _grid_side(986, 4, 2048) == 2000
+    assert _grid_side(6, 4, 15) == 15
+    assert _grid_side(6, 4, 14) == 14
     calls = []
 
     def counted(n):

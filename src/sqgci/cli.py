@@ -205,12 +205,10 @@ def export_spectrum(f: TorusField, path: str):
     def chunks():
         yield b"k1,k2,|k|,re,im,modulus\n"
         for k1, row in enumerate(box, -K):
-            lines = []
-            for i2 in np.flatnonzero(row):
-                k2 = int(i2) - K
-                c = complex(row[i2])
-                lines.append(",".join((str(k1), str(k2), _scalar(math.hypot(k1, k2)),
-                                       _scalar(c.real), _scalar(c.imag), _scalar(abs(c)))))
+            nz = np.flatnonzero(row)
+            lines = [",".join((str(k1), str(k2), _scalar(math.hypot(k1, k2)),
+                               _scalar(c.real), _scalar(c.imag), _scalar(abs(c))))
+                     for k2, c in zip((nz - K).tolist(), row[nz].tolist())]
             if lines:
                 yield ("\n".join(lines) + "\n").encode("utf-8")
 

@@ -34,11 +34,11 @@ transforms, which read and write only the k2 >= 0 half. `to_grid`
 writes the half straight into the spectrum and runs the axis-0 pass in
 place on the runs of non-empty columns only (a zero sample may differ
 from the full pass in its sign); it is the one home of the inverse
-transform. A read takes the half off the forward transform by slices.
-Products of band-limited fields are band-limited, so they are computed
-exactly by zero-padding to a grid that holds the full product band
-(N >= 2*(Kf+Kg)+2); the 3/2 rule is never used. `products` transforms
-a factor shared by several products once.
+transform. `_truncate` reads the half off the forward transform by
+slices. Products of band-limited fields are band-limited, so they are
+computed exactly by zero-padding to a grid that holds the full product
+band (N >= 2*(Kf+Kg)+2); the 3/2 rule is never used. `products`
+transforms a factor shared by several products once.
 
 `Sum` builds a chain of `+` and `-` in one half, with the same bits.
 A half is written only before `_exact` freezes it.
@@ -349,24 +349,24 @@ def good_grid(n):
 
 
 # Rows of the spectrum that `to_grid`'s max-abs mode runs the axis-1
-# pass over at a time, and rows of a field's half that a symbol is
-# evaluated on at a time. A block of samples is 8 * GRID_BLOCK * N bytes.
+# pass over at a time, and rows of a field's half that `_fill` phases
+# at a time. A block of samples is 8 * GRID_BLOCK * N bytes.
 GRID_BLOCK = 64
 
 
 def _fill(H, h, k1_first, sgn, symbol):
     """Phase the rows of the half h, row i at k1 = k1_first + i, into
-    the rows of H. With a symbol, each block of GRID_BLOCK rows is
-    multiplied by symbol(k1, k2) (k1 a column, k2 = 0..K a row, as
+    the rows of H, GRID_BLOCK rows at a time. With a symbol, each block
+    is multiplied by symbol(k1, k2) (k1 a column, k2 = 0..K a row, as
     floats) on its way in, with the bits of m * h phased."""
-    if symbol is None:
-        _phase(H, h, k1_first, sgn)
-        return
     k2 = np.arange(h.shape[1], dtype=np.float64)[None, :]
     for a in range(0, h.shape[0], GRID_BLOCK):
         b = min(a + GRID_BLOCK, h.shape[0])
-        k1 = np.arange(k1_first + a, k1_first + b, dtype=np.float64)[:, None]
-        _phase(H[a:b], h[a:b] * symbol(k1, k2), k1_first + a, sgn)
+        block = h[a:b]
+        if symbol is not None:
+            k1 = np.arange(k1_first + a, k1_first + b, dtype=np.float64)[:, None]
+            block = block * symbol(k1, k2)
+        _phase(H[a:b], block, k1_first + a, sgn)
 
 
 def to_grid(f: TorusField, N: int, symbol=None, max_abs: bool = False):
@@ -457,22 +457,6 @@ def _computed_half(c, scale):
     col += np.conj(col[::-1])
     col *= 0.5
     return TorusField._exact(c)
-
-
-def from_grid(values: np.ndarray, K: int) -> TorusField:
-    """Band-K truncation of the discrete transform of real samples at
-    the N x N collocation nodes, N read from the square array.
-
-    Exact (to rounding) when the samples came from a band-K field.
-    Requires N >= 2K+2 so the requested modes occupy distinct bins.
-    """
-    if values.ndim != 2 or values.shape[0] != values.shape[1]:
-        raise ValueError(f"samples must be a square N x N grid, got {values.shape}")
-    N = values.shape[0]
-    if N < 2 * K + 2:
-        raise GridTooSmall(f"grid {N} < 2*{K}+2 required to read band {K}")
-    return _truncate(scipy.fft.rfft2(values, norm="forward", workers=_workers(N)),
-                     _max_abs(values), K)
 
 
 def products(f: TorusField, gs) -> list:
@@ -620,26 +604,32 @@ def write_sqf1(f: TorusField, path):
 
 
 def read_sqf1(path) -> TorusField:
-    """Read an SQF1 field; verifies magic, version and size, and, through
-    the checked constructor, finite and Hermitian-symmetric coefficients
-    and the meanZero flag against c(0) (ParseError on any mismatch). The
-    field keeps the k2 >= 0 half of the box."""
+    """Read an SQF1 field; verifies magic, version and, before the box is
+    read, the file's size, and, through the checked constructor, finite
+    and Hermitian-symmetric coefficients and the meanZero flag against
+    c(0) (ParseError on any mismatch). The field keeps the k2 >= 0 half
+    of the box."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < 20:
-        raise ParseError(f"{path}: truncated header ({len(raw)} bytes)")
-    magic, version, band, mz = struct.unpack("<4sIIq", raw[:20])
-    if magic != _SQF1_MAGIC:
-        raise ParseError(f"{path}: bad magic {magic!r}")
-    if version != _SQF1_VERSION:
-        raise ParseError(f"{path}: unsupported version {version}")
-    if mz not in (0, 1):
-        raise ParseError(f"{path}: meanZero flag must be 0/1, got {mz}")
-    n = 2 * band + 1
-    want = 20 + 16 * n * n
-    if len(raw) != want:
-        raise ParseError(f"{path}: expected {want} bytes for band {band}, got {len(raw)}")
-    c = np.frombuffer(raw, dtype="<c16", offset=20).reshape(n, n)
+        head = fh.read(20)
+        if len(head) < 20:
+            raise ParseError(f"{path}: truncated header ({len(head)} bytes)")
+        magic, version, band, mz = struct.unpack("<4sIIq", head)
+        if magic != _SQF1_MAGIC:
+            raise ParseError(f"{path}: bad magic {magic!r}")
+        if version != _SQF1_VERSION:
+            raise ParseError(f"{path}: unsupported version {version}")
+        if mz not in (0, 1):
+            raise ParseError(f"{path}: meanZero flag must be 0/1, got {mz}")
+        n = 2 * band + 1
+        want = 20 + 16 * n * n
+        size = os.fstat(fh.fileno()).st_size
+        if size == want:
+            # one byte past the box shows a file that grew since the fstat
+            raw = fh.read(want - 19)
+            size = 20 + len(raw)
+    if size != want:
+        raise ParseError(f"{path}: expected {want} bytes for band {band}, got {size}")
+    c = np.frombuffer(raw, dtype="<c16").reshape(n, n)
     try:
         return TorusField(c, mean_zero=bool(mz))
     except ValueError as e:  # NonZeroMean included

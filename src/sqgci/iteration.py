@@ -37,8 +37,8 @@ from decimal import ROUND_CEILING, Decimal, Overflow, localcontext
 import numpy as np
 
 from .errors import GridBudgetExceeded, SeparationViolated
-from .fields import (Sum, TorusField, VectorField, _window, good_grid, multiply,
-                     products, random_field, sqrt_grid, sqrt_pointwise)
+from .fields import (Sum, TorusField, VectorField, _half_vdot, _window, good_grid,
+                     multiply, products, random_field, sqrt_grid, sqrt_pointwise)
 from .multipliers import (
     DIRECTIONS,
     L1,
@@ -46,9 +46,7 @@ from .multipliers import (
     ModulatedField,
     _inv_div_block,
     _kgrids,
-    _mass2,
     directional_grad,
-    fat_lowpass,
     grad_perp,
     inv_div,
     lambda_s,
@@ -304,7 +302,7 @@ def q_m1(a1p: TorusField, a2p: TorusField, scales: DerivedScales) -> TorusField:
     mu_next. Needs the pre-truncation amplitudes out to band 4*mu_next.
 
         -(5/4) lambda_next sum_j invdiv( l_j_perp (l_j.grad)
-            fat_lowpass( -2 a_j_p * hi_j + hi_j^2, mu ) ),
+            lowpass( -2 a_j_p * hi_j + hi_j^2, 4 mu ) ),
         hi_j = a_j_p - lowpass(a_j_p, mu).
 
     The defining identity invdiv(main on truncated a) + q - q_m1 = 0
@@ -315,7 +313,7 @@ def q_m1(a1p: TorusField, a2p: TorusField, scales: DerivedScales) -> TorusField:
     for ap, l in ((a1p, L1), (a2p, L2)):
         hi = ap - lowpass(ap, mu)
         g = multiply(ap, hi) * (-2.0) + multiply(hi, hi)
-        g = fat_lowpass(g, mu)
+        g = lowpass(g, 4.0 * mu)
         out = out + _scaled_perp(directional_grad(g, l), l, 1.0)
     return inv_div(out * (-1.25 * scales.lambda_next))
 
@@ -453,7 +451,7 @@ def step(state: StepState, params: IterationParams, grid_cap: int = 4096):
     # L and N reach band(f_leq) + band(f_next); beyond, S + L + N is S
     w = min(f1.band + state.f_leq.band, S[0].band)
     window = [_window(s.coeffs, w).copy() for s in S]
-    outside = [_mass2(s.coeffs) - _mass2(c) for s, c in zip(S, window)]
+    outside = [_half_vdot(s.coeffs, s.coeffs) - _half_vdot(c, c) for s, c in zip(S, window)]
     del self_flux, S
 
     qt, nl, ln = q_t(f1, state.f_leq)

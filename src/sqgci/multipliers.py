@@ -12,7 +12,6 @@ Everything here acts coefficientwise on TorusField spectra:
                  T1: (|lam*l + k| + |lam*l - k|)/2 - lam   (real even)
                  T2: i ((|lam*l + k| - |lam*l - k|)/2 - l.k)  (imag odd)
     lowpass      psi(|k|/mu) with the exponential-glue cutoff psi
-    fat_lowpass  psi(|k|/(4 mu)), identity up to 2 mu, zero from 4 mu
     inv_div      p with Laplacian(p) = div v, i.e. p^(k) = i k.v^(k)/(-|k|^2)
 
 plus derivative helpers and the Riesz commutator [R_j, phi] theta =
@@ -103,11 +102,6 @@ def _knorm(K):
     return np.hypot(*_kgrids(K))
 
 
-def _mass2(c):
-    """Squared coefficient l2 mass of the field whose k2 >= 0 half is c."""
-    return _half_vdot(c, c)
-
-
 def require_mean_zero(f: TorusField | ModulatedField, what: str, outside: float = 0.0):
     """Raise NonZeroMean unless the mean of f, a TorusField or a
     ModulatedField, is negligible: c0, the sum of the blocks that cover
@@ -126,7 +120,7 @@ def require_mean_zero(f: TorusField | ModulatedField, what: str, outside: float 
     if c0 == 0:
         return
     mass2 = (sum(np.vdot(b, b).real for b in f.blocks.values()) if factored
-             else _mass2(f.coeffs))
+             else _half_vdot(f.coeffs, f.coeffs))
     if abs(c0) > MEAN_RTOL * np.sqrt(mass2 + outside):
         raise NonZeroMean(f"{what}: mean coefficient {abs(c0):.3e} is not negligible")
 
@@ -137,15 +131,11 @@ def lambda_s(f: TorusField, s: float) -> TorusField:
     s = float(s)
     if s == 0.0:
         return f
-    K = f.band
-    kn = _knorm(K)
     if s < 0:
         require_mean_zero(f, f"Lambda^{s:g}")
-        with np.errstate(divide="ignore"):
-            m = kn ** s
-        m[K, 0] = 0.0
-    else:
-        m = kn ** s
+    with np.errstate(divide="ignore"):
+        m = _knorm(f.band) ** s
+    m[f.band, 0] = 0.0  # |0|^s is 0 already for s > 0
     return TorusField._exact(f.coeffs * m)
 
 
@@ -219,12 +209,6 @@ def lowpass(f: TorusField, mu: float) -> TorusField:
         raise ValueError(f"lowpass cutoff must be >= 1, got {mu}")
     m = cutoff_profile(_knorm(f.band) / mu)
     return TorusField._exact(f.coeffs * m).trim()
-
-
-def fat_lowpass(f: TorusField, mu: float) -> TorusField:
-    """Widened projection lowpass(f, 4 mu): identity for |k| <= 2 mu,
-    zero for |k| >= 4 mu."""
-    return lowpass(f, 4.0 * mu)
 
 
 def _inv_div_block(c1, c2, k1, k2):

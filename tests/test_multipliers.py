@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqgci.errors import BandExceedsLambda, NonZeroMean
-from sqgci.fields import TorusField, VectorField, inner, multiply, random_field
+from sqgci.fields import TorusField, VectorField, _half_vdot, inner, multiply, random_field
 from sqgci.multipliers import (
     DIRECTIONS,
     L1,
@@ -19,9 +19,7 @@ from sqgci.multipliers import (
     Direction,
     ModulatedField,
     _inv_div_block,
-    _mass2,
     directional_grad,
-    fat_lowpass,
     grad_perp,
     inv_div,
     lambda_s,
@@ -67,6 +65,13 @@ def test_lambda_power_composes():
     a = lambda_s(lambda_s(f, 0.7), -0.2)
     b = lambda_s(f, 0.5)
     np.testing.assert_allclose(a.coeffs, b.coeffs, atol=1e-14)
+    # either sign: the bits of the half times |k|^s, set to 0 at k = 0
+    k = np.arange(-6, 7, dtype=np.float64)
+    for s in (-0.7, 0.5):
+        with np.errstate(divide="ignore"):
+            m = np.hypot(k[:, None], k[None, 6:]) ** s
+        m[6, 0] = 0.0
+        assert lambda_s(f, s).coeffs.tobytes() == (f.coeffs * m).tobytes()
 
 
 def test_lambda_negative_power_needs_mean_zero():
@@ -86,7 +91,7 @@ def test_every_mean_check_trips_at_the_threshold(rho):
     assert t.coeff(0, 0) != 0
     window = TorusField._exact(t.coeffs[4:9, :3].copy())
     assert window.band == 2
-    outside = _mass2(t.coeffs) - _mass2(window.coeffs)
+    outside = _half_vdot(t.coeffs, t.coeffs) - _half_vdot(window.coeffs, window.coeffs)
     assert outside == pytest.approx(np.vdot(t.box(), t.box()).real
                                     - np.vdot(window.box(), window.box()).real, rel=1e-12)
     checks = (lambda: require_mean_zero(t, "t"),
@@ -223,8 +228,8 @@ def test_fat_lowpass_identity_on_truncated_square():
     rng = np.random.default_rng(37)
     mu = 6.0
     a = lowpass(random_field(9, rng), mu)
-    sq = multiply(a, a)  # band <= 2 mu, inside the fat pass-through zone
-    np.testing.assert_allclose(fat_lowpass(sq, mu).pad_to(sq.band).coeffs,
+    sq = multiply(a, a)  # band <= 2 mu, inside the pass-through zone of lowpass at 4 mu
+    np.testing.assert_allclose(lowpass(sq, 4.0 * mu).pad_to(sq.band).coeffs,
                                sq.coeffs, atol=1e-13)
 
 

@@ -315,3 +315,56 @@ def test_the_rule_sees_a_verify_import(tmp_path):
                    "def f():\n    from .verify import check\n", encoding="utf-8")
     assert list(_verify_imports(src)) == [(1, ""), (2, ""), (3, ""), (4, ""), (5, ""),
                                           (10, "f")]
+
+
+def _uncalled(paths):
+    """Qualified name (module.function or module.Class.method) of every
+    top-level function, and every method other than a dunder, in the
+    given source files that no Name or Attribute in them loads outside
+    the function's own body; an import or an assignment is no reference."""
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in paths}
+    refs = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                refs.setdefault(node.id, []).append(node)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                refs.setdefault(node.attr, []).append(node)
+    for stem, tree in trees.items():
+        defs = [((), node) for node in tree.body]
+        defs += [((cls.name,), node) for cls in tree.body if isinstance(cls, ast.ClassDef)
+                 for node in cls.body]
+        for scope, node in defs:
+            if (not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    or scope and node.name.startswith("__") and node.name.endswith("__")):
+                continue
+            own = {id(n) for n in ast.walk(node)}
+            if all(id(n) in own for n in refs.get(node.name, [])):
+                yield ".".join((stem,) + scope + (node.name,))
+
+
+# each entry says why it stays without a caller in src/
+UNCALLED = {
+    "fields.TorusField.from_modes": "the checked entry point for a field given "
+                                    "as modes from outside the program",
+}
+
+
+def test_every_function_has_a_caller_in_src():
+    # a function that nothing in src/ calls is code the program does not
+    # run; an allowlisted name that gains a caller leaves the list
+    paths = sorted((ROOT / "src" / "sqgci").glob("*.py"))
+    assert sorted(_uncalled(paths)) == sorted(UNCALLED)
+
+
+def test_the_rule_sees_an_uncalled_function(tmp_path):
+    a, b = tmp_path / "a.py", tmp_path / "b.py"
+    a.write_text("def f():\n    return g\ndef g():\n    return g()\n"
+                 "def h():\n    def k():\n        pass\n"
+                 "class C:\n    def __init__(self):\n        self.m()\n"
+                 "    def m(self):\n        pass\n    def n(self):\n        pass\n"
+                 "    @property\n    def p(self):\n        pass\n"
+                 "async def r():\n    pass\ndef s():\n    return s()\n", encoding="utf-8")
+    b.write_text("from a import f, h\nimport a\nf()\na.C.p\nh = 'n'\nr = 1\n",
+                 encoding="utf-8")
+    assert sorted(_uncalled([a, b])) == ["a.C.n", "a.h", "a.r", "a.s"]

@@ -38,35 +38,10 @@ import typing
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .fields import (
-    TorusField,
-    _write_atomic,
-    inner,
-    multiply,
-    random_field,
-    read_sqf1,
-    write_sqf1,
-)
-from .iteration import (
-    IterationParams,
-    StepState,
-    lambda_at,
-    make_base,
-    params_hash,
-    scales_for,
-    step,
-)
-from .multipliers import (DIRECTIONS, L1, ModulatedField, _knorm, lambda_s, riesz,
-                          riesz_commutator)
-from .norms import sobolev
-from .verify import (
-    check_algebraic,
-    commutator_ratio,
-    feasibility,
-    leibniz_residual,
-    report,
-    weak_residual,
-)
+from .fields import TorusField, _write_atomic, read_sqf1, write_sqf1
+from .iteration import IterationParams, StepState, make_base, params_hash, scales_for, step
+from .multipliers import _knorm, lambda_s
+from .verify import feasibility, identity_checks
 
 EMIT_ALL = frozenset({"fields", "ledger", "csv", "reports"})
 
@@ -206,8 +181,10 @@ def export_spectrum(f: TorusField, path: str):
         yield b"k1,k2,|k|,re,im,modulus\n"
         for k1, row in enumerate(box, -K):
             nz = np.flatnonzero(row)
-            lines = [",".join((str(k1), str(k2), _scalar(math.hypot(k1, k2)),
-                               _scalar(c.real), _scalar(c.imag), _scalar(abs(c))))
+            if not np.isfinite(np.abs(row[nz])).all():  # as _scalar refuses them
+                raise ValueError(f"non-finite value in spectrum row k1 = {k1}")
+            lines = [f"{k1},{k2},{math.hypot(k1, k2):.17g},{c.real:.17g},{c.imag:.17g},"
+                     f"{abs(c):.17g}"
                      for k2, c in zip((nz - K).tolist(), row[nz].tolist())]
             if lines:
                 yield ("\n".join(lines) + "\n").encode("utf-8")
@@ -346,54 +323,9 @@ def cmd_run(cfg: RunConfig, quiet: bool = False) -> int:
 
 # -- verify ------------------------------------------------------------
 
-def _verify_checks(cfg: RunConfig) -> list:
-    p = cfg.params
-    rng = np.random.default_rng(cfg.seed)
-    checks = []
-
-    checks.append(report("algebraic", {"kmax": 64}, check_algebraic(64), 1e-10))
-
-    lam1 = lambda_at(p.lambda0, p.b, 1)
-    lam5 = 5 * lam1 if 5 * lam1 <= 640 else 160
-    worst = 0.0
-    for l in DIRECTIONS:
-        for band in (4, min(16, lam5 // 8)):
-            a = random_field(band, rng, mean_zero=True)
-            worst = max(worst, leibniz_residual(a, lam5, l))
-    checks.append(report("leibniz", {"lambda5": lam5}, worst, 1e-11))
-
-    worst = 0.0
-    for _ in range(5):
-        th = random_field(6, rng, mean_zero=True)
-        ph = random_field(6, rng, mean_zero=True)
-        scale = sobolev(th, 0.0) ** 2 * sobolev(ph, 0.0)
-        if scale == 0.0:
-            continue
-        for j in (1, 2):
-            lhs = inner(multiply(th, riesz(th, j)), ph)
-            rhs = -0.5 * inner(th, riesz_commutator(ph, th, j))
-            worst = max(worst, abs(lhs - rhs) / scale)
-    checks.append(report("riesz_pairing", {"band": 6, "trials": 5}, worst, 1e-11))
-
-    wave = ModulatedField.wave(TorusField.constant(1.0), L1.wave(5 * 8), "cos").to_dense()
-    th = lambda_s(wave, 1.0)
-    reps = weak_residual(th, None, 0.0, 1.0,
-                         [(1, 0), (0, 1), (1, 1), (2, 1)])
-    scale = max(sobolev(th, 0.0) ** 2, 1e-30)
-    worst = max(abs(r.nonlinear) for r in reps) / scale
-    checks.append(report("plane_wave_flux", {"lambda5": 40}, worst, 1e-10))
-
-    stats = commutator_ratio(20, 6, 12, cfg.seed)
-    checks.append(report("commutator_ratio_finite",
-                         {"trials": 20, "band_phi": 6, "band_theta": 12,
-                          "max_ratio": stats["max"]},
-                         0.0 if math.isfinite(stats["max"]) else math.inf, 1.0))
-    return checks
-
-
 def cmd_verify(cfg: RunConfig, quiet: bool = False) -> int:
     os.makedirs(cfg.out_dir, exist_ok=True)
-    checks = _verify_checks(cfg)
+    checks = identity_checks(cfg.params, cfg.seed)
     _write_text(os.path.join(cfg.out_dir, "reports.json"),
                 render_json(checks) + "\n")
     ok = True

@@ -14,10 +14,11 @@ Everything here acts coefficientwise on TorusField spectra:
     lowpass      psi(|k|/mu) with the exponential-glue cutoff psi
     inv_div      p with Laplacian(p) = div v, i.e. p^(k) = i k.v^(k)/(-|k|^2)
 
-plus derivative helpers and the Riesz commutator [R_j, phi] theta =
-R_j(phi theta) - phi R_j theta for a general phi (products computed
-exactly; against a single test wave the commutator is a shifted-symbol
-difference, which `verify.weak_residual` evaluates per carrier).
+plus `directional_grad` (l . grad), `grad_perp` (-d2, d1), and the
+Riesz commutator [R_j, phi] theta = R_j(phi theta) - phi R_j theta for
+a general phi (products computed exactly; against a single test wave
+the commutator is a shifted-symbol difference, which
+`verify.weak_residual` evaluates per carrier).
 
 ModulatedField keeps a scalar field factored by carrier, sum_p A_p
 e^{i p.x} with small amplitudes A_p; sums and scalar multiples act on
@@ -257,23 +258,17 @@ def inv_div(v: VectorField) -> TorusField | ModulatedField:
                                             *_kgrids(K)))
 
 
-def partial(f: TorusField, j: int) -> TorusField:
-    """d/dx_j, symbol i k_j."""
-    k1, k2 = _kgrids(f.band)
-    kj = k1 if j == 1 else k2
-    return TorusField._exact(f.coeffs * (1j * kj))
-
-
 def grad_perp(f: TorusField) -> VectorField:
-    """(-d2 f, d1 f)."""
-    return VectorField(-1.0 * partial(f, 2), partial(f, 1))
+    """(-d2 f, d1 f): L2 is e1 and L2.perp is e2."""
+    return VectorField(-1.0 * directional_grad(f, L2.perp), directional_grad(f, L2))
 
 
 def directional_grad(f: TorusField, l: Direction) -> TorusField:
     """(l . grad) f, exact rational symbol i (n1 k1 + n2 k2)/d."""
     k1, k2 = _kgrids(f.band)
     m = 1j * ((l.n1 * k1 + l.n2 * k2) / l.d)
-    return TorusField._exact(f.coeffs * m)
+    # the product goes into the symbol's grid, so no second half is held
+    return TorusField._exact(np.multiply(f.coeffs, m, out=m))
 
 
 def riesz_commutator(psi: TorusField, theta: TorusField, j: int) -> TorusField:

@@ -1,6 +1,6 @@
 """Standalone verifiers for the identities behind the construction.
 
-Four groups:
+Five groups:
 
 * the stationarity pairing against single-mode test functions (the
   bookkeeping identity relating the quadratic flux, dissipation, and
@@ -12,7 +12,10 @@ Four groups:
       sum_j (l_j.k)(l_j_perp.k) m_j(k) = |k|^2,
 * a measured-constant monitor for the commutator Sobolev bound,
   reported as an empirical ratio, never asserted as a theorem,
-* the feasibility arithmetic on the parameter exponents.
+* the feasibility arithmetic on the parameter exponents,
+* the `sqgci verify` suite, `identity_checks`: which of the checks
+  above run, on which seeded inputs and at which tolerances, one
+  `report` each.
 """
 
 from __future__ import annotations
@@ -23,14 +26,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import TorusField, random_field
+from .fields import TorusField, inner, multiply, random_field
 from .multipliers import (
+    DIRECTIONS,
     L1,
     L2,
     ModulatedField,
     directional_grad,
     lambda_s,
     require_mean_zero,
+    riesz,
     riesz_commutator,
     riesz_odd_symbol,
     t_ops,
@@ -263,3 +268,51 @@ def report(check: str, params: dict, max_defect: float, tolerance: float) -> dic
         "tolerance": tolerance,
         "pass": bool(max_defect <= tolerance),
     }
+
+
+def identity_checks(params, seed: int) -> list:
+    """The `sqgci verify` suite: one `report` per check, in a fixed order,
+    every random input drawn from one generator seeded by seed. `params`
+    needs lambda0 and b, which set the Leibniz check's wave scale."""
+    from .iteration import lambda_at  # on use: the pairings alone load no iteration
+    rng = np.random.default_rng(seed)
+    checks = []
+
+    checks.append(report("algebraic", {"kmax": 64}, check_algebraic(64), 1e-10))
+
+    lam1 = lambda_at(params.lambda0, params.b, 1)
+    lam5 = 5 * lam1 if 5 * lam1 <= 640 else 160
+    worst = 0.0
+    for l in DIRECTIONS:
+        for band in (4, min(16, lam5 // 8)):
+            a = random_field(band, rng, mean_zero=True)
+            worst = max(worst, leibniz_residual(a, lam5, l))
+    checks.append(report("leibniz", {"lambda5": lam5}, worst, 1e-11))
+
+    worst = 0.0
+    for _ in range(5):
+        th = random_field(6, rng, mean_zero=True)
+        ph = random_field(6, rng, mean_zero=True)
+        scale = sobolev(th, 0.0) ** 2 * sobolev(ph, 0.0)
+        if scale == 0.0:
+            continue
+        for j in (1, 2):
+            lhs = inner(multiply(th, riesz(th, j)), ph)
+            rhs = -0.5 * inner(th, riesz_commutator(ph, th, j))
+            worst = max(worst, abs(lhs - rhs) / scale)
+    checks.append(report("riesz_pairing", {"band": 6, "trials": 5}, worst, 1e-11))
+
+    wave = ModulatedField.wave(TorusField.constant(1.0), L1.wave(5 * 8), "cos").to_dense()
+    th = lambda_s(wave, 1.0)
+    reps = weak_residual(th, None, 0.0, 1.0,
+                         [(1, 0), (0, 1), (1, 1), (2, 1)])
+    scale = max(sobolev(th, 0.0) ** 2, 1e-30)
+    worst = max(abs(r.nonlinear) for r in reps) / scale
+    checks.append(report("plane_wave_flux", {"lambda5": 40}, worst, 1e-10))
+
+    stats = commutator_ratio(20, 6, 12, seed)
+    checks.append(report("commutator_ratio_finite",
+                         {"trials": 20, "band_phi": 6, "band_theta": 12,
+                          "max_ratio": stats["max"]},
+                         0.0 if math.isfinite(stats["max"]) else math.inf, 1.0))
+    return checks

@@ -125,10 +125,11 @@ def test_parse_config_fuzz_raises_only_config_errors(lines):
 def test_validation_collects_everything():
     with pytest.raises(ValidationError) as ei:
         parse_config("lambda0=1\nb=0.5\nbeta=0.9\nnu=0\ngamma=1\n"
-                     "grid_cap=100\nbase=other\n")
+                     "grid_cap=100\nbase=other\nemit=fields,bogus\nseed=-1\n")
     msg = str(ei.value)
-    assert len(ei.value.problems) >= 4
+    assert len(ei.value.problems) >= 6
     assert "grid_cap" in msg and "base" in msg
+    assert "unknown emit targets: bogus" in msg and "seed must be >= 0" in msg
 
 
 def test_knife_edge_exponent_accepted():
@@ -143,6 +144,8 @@ def test_render_json_is_deterministic():
                  ' "sub": {"y": -1.5}}')
     with pytest.raises(ValueError):
         render_json({"bad": math.inf})
+    with pytest.raises(TypeError, match="cannot render complex"):
+        render_json({"bad": 1j})
 
 
 def test_cli_feasibility_verb(tmp_path, capsys):
@@ -340,6 +343,17 @@ def test_cli_export_spectrum_and_shells(tmp_path):
     assert lines[1].startswith("1,0.5")
     assert len(lines) == 2
 
+    # a non-finite coefficient, or a modulus that overflows, is refused
+    # and leaves no file behind
+    for c in (math.inf, 1.5e308 + 1.5e308j):
+        half = np.zeros((3, 2), dtype=np.complex128)
+        half[2, 1] = c
+        path = tmp_path / "bad.csv"
+        with pytest.raises(ValueError):
+            cli.export_spectrum(TorusField._exact(half), str(path))
+        assert not path.exists()
+        assert not list(tmp_path.glob(".part.*"))
+
 
 @pytest.mark.parametrize("f", [TorusField.constant(0.0), TorusField.constant(-3.0),
                                TorusField.from_modes(6, {(2, 5): 0.5 - 0.25j, (0, 3): 1.0}),
@@ -391,6 +405,9 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert err["error"] == "ParseError" and str(latin1) in err["message"]
     assert main(["run", "--config", str(tmp_path / "nope.cfg"),
                  "--quiet"]) == 4
+    capsys.readouterr()
+    assert main(["verify", "--quiet"]) == 2
+    assert json.loads(capsys.readouterr().err)["message"] == "missing --config PATH"
     assert main(["export", str(tmp_path / "nope.sqf1"), "--quiet"]) == 4
     # config whose first step overflows the grid budget
     big = _write(tmp_path, "lambda0=2\nb=11\nbeta=0.25\nnu=0\ngamma=1\n"
@@ -489,6 +506,57 @@ def test_failed_run_keeps_ledger_and_resumes(tmp_path, monkeypatch):
         a = open(os.path.join(fresh, name), "rb").read()
         b = open(os.path.join(out, name), "rb").read()
         assert a == b, name
+
+
+def _files(out):
+    return {name: open(os.path.join(out, name), "rb").read()
+            for name in sorted(os.listdir(out))}
+
+
+def test_a_fault_at_any_write_exits_4_and_a_rerun_finishes_the_run(tmp_path, monkeypatch):
+    # two synthetic-base steps write 13 files: per step the ledger,
+    # f_leq_n, q_n and state_n; then theta, f, both CSVs and run.json.
+    # The k-th write fails after its first chunk; the run exits 4 with
+    # no temp file left, and a clean rerun in the same directory ends
+    # with the uninterrupted run's bytes.
+    from sqgci import fields
+    cfg = _write(tmp_path, SYNTH.replace("steps = 1", "steps = 2"))
+    real = fields._write_atomic
+    calls = []
+
+    def faulty(fail_at):
+        def write(path, chunks):
+            calls.append(path)
+            if len(calls) != fail_at:
+                return real(path, chunks)
+
+            def cut():
+                yield next(iter(chunks))
+                raise OSError("injected write fault")
+
+            return real(path, cut())
+        return write
+
+    def run(out, fail_at=0):
+        calls.clear()
+        monkeypatch.setattr(fields, "_write_atomic", faulty(fail_at))
+        monkeypatch.setattr(cli, "_write_atomic", faulty(fail_at))
+        return main(["run", "--config", cfg, "--out", out, "--quiet"])
+
+    clean = str(tmp_path / "clean")
+    assert run(clean) == 0
+    assert len(calls) == 13
+    want = _files(clean)
+    del want["run.json"]  # it echoes the output directory
+    for k in range(1, 14):
+        out = str(tmp_path / f"cut{k}")
+        assert run(out, fail_at=k) == 4, k
+        assert len(calls) == k
+        assert not [n for n in os.listdir(out) if n.startswith(".part.")], k
+        assert run(out) == 0, k
+        got = _files(out)
+        assert json.loads(got.pop("run.json"))["config"]["out_dir"] == out
+        assert got == want, k
 
 
 def test_sqrt_sampling_grid_over_the_cap_stops_the_run(tmp_path, capsys):

@@ -37,12 +37,12 @@ from sqgci.fields import (
 )
 from sqgci.multipliers import (
     DIRECTIONS,
+    L2,
     ModulatedField,
     directional_grad,
     inv_div,
     lambda_s,
     lowpass,
-    partial,
     riesz,
     riesz_odd,
     riesz_odd_symbol,
@@ -389,6 +389,8 @@ def test_sqrt_rejects_sign_change():
     f = TorusField.from_modes(1, {(1, 0): 0.5})  # hits -1
     with pytest.raises(NotPositive):
         sqrt_pointwise(f)
+    with pytest.raises(ValueError, match="oversample must be >= 1"):
+        sqrt_pointwise(TorusField.constant(1.0), oversample=0)
 
 
 def test_hermitian_symmetrization_and_rejection():
@@ -398,6 +400,9 @@ def test_hermitian_symmetrization_and_rejection():
         TorusField(c)
     sym = TorusField(0.5 * (c + np.conj(c[::-1, ::-1])))
     assert sym.coeff(-1, 0) == np.conj(sym.coeff(1, 0))
+    for shape in ((3, 5), (4, 4), (3,)):
+        with pytest.raises(ValueError, match="must be square odd-sized"):
+            TorusField(np.zeros(shape))
 
 
 def _read_spoiled(monkeypatch, samples, K, bins):
@@ -460,6 +465,8 @@ def test_from_modes_autoconjugates():
     assert f.coeff(-1, -2) == 0.25 + 0.5j
     g = to_grid(f, 16)
     assert np.max(np.abs(np.imag(g))) == 0.0  # real by construction
+    with pytest.raises(ValueError, match=r"mode \(3, 0\) outside band 2"):
+        TorusField.from_modes(2, {(3, 0): 1.0})
 
 
 def test_pad_and_trim():
@@ -917,11 +924,11 @@ def _exact_outputs(band, seed, p, trig, lam_gap, scale):
             for q in _carriers(band, p)]
     out += [(f"lambda_s {s}", lambda_s(f, s)) for s in (-0.5, 0.5, 1.0)]
     for j in (1, 2):
-        out += [(f"riesz {j}", riesz(f, j)), (f"riesz_odd {j}", riesz_odd(f, j)),
-                (f"partial {j}", partial(h, j))]
+        out += [(f"riesz {j}", riesz(f, j)), (f"riesz_odd {j}", riesz_odd(f, j))]
     for l in DIRECTIONS:
         out += [(f"t_ops {k} {l}", t) for k, t in zip((1, 2), t_ops(f, lam, l))]
         out.append((f"directional_grad {l}", directional_grad(h, l)))
+    out.append(("directional_grad L2.perp", directional_grad(h, L2.perp)))
     out += [("lowpass", lowpass(h, 1.0 + band / 2)),
             ("lowpass 4 mu", lowpass(h, 4.0 * (1.0 + band / 8)))]
     return out
@@ -938,7 +945,7 @@ def test_exact_producers_are_hermitian_and_frozen(band, seed, p, trig, lam_gap, 
     # are mean-zero, or the wave's carrier clears the band of its amplitude
     mean_free = {"zero", "random_field", "add mean-zero", "sub", "inv_div"}
     mean_free |= {f"wave {q}" for q in _carriers(band, p)[2:]}
-    symbols = ("lambda_s", "riesz", "partial", "t_ops", "directional_grad")
+    symbols = ("lambda_s", "riesz", "t_ops", "directional_grad")
     for name, fld in outputs:
         c = fld.coeffs
         K = fld.band

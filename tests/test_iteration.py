@@ -113,6 +113,7 @@ def test_validate_eps0_window():
     p = IterationParams(lambda0=2, b=2.0, beta=0.2, nu=0.0, gamma=1.0,
                         eps0=0.06)  # beta/(2b) = 0.05
     assert any("eps0" in s for s in p.validate())
+    assert "eps0 must be > 0, got 0.0" in dataclasses.replace(p, eps0=0.0).validate()
 
 
 def test_perfect_amplitude_constant_for_zero_stress():
@@ -393,7 +394,7 @@ def test_f_next_annulus_support():
                 assert f1.coeff(k1, k2) == 0.0
 
 
-def test_step_full_bookkeeping():
+def test_step_full_bookkeeping(monkeypatch):
     st, sc = _seeded_state()
     new, row = step(st, WORKHORSE, grid_cap=1024)
     assert new.n == 1
@@ -411,6 +412,9 @@ def test_step_full_bookkeeping():
     assert list(row["xnorm"]) == ["qM1", "qM2", "qM3", "qT", "qD", "q_next"]
     assert check_support(new.f_leq, 6.0 * 32) == 0.0
     assert check_support(new.q, 12.0 * 32) == 0.0
+    monkeypatch.setattr(iteration, "check_support", lambda f, radius: f.max_abs_coeff())
+    with pytest.raises(ArithmeticError, match=r"^f support leak .* beyond \|k\| <= 192 "):
+        step(st, WORKHORSE, grid_cap=1024)
 
 
 @pytest.mark.parametrize("nu", [0.0, 1.0])
@@ -627,6 +631,9 @@ def test_make_base_kinds():
     assert s.f_leq.band <= 2 * WORKHORSE.lambda0
     with pytest.raises(ValueError):
         make_base(WORKHORSE, seed=0, kind="bogus")
+    # a dissipation no halving of the base brings under r0/16
+    with pytest.raises(ArithmeticError, match="could not scale the synthetic base"):
+        make_base(dataclasses.replace(WORKHORSE, nu=1e300), seed=0, kind="synthetic")
 
 
 def test_make_base_measures_at_the_configured_oversample(monkeypatch):

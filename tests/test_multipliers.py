@@ -24,7 +24,6 @@ from sqgci.multipliers import (
     inv_div,
     lambda_s,
     lowpass,
-    partial,
     require_mean_zero,
     riesz,
     riesz_commutator,
@@ -43,6 +42,8 @@ def test_directions_pythagorean():
     p = L1.perp
     assert (p.n1, p.n2, p.d) == (-4, 3, 5)
     assert L2.wave(40) == (40, 0)
+    with pytest.raises(ValueError, match="not a lattice vector"):
+        L1.wave(3)
 
 
 def test_direction_rejects_non_triple():
@@ -134,6 +135,8 @@ def test_riesz_single_mode_and_skew_symmetry():
         b = random_field(5, rng)
         s = abs(inner(riesz(a, j), b) + inner(a, riesz(b, j)))
         assert s < 1e-12 * max(1.0, abs(inner(a, a)))
+    with pytest.raises(ValueError, match="Riesz index must be 1 or 2, got 3"):
+        riesz(f, 3)
 
 
 def test_riesz_requires_mean_zero():
@@ -188,6 +191,8 @@ def test_riesz_odd_field_real_even():
         for k1, k2 in ((1, 0), (2, 3), (-1, 4)):
             want = riesz_odd_symbol(j, float(k1), float(k2)) * q.coeff(k1, k2)
             assert abs(g.coeff(k1, k2) - want) < 1e-15
+    with pytest.raises(ValueError, match="index must be 1 or 2, got 3"):
+        riesz_odd(q, 3)
 
 
 def test_t_op_hand_values():
@@ -222,6 +227,8 @@ def test_lowpass_flat_and_kill():
     assert g.band < 4  # modes at |k| >= mu are gone
     for k1, k2 in ((1, 0), (0, 1), (1, 1)):
         assert g.coeff(k1, k2) == f.coeff(k1, k2)  # |k| <= mu/2 untouched
+    with pytest.raises(ValueError, match="lowpass cutoff must be >= 1, got 0.5"):
+        lowpass(f, 0.5)
 
 
 def test_fat_lowpass_identity_on_truncated_square():
@@ -243,16 +250,21 @@ def test_inv_div_forward_oracle():
         p = inv_div(VectorField(v1, v2))
         assert p.band == max(b1, b2)
         lhs = lambda_s(p, 2.0) * -1.0  # Laplacian of p
-        rhs = partial(v1, 1) + partial(v2, 2)
+        rhs = directional_grad(v1, L2) + directional_grad(v2, L2.perp)
         np.testing.assert_allclose(lhs.pad_to(rhs.band).coeffs, rhs.coeffs,
                                    atol=1e-13)
+    # factored components must sit on the same carriers
+    a = ModulatedField.wave(random_field(1, rng), (4, 0), "cos")
+    b = ModulatedField.wave(random_field(1, rng), (0, 4), "cos")
+    with pytest.raises(ValueError, match="inv_div needs components on the same carriers"):
+        inv_div(VectorField(a, b))
 
 
 @settings(max_examples=40, deadline=None)
 @given(band=st.integers(1, 10), seed=st.integers(0, 2 ** 32 - 1))
 def test_inv_div_inverts_the_gradient(band, seed):
     p = random_field(band, np.random.default_rng(seed), mean_zero=True)
-    got = inv_div(VectorField(partial(p, 1), partial(p, 2)))
+    got = inv_div(VectorField(directional_grad(p, L2), directional_grad(p, L2.perp)))
     assert got.band == band
     np.testing.assert_allclose(got.coeffs, p.coeffs, rtol=0,
                                atol=1e-15 * p.max_abs_coeff())
@@ -323,7 +335,7 @@ def test_inv_div_kills_perp_gradients():
 
 def test_grad_and_directional():
     f = TorusField.from_modes(1, {(1, 0): 0.5}, mean_zero=True)  # cos x1
-    gx = VectorField(partial(f, 1), partial(f, 2))
+    gx = VectorField(directional_grad(f, L2), directional_grad(f, L2.perp))
     assert abs(gx.comp1.coeff(1, 0) - 0.5j) < 1e-16  # -sin x1
     assert gx.comp2.max_abs_coeff() == 0.0
     gp = grad_perp(f)
@@ -342,6 +354,8 @@ def test_modulate_shifts_coefficients():
     s = ModulatedField.wave(TorusField.constant(1.0), (0, 7), "sin").to_dense()
     assert abs(s.coeff(0, 7) + 0.5j) < 1e-16
     assert abs(s.coeff(0, -7) - 0.5j) < 1e-16
+    with pytest.raises(ValueError, match="trig must be 'cos' or 'sin', got 'tan'"):
+        ModulatedField.wave(a, (10, 0), "tan")
 
 
 def test_modulate_matches_product():
@@ -421,6 +435,8 @@ def test_riesz_commutator_collinear_vanishes():
     theta = TorusField.from_modes(2, {(2, 0): 0.5}, mean_zero=True)
     com = riesz_commutator(phi, theta, 1)
     assert com.max_abs_coeff() < 1e-15
+    with pytest.raises(ValueError, match="Riesz index must be 1 or 2, got 3"):
+        riesz_commutator(phi, theta, 3)
 
 
 def test_riesz_pairing_identity():

@@ -156,6 +156,9 @@ def test_holder_besov_single_block():
     f = _cos(4, 0)  # |k| = 4 sits in block j = 2
     assert abs(holder_besov(f, 0.5) - 2.0) < 1e-13
     assert abs(holder_besov(_cos(1, 0), 0.3) - 1.0) < 1e-13
+    for alpha in (0.0, 1.0):
+        with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\)"):
+            holder_besov(f, alpha)
 
 
 def test_holder_besov_lowpass_monotone():
@@ -180,6 +183,8 @@ def test_grid_budget_cap():
         linf(f, oversample=4, grid_cap=64)
     # generous cap falls back to the largest fitting grid
     assert abs(linf(f, oversample=4, grid_cap=256) - 1.0) < 1e-13
+    with pytest.raises(ValueError, match="oversample must be >= 2, got 1"):
+        linf(f, oversample=1)
 
 
 def _eager_grid_side(K: int, oversample: int, grid_cap):

@@ -20,9 +20,9 @@ from sqgci.multipliers import (
     L1,
     L2,
     ModulatedField,
+    directional_grad,
     inv_div,
     lambda_s,
-    partial,
     riesz_commutator,
     riesz_odd_symbol,
 )
@@ -133,8 +133,8 @@ def test_weak_residual_cancels_after_a_step():
 def rperp_grad_commutator(psi: TorusField, theta: TorusField) -> TorusField:
     """Oracle: [Rperp, grad psi] theta = [R_1, d2 psi] theta - [R_2, d1 psi] theta
     from exact FFT products."""
-    d1 = partial(psi, 1)
-    d2 = partial(psi, 2)
+    d1 = directional_grad(psi, L2)
+    d2 = directional_grad(psi, L2.perp)
     return riesz_commutator(d2, theta, 1) - riesz_commutator(d1, theta, 2)
 
 
@@ -153,7 +153,7 @@ def test_rperp_grad_commutator_matches_primitive_assembly():
     rng = np.random.default_rng(53)
     psi = random_field(3, rng, mean_zero=False)
     theta = random_field(4, rng)
-    d1, d2 = partial(psi, 1), partial(psi, 2)
+    d1, d2 = directional_grad(psi, L2), directional_grad(psi, L2.perp)
     want = (riesz_commutator(d1, theta, 2) * -1.0
             + riesz_commutator(d2, theta, 1))
     got = rperp_grad_commutator(psi, theta)
@@ -423,6 +423,8 @@ def test_commutator_single_mode_oracle():
 def test_commutator_ratio_finite():
     stats = commutator_ratio(1, 1, 2, seed=0)
     assert math.isfinite(stats["max"])
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        commutator_ratio(0, 1, 2)
 
 
 def test_commutator_ratio_statistics_shape():

@@ -173,13 +173,14 @@ def _write_text(path: str, text: str):
 
 def export_spectrum(f: TorusField, path: str):
     """Nonzero coefficients as rows k1,k2,|k|,re,im,modulus, written
-    one chunk per k1 row of the box, so no whole text is held."""
+    one chunk per k1 row of the box, each rebuilt from the half, so
+    neither the box nor the whole text is held."""
     K = f.band
-    box = f.box()
 
     def chunks():
         yield b"k1,k2,|k|,re,im,modulus\n"
-        for k1, row in enumerate(box, -K):
+        for k1 in range(-K, K + 1):
+            row = f.box_rows(k1 + K, k1 + K + 1)[0]
             nz = np.flatnonzero(row)
             if not np.isfinite(np.abs(row[nz])).all():  # as _scalar refuses them
                 raise ValueError(f"non-finite value in spectrum row k1 = {k1}")

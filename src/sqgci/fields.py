@@ -8,24 +8,27 @@ Every field is real-valued, so c(-k) = conj(c(k)) and the k2 < 0 half
 of the (2K+1) x (2K+1) coefficient box is redundant: a field stores
 only its k2 >= 0 half, a frozen (2K+1) x (K+1) complex array indexed
 [k1+K, k2], whose k2 = 0 column is Hermitian in itself. `coeff` reads
-any k, and `box()` is the one place the whole box is rebuilt, its
-k2 < 0 half as the mirror conjugate, for SQF1 writes, the spectrum
-export and a dense field's block in `ModulatedField.wave`; `support()`
-lists the half's nonzero rows and columns. Sums over the box (`inner`,
-Sobolev norms, shell energies) count a k2 > 0 column of the half twice.
-A field is mean-zero when c(0) is exactly 0, a fact read off the array.
+any k, and `box_rows` rebuilds rows of the box, their k2 < 0 half as
+the mirror conjugate: a few rows at a time for SQF1 writes and the
+spectrum export, and all of them, `box()`, only for a dense field's
+block in `ModulatedField.wave`; `support()` lists the half's nonzero
+rows and columns. Sums over the box (`inner`, Sobolev norms, shell
+energies) count a k2 > 0 column of the half twice. A field is
+mean-zero when c(0) is exactly 0, a fact read off the array.
 
 One Hermitian rule, two doors. Whole boxes from outside (user arrays,
-`from_modes`, `constant`, SQF1 reads) go through the checked
-constructor `TorusField(coeffs, mean_zero)`: copy, finite check,
-Hermitian check over the box (1e-13 relative to the largest
-coefficient), exact symmetrisation of a box Hermitian only to rounding,
-and then only the half is kept; a declared mean-zero c(0) must be
-negligible and is then zeroed. A box that passes unchanged keeps its
-bits, so SQF1 round trips are bit for bit. Computed halves, transform
-reads and factored fields (`ModulatedField.to_dense`), go through
-`_computed_half`, which checks their k2 = 0 column (1e-13 relative to a
-bound on every coefficient) and symmetrises it. Exact operations
+`from_modes`, `constant`) go through the checked constructor
+`TorusField(coeffs, mean_zero)`: copy, finite check, Hermitian check
+over the box (1e-13 relative to the largest coefficient), exact
+symmetrisation of a box Hermitian only to rounding, and then only the
+half is kept; a declared mean-zero c(0) must be negligible and is then
+zeroed. SQF1 reads apply the same checks, in the same order and with
+the same messages, to a box streamed from the file. A box that passes
+unchanged keeps its bits, so SQF1 round trips are bit for bit.
+Computed halves, transform reads and factored fields
+(`ModulatedField.to_dense`), go through `_computed_half`, which checks
+their k2 = 0 column (1e-13 relative to a bound on every coefficient)
+and symmetrises it. Exact operations
 (multipliers, lattice shifts, sums, scalar multiples, pad, trim) act
 coefficient by coefficient on the half, frozen by `TorusField._exact`.
 
@@ -44,7 +47,9 @@ transforms a factor shared by several products once.
 A half is written only before `_exact` freezes it.
 
 The binary field format SQF1 is implemented here. The file holds the
-whole box; a read keeps its half.
+whole box, and neither side holds it: a write rebuilds it from the half
+GRID_BLOCK rows at a time, and a read streams it straight into the half
+it keeps, in pairs of GRID_BLOCK rows k1 <= 0 and their mirrors -k1.
 
     bytes 0-3   magic ASCII "SQF1"
     u32 LE      version = 1
@@ -90,14 +95,10 @@ class TorusField:
         K = c.shape[0] // 2
         h = c[:, K:].copy()  # the box itself is only read
         maxc = float(np.abs(c).max())
-        # 2*maxc bounds every entry of the symmetrization below
-        if not np.isfinite(2.0 * maxc):
-            raise ValueError(f"non-finite or overflowing coefficient (max |c| = {maxc})")
+        _check_finite(maxc)
         if maxc > 0.0:
             viol = hermitian_violation(c)
-            if viol > HERMITIAN_RTOL * maxc:
-                raise ValueError(f"Hermitian symmetry violated: {viol:.3e} > "
-                                 f"{HERMITIAN_RTOL:g} * {maxc:.3e}")
+            _check_hermitian(viol, maxc)
             if viol > 0.0:
                 # enforce exactly so realness never drifts; a box that is
                 # Hermitian already keeps its bits, signed zeros included,
@@ -105,11 +106,7 @@ class TorusField:
                 h += np.conj(c[::-1, K::-1])
                 h *= 0.5
         if mean_zero:
-            if maxc > 0.0 and abs(h[K, 0]) > HERMITIAN_RTOL * maxc:
-                raise NonZeroMean(f"declared mean-zero but c(0) = {h[K, 0]:.3e} "
-                                  f"(max {maxc:.3e})")
-            if h[K, 0] != 0:
-                h[K, 0] = 0.0
+            _zero_mean(h, maxc)
         self._freeze(h)
 
     def _freeze(self, c):
@@ -161,13 +158,19 @@ class TorusField:
 
     def box(self):
         """The whole (2K+1, 2K+1) coefficient box, indexed [k1+K, k2+K],
-        as a fresh array: the stored half, and the k2 < 0 half as its
-        mirror conjugate. Only `write_sqf1`, `cli.export_spectrum` and
-        `ModulatedField.wave` read it."""
+        as a fresh array. Only `ModulatedField.wave` reads it, for a
+        dense field's block; SQF1 writes and the spectrum export take the
+        box a few rows at a time from `box_rows`."""
+        return self.box_rows(0, 2 * self.band + 1)
+
+    def box_rows(self, a, b):
+        """Rows a..b-1 of the box (k1 = a-K..b-1-K) as a fresh
+        (b-a, 2K+1) array: the stored half's rows, and their k2 < 0 half
+        as the conjugate of the mirror rows -k1."""
         h, K = self.coeffs, self.band
-        c = np.empty((2 * K + 1, 2 * K + 1), dtype=np.complex128)
-        c[:, K:] = h
-        np.conjugate(h[::-1, K:0:-1], out=c[:, :K])
+        c = np.empty((b - a, 2 * K + 1), dtype=np.complex128)
+        c[:, K:] = h[a:b]
+        np.conjugate(h[::-1][a:b, K:0:-1], out=c[:, :K])
         return c
 
     @property
@@ -228,6 +231,29 @@ class TorusField:
     def __repr__(self):
         return (f"TorusField(band={self.band}, mean_zero={self.mean_zero}, "
                 f"max|c|={self.max_abs_coeff():.3e})")
+
+
+def _check_finite(maxc):
+    # 2*maxc bounds every entry of the symmetrization
+    if not np.isfinite(2.0 * maxc):
+        raise ValueError(f"non-finite or overflowing coefficient (max |c| = {maxc})")
+
+
+def _check_hermitian(viol, maxc):
+    if viol > HERMITIAN_RTOL * maxc:
+        raise ValueError(f"Hermitian symmetry violated: {viol:.3e} > "
+                         f"{HERMITIAN_RTOL:g} * {maxc:.3e}")
+
+
+def _zero_mean(h, maxc):
+    """Zero c(0) of the half h, declared mean-zero, after checking it
+    negligible against maxc (NonZeroMean otherwise)."""
+    K = h.shape[1] - 1
+    if maxc > 0.0 and abs(h[K, 0]) > HERMITIAN_RTOL * maxc:
+        raise NonZeroMean(f"declared mean-zero but c(0) = {h[K, 0]:.3e} "
+                          f"(max {maxc:.3e})")
+    if h[K, 0] != 0:
+        h[K, 0] = 0.0
 
 
 def _window(c, band):
@@ -597,40 +623,105 @@ def _write_atomic(path, chunks):
 
 def write_sqf1(f: TorusField, path):
     """Write the field's whole box in the SQF1 layout (atomic: temp file
-    + rename)."""
-    header = struct.pack("<4sIIq", _SQF1_MAGIC, _SQF1_VERSION, f.band,
-                         1 if f.mean_zero else 0)
-    _write_atomic(path, (header, np.ascontiguousarray(f.box(), dtype="<c16")))
+    + rename), rebuilding it from the half GRID_BLOCK rows at a time."""
+    n = 2 * f.band + 1
+
+    def chunks():
+        yield struct.pack("<4sIIq", _SQF1_MAGIC, _SQF1_VERSION, f.band,
+                          1 if f.mean_zero else 0)
+        for a in range(0, n, GRID_BLOCK):
+            yield np.ascontiguousarray(f.box_rows(a, min(a + GRID_BLOCK, n)), dtype="<c16")
+
+    _write_atomic(path, chunks())
 
 
 def read_sqf1(path) -> TorusField:
     """Read an SQF1 field; verifies magic, version and, before the box is
-    read, the file's size, and, through the checked constructor, finite
-    and Hermitian-symmetric coefficients and the meanZero flag against
-    c(0) (ParseError on any mismatch). The field keeps the k2 >= 0 half
-    of the box."""
+    read, the file's size, and then the checked constructor's tests, in
+    its order and with its messages: finite coefficients, Hermitian
+    symmetry to HERMITIAN_RTOL, and the meanZero flag against c(0)
+    (ParseError on any mismatch).
+
+    The box is streamed into the k2 >= 0 half that the field keeps, in
+    pairs of GRID_BLOCK rows k1 <= 0 and their mirror rows -k1, so no
+    whole box is held; max |c| and the Hermitian defect (the formula of
+    `kernels.hermitian_violation`, NaN propagating) are reduced over the
+    pairs. A box Hermitian only to rounding is symmetrised, as in the
+    constructor, over the whole half, on a second pass over the file; a
+    pair that reads differently on that pass raises ParseError."""
     with open(path, "rb") as fh:
         head = fh.read(20)
         if len(head) < 20:
             raise ParseError(f"{path}: truncated header ({len(head)} bytes)")
-        magic, version, band, mz = struct.unpack("<4sIIq", head)
+        magic, version, K, mz = struct.unpack("<4sIIq", head)
         if magic != _SQF1_MAGIC:
             raise ParseError(f"{path}: bad magic {magic!r}")
         if version != _SQF1_VERSION:
             raise ParseError(f"{path}: unsupported version {version}")
         if mz not in (0, 1):
             raise ParseError(f"{path}: meanZero flag must be 0/1, got {mz}")
-        n = 2 * band + 1
+        n = 2 * K + 1
         want = 20 + 16 * n * n
+
+        def wrong_size(got):
+            return ParseError(f"{path}: expected {want} bytes for band {K}, got {got}")
+
         size = os.fstat(fh.fileno()).st_size
-        if size == want:
-            # one byte past the box shows a file that grew since the fstat
-            raw = fh.read(want - 19)
-            size = 20 + len(raw)
-    if size != want:
-        raise ParseError(f"{path}: expected {want} bytes for band {band}, got {size}")
-    c = np.frombuffer(raw, dtype="<c16").reshape(n, n)
-    try:
-        return TorusField(c, mean_zero=bool(mz))
-    except ValueError as e:  # NonZeroMean included
-        raise ParseError(f"{path}: {e}") from None
+        if size != want:
+            raise wrong_size(size)
+        blocks = np.empty((2, min(GRID_BLOCK, K + 1), n), dtype="<c16")
+
+        def rows(i, a, b):
+            """Rows a..b-1 of the box, read into blocks[i]."""
+            out = blocks[i, :b - a]
+            fh.seek(20 + 16 * n * a)
+            if fh.readinto(out) < out.nbytes:  # the file shrank since the fstat
+                raise wrong_size(fh.seek(0, os.SEEK_END))
+            return out
+
+        def pairs():
+            """(a, b, top, mirror, stats) for each GRID_BLOCK rows a..b-1
+            (k1 <= 0) of the box: top holds those rows and mirror rows
+            n-b..n-a, so mirror[::-1] holds -k1 in top's order (the pair
+            at k1 = 0 holds that row in both); stats are their max |c|
+            and the pair's Hermitian defect."""
+            for a in range(0, K + 1, GRID_BLOCK):
+                b = min(a + GRID_BLOCK, K + 1)
+                top, mirror = rows(0, a, b), rows(1, n - b, n - a)
+                with np.errstate(invalid="ignore", over="ignore"):  # inf - inf
+                    defect = np.abs(top - np.conj(mirror[::-1, ::-1])).max()
+                yield a, b, top, mirror, (np.abs(top).max(), np.abs(mirror).max(), defect)
+
+        h = np.empty((n, K + 1), dtype=np.complex128)
+        stats = []
+        for a, b, top, mirror, s in pairs():
+            h[a:b] = top[:, K:]
+            h[n - b:n - a] = mirror[:, K:]
+            stats.append(s)
+        fh.seek(want)
+        if fh.read(1):  # one byte past the box shows a file that grew since the fstat
+            raise wrong_size(want + 1)
+        stats = np.array(stats)
+        maxc = float(stats[:, :2].max())  # np.max propagates NaN
+        viol = float(stats[:, 2].max())  # 0 when maxc is
+        try:
+            _check_finite(maxc)
+            _check_hermitian(viol, maxc)
+            if viol > 0.0:
+                # as in the constructor every pair is symmetrised, not only
+                # those with a defect: the sign of a zero may change
+                again = []
+                for a, b, top, mirror, s in pairs():
+                    for out, x, y in ((h[a:b], top, mirror), (h[n - b:n - a], mirror, top)):
+                        np.add(x[:, K:], np.conj(y[::-1, K::-1]), out=out)
+                        out *= 0.5
+                    again.append(s)
+                if not np.array_equal(again, stats):
+                    raise ParseError(f"{path}: the file changed while it was read")
+            if mz:
+                _zero_mean(h, maxc)
+        except ParseError:
+            raise
+        except ValueError as e:  # NonZeroMean included
+            raise ParseError(f"{path}: {e}") from None
+    return TorusField._exact(h)

@@ -4,8 +4,10 @@ Three inner loops run outside scipy's FFTs: the smooth cutoff profile
 evaluated on wavenumber grids, the shifted-symbol pair for the
 modulated-wave operators, and the Hermitian symmetry scan. The scan
 runs only in the checked constructor, on the whole boxes of outside
-data (user arrays, `from_modes`, `constant`, SQF1 reads); fields the
-program computes, transform reads included, skip it.
+data (user arrays, `from_modes`, `constant`); SQF1 reads, which hold no
+whole box, apply its formula to each pair of row blocks k1 <= 0 and
+-k1 in `fields.read_sqf1`. Fields the program computes, transform reads
+included, skip it.
 """
 
 import numpy as np

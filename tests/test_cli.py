@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -373,6 +374,21 @@ def test_export_spectrum_writes_the_nonzero_box_entries_in_order(tmp_path, f):
     path = tmp_path / "s.csv"
     cli.export_spectrum(f, str(path))
     assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def test_export_spectrum_holds_no_box(tmp_path):
+    # at band 400 the box takes 9.8 MiB; the export rebuilds one k1 row
+    # of it at a time, 12.8 kB
+    f = TorusField.from_modes(400, {(400, -400): 1.0, (-3, 7): 0.5j, (0, 400): 2.0})
+    path = tmp_path / "s.csv"
+    tracemalloc.start()
+    try:
+        cli.export_spectrum(f, str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert len(path.read_text(encoding="utf-8").splitlines()) == 1 + 6
 
 
 @pytest.mark.parametrize("band, mean", [(0, True), (1, False), (7, False), (7, True),

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from sqgci import fields
 from sqgci.errors import GridTooSmall, NonZeroMean, NotPositive, ParseError
 from sqgci.fields import (
+    GRID_BLOCK,
     THREADED_GRID_MIN,
     Sum,
     TorusField,
@@ -848,6 +849,178 @@ def test_read_sqf1_fuzz_field_or_parse_error(fuzz_path, blob):
         except ParseError:
             return
     assert np.all(np.isfinite(f.coeffs))
+
+
+# bands whose K+1 rows k1 <= 0 fill GRID_BLOCK-row pairs exactly (63),
+# or spill one row (64), two rows (65, 129) into the next pair
+SQF1_BANDS = (0, 1, 63, 64, 65, 129)
+
+
+def _sqf1_file(path, box, flag):
+    """An SQF1 file holding box as it stands, under a meanZero flag."""
+    with open(path, "wb") as fh:
+        fh.write(struct.pack("<4sIIq", b"SQF1", 1, box.shape[0] // 2, int(flag)))
+        fh.write(np.ascontiguousarray(box, dtype="<c16").tobytes())
+
+
+def _read_or_error(path):
+    """read_sqf1's coefficient bytes, or its ParseError text."""
+    try:
+        return read_sqf1(path).coeffs.tobytes()
+    except ParseError as e:
+        return str(e)
+
+
+def _construct_or_error(path, box, flag):
+    """The checked constructor's bytes for the same box, or the text
+    read_sqf1 gives its ValueError."""
+    try:
+        return TorusField(box, mean_zero=flag).coeffs.tobytes()
+    except ValueError as e:
+        return f"{path}: {e}"
+
+
+def _signed_zero(bits):
+    return complex(-0.0 if bits & 1 else 0.0, -0.0 if bits & 2 else 0.0)
+
+
+@st.composite
+def _hostile_boxes(draw, band):
+    """A Hermitian box with, each drawn or not: signed zeros as mirror
+    pairs, a defect (rounding to large) at one entry, so in one block
+    pair, a non-finite or overflowing entry in the last block pair, a
+    c(0) off zero; and a meanZero flag."""
+    n = 2 * band + 1
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    box = random_field(band, rng, mean_zero=False).box()
+    box *= draw(st.sampled_from([1.0, 1e-310, 1e300]))
+    maxc = float(np.abs(box).max())
+    index = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    for i1, i2 in draw(st.lists(index, max_size=6)):
+        box[i1, i2] = _signed_zero(draw(st.integers(0, 3)))
+        box[n - 1 - i1, n - 1 - i2] = _signed_zero(draw(st.integers(0, 3)))
+    if draw(st.booleans()):
+        i1, i2 = draw(index)
+        box[i1, i2] += draw(st.sampled_from([2.0 ** -50, 1e-14, 1e-12, 1e-3])) * maxc
+    if draw(st.booleans()):
+        last = draw(st.integers(band // GRID_BLOCK * GRID_BLOCK, band))
+        i1 = draw(st.sampled_from([last, n - 1 - last]))
+        box[i1, draw(st.integers(0, n - 1))] = draw(st.sampled_from(
+            [complex(np.nan, 0.0), complex(0.0, np.inf), -np.inf, 1.7e308, 1e308 + 1e308j]))
+    if draw(st.booleans()):
+        box[band, band] = draw(st.sampled_from([0.0, -0.0, 1e-15, 1.0, 1e-15j])) * maxc
+    return box, draw(st.booleans())
+
+
+@pytest.mark.parametrize("band", SQF1_BANDS)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_read_sqf1_is_the_checked_constructor(sqf1_dir, band, data):
+    # streamed by block pairs, the read gives the constructor's bits or
+    # its error text, whatever the file holds
+    box, flag = data.draw(_hostile_boxes(band))
+    path = str(sqf1_dir / "hostile.sqf1")
+    _sqf1_file(path, box, flag)
+    with np.errstate(all="ignore"):
+        want = _construct_or_error(path, box, flag)
+        assert _read_or_error(path) == want
+
+
+@pytest.mark.parametrize("band", [65, 129])
+def test_read_sqf1_symmetrises_every_pair_like_the_constructor(tmp_path, band):
+    # a rounding defect in the last pair alone makes the constructor
+    # symmetrise the whole half, which flips a zero's sign in the first
+    # pair, whose own defect is 0
+    box = random_field(band, np.random.default_rng(band), mean_zero=False).box()
+    n = 2 * band + 1
+    # c(k2 = K-3) = -0 in the half, its mirror conjugate +0
+    box[n - 3, n - 4], box[2, 3] = complex(-0.0, 0.0), complex(0.0, 0.0)
+    box[band - 1, band + 1] *= 1.0 + 2.0 ** -50
+    path = str(tmp_path / "f.sqf1")
+    _sqf1_file(path, box, False)
+    back = read_sqf1(path)
+    assert back.coeffs.tobytes() == TorusField(box).coeffs.tobytes()
+    assert not np.signbit(back.coeffs[n - 3, band - 3].real)
+
+
+@pytest.mark.parametrize("band", SQF1_BANDS)
+def test_write_sqf1_writes_the_header_and_the_box(tmp_path, band):
+    f = random_field(band, np.random.default_rng(band), mean_zero=band % 2 == 0)
+    path = str(tmp_path / "f.sqf1")
+    write_sqf1(f, path)
+    header = struct.pack("<4sIIq", b"SQF1", 1, band, int(f.mean_zero))
+    assert open(path, "rb").read() == header + f.box().astype("<c16").tobytes()
+
+
+def test_sqf1_io_holds_no_whole_box(tmp_path):
+    # at band 400 the box takes 9.8 MiB and the half 4.9 MiB: a write
+    # holds a few rows of the box, and a read the half it keeps and one
+    # pair of GRID_BLOCK rows, on its first pass and on the second that
+    # a file Hermitian only to rounding takes
+    f = random_field(400, np.random.default_rng(40), mean_zero=False)
+    path, rounded = str(tmp_path / "f.sqf1"), str(tmp_path / "g.sqf1")
+    assert _traced_peak(lambda: write_sqf1(f, path)) <= 8 << 20
+    box = f.box()
+    box[399, 401] *= 1.0 + 2.0 ** -50
+    _sqf1_file(rounded, box, False)
+    del box
+    for p in (path, rounded):
+        assert _traced_peak(lambda: read_sqf1(p)) <= f.coeffs.nbytes + (8 << 20)
+    assert read_sqf1(path).coeffs.tobytes() == f.coeffs.tobytes()
+    assert read_sqf1(rounded).coeffs.tobytes() != f.coeffs.tobytes()
+
+
+@pytest.mark.parametrize("new", [20, 20 + 16 * 131 * 10, 20 + 16 * 131 * 128, 20 + 16 * 131 ** 2 - 1,
+                                 20 + 16 * 131 ** 2 + 1, 20 + 16 * 131 ** 2 + 4096],
+                         ids=["header", "first pair", "mirror", "last byte", "grown by one",
+                              "grown"])
+def test_read_sqf1_sees_a_file_that_changes_size_after_its_fstat(tmp_path, monkeypatch, new):
+    # a shrunk file reports its size at the short read; a grown one the
+    # byte past the box that showed it
+    path = str(tmp_path / "f.sqf1")
+    write_sqf1(random_field(65, np.random.default_rng(65)), path)
+    want = 20 + 16 * 131 ** 2
+    fstat = os.fstat
+
+    def resized_after(fd):
+        st = fstat(fd)
+        os.truncate(path, new)
+        return st
+
+    monkeypatch.setattr(fields.os, "fstat", resized_after)
+    got = min(new, want + 1)
+    with pytest.raises(ParseError, match=f"expected {want} bytes for band 65, got {got}$"):
+        read_sqf1(path)
+
+
+def test_read_sqf1_refuses_a_file_changed_between_its_passes(tmp_path, monkeypatch):
+    # the second pass re-reads what the first one checked
+    box = random_field(65, np.random.default_rng(6), mean_zero=False).box()
+    box[70, 3] *= 1.0 + 2.0 ** -50
+    path = str(tmp_path / "f.sqf1")
+    _sqf1_file(path, box, False)
+    check = fields._check_hermitian
+
+    def then_rewrite(viol, maxc):
+        check(viol, maxc)
+        with open(path, "r+b") as fh:
+            fh.seek(20 + 16 * 5)
+            fh.write(struct.pack("<dd", 1e3, 0.0))
+
+    monkeypatch.setattr(fields, "_check_hermitian", then_rewrite)
+    with pytest.raises(ParseError, match="the file changed while it was read$"):
+        read_sqf1(path)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_box_rows_are_rows_of_the_box(seed):
+    for f in _computed_fields(seed) + [random_field(70, np.random.default_rng(seed))]:
+        box = f.box()
+        n = box.shape[0]
+        for a, b in ((0, n), (0, 1), (n - 1, n), (n // 2, n // 2 + 1), (1, n - 1), (n // 2, n // 2)):
+            rows = f.box_rows(a, b)
+            assert rows.shape == (b - a, n)
+            assert rows.tobytes() == box[a:b].tobytes()
 
 
 def test_sqf1_atomic_write_leaves_no_temp(tmp_path):

@@ -101,14 +101,15 @@ def _mean_raises(path):
     return _scoped(path, _raises_nonzero_mean)
 
 
-MEAN_RAISERS = {"multipliers.require_mean_zero", "fields.TorusField.__init__"}
+MEAN_RAISERS = {"multipliers.require_mean_zero", "fields._zero_mean"}
 
 
 @pytest.mark.parametrize("path", sorted((ROOT / "src" / "sqgci").glob("*.py")),
                          ids=lambda p: p.name)
 def test_only_the_mean_checks_raise_nonzero_mean(path):
     # require_mean_zero is the one rule for computed fields, dense and
-    # factored; the checked constructor judges declared outside data
+    # factored; _zero_mean judges declared outside data, for the checked
+    # constructor and read_sqf1
     assert [(line, name) for line, name in _mean_raises(path)
             if f"{path.stem}.{name}" not in MEAN_RAISERS] == []
 
@@ -197,16 +198,16 @@ def _box_calls(path):
     return _scoped(path, _is_box_call)
 
 
-BOX_CALLERS = {"fields.write_sqf1", "cli.export_spectrum", "multipliers.ModulatedField.wave"}
+BOX_CALLERS = {"multipliers.ModulatedField.wave"}
 
 
 @pytest.mark.parametrize("path", sorted((ROOT / "src" / "sqgci").glob("*.py")),
                          ids=lambda p: p.name)
 def test_only_the_box_readers_rebuild_a_whole_box(path):
     # a field stores its k2 >= 0 half; sums over the box read the half,
-    # so a whole box is rebuilt only for a file or export in box order and
-    # a dense field's carrier-0 block; the carrier pairing reads theta's
-    # support off its half
+    # so a whole box is rebuilt only for a dense field's carrier-0 block;
+    # files and exports in box order take it a few rows at a time from
+    # box_rows, and the carrier pairing reads theta's support off its half
     assert [(line, name) for line, name in _box_calls(path)
             if f"{path.stem}.{name}" not in BOX_CALLERS] == []
 

@@ -43,6 +43,17 @@ computed exactly by zero-padding to a grid that holds the full product
 band (N >= 2*(Kf+Kg)+2); the 3/2 rule is never used. `products`
 transforms a factor shared by several products once.
 
+The module owns one thread pool of `_cpu_count()` workers. From a grid
+side of POOLED_GRID_MIN on, `_row_blocks` runs three loops over
+GRID_BLOCK rows on it, in `_cpu_count()` contiguous chunks: the phasing
+of a half into the spectrum, the max-abs axis-1 pass and `products`'
+pointwise multiply; below it, and on one CPU, the same loop runs
+inline. Each block writes only its own rows and every maximum is exact,
+so the bits do not depend on the CPU count. The transforms' own worker
+count, `_workers`, reads the same `_cpu_count()`, so under an affinity
+mask of one CPU (`taskset -c 0`) no transform or loop here uses a
+second thread.
+
 `Sum` builds a chain of `+` and `-` in one half, with the same bits.
 A half is written only before `_exact` freezes it.
 
@@ -65,6 +76,7 @@ from __future__ import annotations
 import os
 import struct
 import tempfile
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -380,19 +392,60 @@ def good_grid(n):
 GRID_BLOCK = 64
 
 
-def _fill(H, h, k1_first, sgn, symbol):
+# Grid side from which `_row_blocks` runs its blocks on the pool. Timing
+# single calls on a 2-core box, pooled against inline (medians of 11-15
+# alternations, random fields of band K): the max-abs samplings took
+# 0.7-0.95x the inline time from N = 1000 on, but the whole grid of a
+# field with K <= N/8 took 1.06-1.14x of it up to N = 1500, where
+# `_fill` has too few rows to pay for the dispatch, and a products call
+# 0.9-1.04x. From N = 1600 on every case took 0.65-1.06x; at N = 2000
+# a band-986 max-abs sampling took 47 against 57 ms, and 61 against 85
+# ms with a symbol.
+POOLED_GRID_MIN = 1600
+
+# The pool `_row_blocks` runs on. Its threads start on the first submit,
+# so importing the module starts none.
+_POOL = ThreadPoolExecutor(max_workers=_cpu_count(), thread_name_prefix="sqgci-fields")
+
+
+def _row_blocks(fn, n, N):
+    """[fn(a, b) for each GRID_BLOCK rows a..b-1 of n rows], in order, for
+    a loop over an N x N grid. From POOLED_GRID_MIN on, the blocks run on
+    the pool in `_cpu_count()` contiguous chunks, and below it, or on one
+    CPU, inline. fn(a, b) must write only rows a..b-1 of its arrays, so
+    the bits do not depend on the chunks, and must not use the pool
+    itself, which could then wait on its own threads. An exception is
+    raised from the first chunk that raises, once every chunk has
+    finished."""
+    bounds = [(a, min(a + GRID_BLOCK, n)) for a in range(0, n, GRID_BLOCK)]
+    chunks = min(_cpu_count() if N >= POOLED_GRID_MIN else 1, len(bounds))
+    if chunks <= 1:
+        return [fn(a, b) for a, b in bounds]
+    size = -(-len(bounds) // chunks)
+    futures = [_POOL.submit(lambda part: [fn(a, b) for a, b in part], bounds[i:i + size])
+               for i in range(0, len(bounds), size)]
+    wait(futures)
+    return [r for fut in futures for r in fut.result()]
+
+
+def _fill(H, h, k1_first, sgn, symbol, N):
     """Phase the rows of the half h, row i at k1 = k1_first + i, into
-    the rows of H, GRID_BLOCK rows at a time. With a symbol, each block
-    is multiplied by symbol(k1, k2) (k1 a column, k2 = 0..K a row, as
-    floats) on its way in, with the bits of m * h phased."""
+    the rows of H, GRID_BLOCK rows at a time (`_row_blocks` of an N x N
+    grid). With a symbol, each block is multiplied by symbol(k1, k2) (k1
+    a column, k2 = 0..K a row, as floats) on its way in, with the bits
+    of m * h phased. Returns, per block, which columns of H it filled
+    with a nonzero entry."""
     k2 = np.arange(h.shape[1], dtype=np.float64)[None, :]
-    for a in range(0, h.shape[0], GRID_BLOCK):
-        b = min(a + GRID_BLOCK, h.shape[0])
-        block = h[a:b]
+
+    def block(a, b):
+        rows = h[a:b]
         if symbol is not None:
             k1 = np.arange(k1_first + a, k1_first + b, dtype=np.float64)[:, None]
-            block = block * symbol(k1, k2)
-        _phase(H[a:b], block, k1_first + a, sgn)
+            rows = rows * symbol(k1, k2)
+        _phase(H[a:b], rows, k1_first + a, sgn)
+        return np.any(H[a:b], axis=0)
+
+    return _row_blocks(block, h.shape[0], N)
 
 
 def to_grid(f: TorusField, N: int, symbol=None, max_abs: bool = False):
@@ -425,14 +478,12 @@ def to_grid(f: TorusField, N: int, symbol=None, max_abs: bool = False):
     sgn = _signs(K)
     w = _workers(N)
     H = np.zeros((N, N // 2 + 1), dtype=np.complex128)
-    top, bottom = H[:K + 1, :K + 1], H[N - K:, :K + 1]
-    _fill(top, h[K:], 0, sgn, symbol)
-    _fill(bottom, h[:K], -K, sgn, symbol)
     # column k2 is nonempty when filled[k2 + 1]; the edges of its runs of
     # nonempty columns alternate between starts and stops
     filled = np.zeros(K + 3, dtype=bool)
-    np.any(top, axis=0, out=filled[1:-1])
-    filled[1:-1] |= np.any(bottom, axis=0)
+    for nonzero in (_fill(H[:K + 1, :K + 1], h[K:], 0, sgn, symbol, N)
+                    + _fill(H[N - K:, :K + 1], h[:K], -K, sgn, symbol, N)):
+        filled[1:-1] |= nonzero
     edges = np.flatnonzero(filled[1:] != filled[:-1]).tolist()
     for a, b in zip(edges[::2], edges[1::2]):
         run = H[:, a:b]
@@ -441,9 +492,9 @@ def to_grid(f: TorusField, N: int, symbol=None, max_abs: bool = False):
             run[...] = out
     if not max_abs:
         return scipy.fft.irfft(H, n=N, axis=1, norm="forward", workers=w)
-    return float(np.max([
-        _max_abs(scipy.fft.irfft(H[i:i + GRID_BLOCK], n=N, axis=1, norm="forward", workers=w))
-        for i in range(0, N, GRID_BLOCK)]))
+    # np.max propagates NaN; a block is too small to split its lines
+    return float(np.max(_row_blocks(lambda a, b: _max_abs(
+        scipy.fft.irfft(H[a:b], n=N, axis=1, norm="forward", workers=1)), N, N)))
 
 
 def _max_abs(g) -> float:
@@ -508,9 +559,9 @@ def products(f: TorusField, gs) -> list:
             if last[N] > i:
                 grids[N] = fvals
             vals = to_grid(g, N)
-            np.multiply(fvals, vals, out=vals)
+            scale = float(np.max(_row_blocks(lambda a, b: _max_abs(
+                np.multiply(fvals[a:b], vals[a:b], out=vals[a:b])), N, N)))
             del fvals
-            scale = _max_abs(vals)
             H = scipy.fft.rfft2(vals, norm="forward", workers=_workers(N))
             del vals
             out.append(_truncate(H, scale, f.band + g.band))

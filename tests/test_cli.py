@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import builtins
 import json
 import math
 import os
+import pathlib
+import random
+import subprocess
+import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -207,17 +213,26 @@ def test_cli_run_writes_everything(tmp_path):
     assert "feasibility" in run_meta
 
 
-def test_cli_run_deterministic(tmp_path):
-    cfg = _write(tmp_path, SYNTH)
-    outs = []
-    for sub in ("a", "b"):
+def test_cli_run_deterministic(tmp_path, monkeypatch):
+    # one CPU, then two with every grid above the pool's crossover: the
+    # row blocks of the samplings and products run inline, then pooled
+    from sqgci import fields
+    cfg = _write(tmp_path, SYNTH.replace("steps = 1", "steps = 2"))
+    monkeypatch.setattr(fields, "POOLED_GRID_MIN", 0)
+    submit = fields._POOL.submit
+    outs, submits = [], []
+    monkeypatch.setattr(fields._POOL, "submit", lambda *a: submits.append(sub) or submit(*a))
+    for sub, cpus in (("a", 1), ("b", 2)):
         out = str(tmp_path / sub)
+        monkeypatch.setattr(fields, "_cpu_count", lambda: cpus)
         assert main(["run", "--config", cfg, "--out", out, "--quiet"]) == 0
         outs.append(out)
-    for name in ("ledger.jsonl", "theta.sqf1", "f.sqf1"):
-        a = open(os.path.join(outs[0], name), "rb").read()
-        b = open(os.path.join(outs[1], name), "rb").read()
-        assert a == b, name
+    assert "a" not in submits and "b" in submits
+    a, b = (_files(out) for out in outs)
+    names = ["ledger.jsonl"] + [n for n in a if n.endswith(".sqf1")]
+    assert len(names) == 7
+    for name in names:
+        assert a[name] == b[name], name
     theta = read_sqf1(os.path.join(outs[0], "theta.sqf1"))
     f = read_sqf1(os.path.join(outs[0], "f.sqf1"))
     assert sobolev(theta, -0.5) > 0.0
@@ -525,8 +540,7 @@ def test_failed_run_keeps_ledger_and_resumes(tmp_path, monkeypatch):
 
 
 def _files(out):
-    return {name: open(os.path.join(out, name), "rb").read()
-            for name in sorted(os.listdir(out))}
+    return {name: pathlib.Path(out, name).read_bytes() for name in sorted(os.listdir(out))}
 
 
 def test_a_fault_at_any_write_exits_4_and_a_rerun_finishes_the_run(tmp_path, monkeypatch):
@@ -571,6 +585,63 @@ def test_a_fault_at_any_write_exits_4_and_a_rerun_finishes_the_run(tmp_path, mon
         assert not [n for n in os.listdir(out) if n.startswith(".part.")], k
         assert run(out) == 0, k
         got = _files(out)
+        assert json.loads(got.pop("run.json"))["config"]["out_dir"] == out
+        assert got == want, k
+
+
+def _child_run(cfg, out):
+    """`sqgci run --config cfg --out out` in a child process."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.Popen([sys.executable, "-B", "-m", "sqgci.cli", "run", "--config", cfg,
+                             "--out", out, "--quiet"], env=dict(os.environ, PYTHONPATH=path),
+                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+
+
+def _wait_for_dir(proc, out):
+    """Poll until the child has made its output directory, which it does
+    once its imports are done, or has exited."""
+    end = time.monotonic() + 120.0
+    while not os.path.isdir(out) and proc.poll() is None:
+        assert time.monotonic() < end, "the child never started its run"
+        time.sleep(0.002)
+
+
+def test_a_killed_run_resumes_to_the_uninterrupted_bytes(tmp_path, monkeypatch):
+    # SIGKILL a child `sqgci run` of two synthetic-base steps at seeded
+    # instants of its run, one child at a time. A rerun in the same
+    # directory exits 0 with the uninterrupted run's bytes, and opens no
+    # temp file a killed write left behind (those may remain)
+    cfg = _write(tmp_path, SYNTH.replace("steps = 1", "steps = 2"))
+    clean = str(tmp_path / "clean")
+    proc = _child_run(cfg, clean)
+    _wait_for_dir(proc, clean)
+    start = time.monotonic()
+    assert proc.wait(timeout=300) == 0
+    span = time.monotonic() - start
+    want = _files(clean)
+    del want["run.json"]  # it echoes the output directory
+    opened = []
+
+    def spy(file, *args, **kwargs):
+        opened.append(os.path.basename(str(file)))
+        return real_open(file, *args, **kwargs)
+
+    real_open = builtins.open
+    rng = random.Random(0)
+    for k in range(3):
+        out = str(tmp_path / f"killed{k}")
+        proc = _child_run(cfg, out)
+        _wait_for_dir(proc, out)
+        time.sleep(rng.uniform(0.0, span))
+        proc.kill()
+        proc.wait(timeout=300)
+        opened.clear()
+        with monkeypatch.context() as m:
+            m.setattr(builtins, "open", spy)
+            assert main(["run", "--config", cfg, "--out", out, "--quiet"]) == 0, k
+        assert opened and not [n for n in opened if n.startswith(".part.")], k
+        got = {n: b for n, b in _files(out).items() if not n.startswith(".part.")}
         assert json.loads(got.pop("run.json"))["config"]["out_dir"] == out
         assert got == want, k
 

@@ -22,6 +22,7 @@ from sqgci import fields
 from sqgci.errors import GridTooSmall, NonZeroMean, NotPositive, ParseError
 from sqgci.fields import (
     GRID_BLOCK,
+    POOLED_GRID_MIN,
     THREADED_GRID_MIN,
     Sum,
     TorusField,
@@ -246,13 +247,15 @@ def _odd_image(f: TorusField, j: int) -> TorusField:
 def test_block_reduced_samples_equal_the_grid_maximum(band, kind, extra, seed, fill, scale):
     # max_abs runs the axis-1 pass over blocks of rows and keeps only the
     # maximum; a symbol samples m f from f's half. Both give the bits of
-    # the whole grid and of the image
+    # the whole grid and of the image, inline and, with the crossover at
+    # N, on the pool
     rng = np.random.default_rng(seed)
     f = _test_field(fill, band, rng, bool(seed % 2)) * scale
     N = _grid_side(band, kind, extra)
-    for cpus in (1, 2):
+    for cpus, crossover in ((1, N), (2, N), (2, N + 1)):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(fields, "_cpu_count", lambda: cpus)
+            mp.setattr(fields, "POOLED_GRID_MIN", crossover)
             want = fields._max_abs(to_grid(f, N))
             assert to_grid(f, N, max_abs=True).hex() == want.hex()
             for j in (1, 2):
@@ -266,14 +269,22 @@ def test_block_reduced_samples_equal_the_grid_maximum(band, kind, extra, seed, f
             assert _odd_image(f, j).coeffs.tobytes() == riesz_odd(f, j).coeffs.tobytes()
 
 
-def test_block_reduced_maximum_propagates_nan():
+def test_block_reduced_maximum_propagates_nan(monkeypatch):
     c = np.zeros((7, 4), dtype=np.complex128)
     c[4, 2] = np.nan
-    f = TorusField._exact(c)
-    for N in (8, 200):
+    # on the pool, the NaN sits in the last row block of a band-100 half
+    pooled = np.zeros((201, 101), dtype=np.complex128)
+    pooled[-1, 5] = np.nan
+    monkeypatch.setattr(fields, "_cpu_count", lambda: 2)
+    for f, N in ((TorusField._exact(c), 8), (TorusField._exact(c), 200),
+                 (TorusField._exact(pooled), POOLED_GRID_MIN)):
         assert np.isnan(to_grid(f, N, max_abs=True))
         assert np.isnan(to_grid(f, N, symbol=functools.partial(riesz_odd_symbol, 1),
                                 max_abs=True))
+    # an exception in a pooled block reaches the caller
+    with pytest.raises(ValueError, match="index must be 1 or 2, got 3"):
+        to_grid(random_field(100, np.random.default_rng(0)), POOLED_GRID_MIN,
+                symbol=functools.partial(riesz_odd_symbol, 3), max_abs=True)
 
 
 def _traced_peak(fn):
@@ -343,16 +354,21 @@ def _product_oracle(f: TorusField, g: TorusField) -> np.ndarray:
 @given(band_f=st.integers(0, 10), bands=st.lists(st.integers(0, 10), min_size=1, max_size=4),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_shared_factor_products_equal_separate_products_bit_for_bit(band_f, bands, seed):
+    # every grid is above the crossover, on 1 and 2 CPUs
     rng = np.random.default_rng(seed)
     f = random_field(band_f, rng, mean_zero=False)
     gs = [random_field(b, rng, mean_zero=False) for b in bands]
-    got = products(f, gs)
-    assert len(got) == len(gs)
-    for g, fg in zip(gs, got):
-        want = _product_oracle(f, g)
-        assert fg.coeffs.tobytes() == want.tobytes()
-        assert multiply(f, g).coeffs.tobytes() == want.tobytes()
-        assert not fg.coeffs.flags.writeable
+    wants = [_product_oracle(f, g) for g in gs]
+    for cpus in (1, 2):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fields, "_cpu_count", lambda: cpus)
+            mp.setattr(fields, "POOLED_GRID_MIN", 0)
+            got = products(f, gs)
+            assert len(got) == len(gs)
+            for g, fg, want in zip(gs, got, wants):
+                assert fg.coeffs.tobytes() == want.tobytes()
+                assert multiply(f, g).coeffs.tobytes() == want.tobytes()
+                assert not fg.coeffs.flags.writeable
 
 
 def test_multiply_product_to_sum():
@@ -434,14 +450,36 @@ def test_grid_read_is_checked_at_the_scale_of_its_samples(monkeypatch):
     for bins in ({(0, 0): 1.0 + 1e-12j}, {(1, 0): 1e-12}, {(-1, 0): 1e-12j}):
         with pytest.raises(ValueError, match="Hermitian"):
             _read_spoiled(monkeypatch, ones, 1, bins)
+    # a product multiplied on the pool is read at the largest of all its
+    # samples, which here lies in the last row block
+    monkeypatch.undo()
+    rng = np.random.default_rng(5)
+    f, g = random_field(40, rng), random_field(60, rng)
+    N = good_grid(2 * 100 + 2)
+    samples = to_grid(f, N) * to_grid(g, N)
+    assert fields._max_abs(samples[:-GRID_BLOCK]) < fields._max_abs(samples)
+    truncate, scales = fields._truncate, []
+    monkeypatch.setattr(fields, "_truncate",
+                        lambda H, scale, K: scales.append(scale) or truncate(H, scale, K))
+    monkeypatch.setattr(fields, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(fields, "POOLED_GRID_MIN", 0)
+    multiply(f, g)
+    assert scales == [fields._max_abs(samples)]
 
 
-def test_grid_read_rejects_non_finite_samples():
+def test_grid_read_rejects_non_finite_samples(monkeypatch):
     for bad in (np.nan, np.inf, -np.inf, 1e307):
         values = np.ones((8, 8))
         values[3, 5] = bad
         with pytest.raises(ValueError, match="non-finite or overflowing"):
             _read(values, 2)
+    # a product whose samples overflow, multiplied on the pool
+    monkeypatch.setattr(fields, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(fields, "POOLED_GRID_MIN", 0)
+    f = random_field(40, np.random.default_rng(0)) * 1e200
+    with pytest.raises(ValueError, match="non-finite or overflowing"):
+        with pytest.warns(RuntimeWarning, match="overflow encountered in multiply"):
+            multiply(f, f)
 
 
 def test_checked_construction_rejects_non_finite():

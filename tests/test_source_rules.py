@@ -318,6 +318,79 @@ def test_the_rule_sees_a_verify_import(tmp_path):
                                           (10, "f")]
 
 
+POOLS = ("ThreadPoolExecutor", "ProcessPoolExecutor", "ThreadPool", "Pool", "Thread",
+         "Process")
+
+
+def _pool_constructions(path):
+    """(line, scope) of every call in a source file that constructs a
+    thread or process pool, or a thread or process, by attribute or
+    imported name."""
+    names = {a.asname or a.name
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.ImportFrom) for a in node.names if a.name in POOLS}
+
+    def hit(node):
+        if not isinstance(node, ast.Call):
+            return False
+        f = node.func
+        return ((isinstance(f, ast.Name) and f.id in names)
+                or (isinstance(f, ast.Attribute) and f.attr in POOLS))
+
+    return _scoped(path, hit)
+
+
+def test_fields_builds_the_one_pool():
+    # fields owns the one pool, of _cpu_count() threads; a second pool
+    # would run more threads at once than the process has CPUs
+    sites = [(path.stem, name) for path in sorted((ROOT / "src" / "sqgci").glob("*.py"))
+             for _, name in _pool_constructions(path)]
+    assert sites == [("fields", "")]
+
+
+def test_the_rule_sees_a_pool(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text("from concurrent.futures import ThreadPoolExecutor as TPE, wait\n"
+                   "P = TPE(max_workers=2)\n"
+                   "def f():\n    return concurrent.futures.ProcessPoolExecutor()\n"
+                   "class C:\n    def g(self):\n        threading.Thread(target=f).start()\n"
+                   "multiprocessing.Pool(2)\nwait([])\nThreadPoolExecutor\n"
+                   "multiprocessing.pool.ThreadPool(2)\n", encoding="utf-8")
+    assert list(_pool_constructions(src)) == [(2, ""), (4, "f"), (7, "C.g"), (8, ""),
+                                              (11, "")]
+
+
+ENVIRON = ("environ", "environb", "getenv", "getenvb")
+
+
+def _environment_reads(path):
+    """(line, scope) of every reference to os.environ, os.getenv or their
+    bytes forms in a source file, by attribute or imported name."""
+    return _scoped(path, lambda node: (
+        (isinstance(node, ast.Attribute) and node.attr in ENVIRON)
+        or (isinstance(node, ast.ImportFrom) and node.module == "os"
+            and any(a.name in ENVIRON for a in node.names))))
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "sqgci").glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_module_reads_the_environment(path):
+    # the program's behaviour, its thread count included, follows from
+    # its config, its arguments and the CPUs it may use, never from an
+    # environment variable
+    assert list(_environment_reads(path)) == []
+
+
+def test_the_rule_sees_an_environment_read(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text("import os\nfrom os import getenv as g, path\n"
+                   "def f():\n    return os.environ.get('N')\n"
+                   "x = os.getenv('N')\nos.path.join('a')\n"
+                   "class C:\n    def g(self):\n        return os.environb[b'N']\n"
+                   "environ = {}\n", encoding="utf-8")
+    assert list(_environment_reads(src)) == [(2, ""), (4, "f"), (5, ""), (9, "C.g")]
+
+
 def _uncalled(paths):
     """Qualified name (module.function or module.Class.method) of every
     top-level function, and every method other than a dunder, in the

@@ -19,12 +19,15 @@ mean-zero when c(0) is exactly 0, a fact read off the array.
 One Hermitian rule, two doors. Whole boxes from outside (user arrays,
 `from_modes`, `constant`) go through the checked constructor
 `TorusField(coeffs, mean_zero)`: copy, finite check, Hermitian check
-over the box (1e-13 relative to the largest coefficient), exact
-symmetrisation of a box Hermitian only to rounding, and then only the
-half is kept; a declared mean-zero c(0) must be negligible and is then
-zeroed. SQF1 reads apply the same checks, in the same order and with
-the same messages, to a box streamed from the file. A box that passes
-unchanged keeps its bits, so SQF1 round trips are bit for bit.
+of the defect max |c(k) - conj(c(-k))| (1e-13 relative to the largest
+coefficient), and then only the half is kept, each entry that differs
+from its mirror's conjugate averaged with it (`_symmetrise`); a
+declared mean-zero c(0) must be negligible and is then zeroed. SQF1
+reads apply the same checks and rule, in the same order and with the
+same messages, to a box read once from the file. Every entry that
+agrees with its mirror keeps its bits, signed zeros included, so a
+Hermitian box is kept as it stands and SQF1 round trips are bit for
+bit.
 Computed halves, transform reads and factored fields
 (`ModulatedField.to_dense`), go through `_computed_half`, which checks
 their k2 = 0 column (1e-13 relative to a bound on every coefficient)
@@ -59,8 +62,8 @@ A half is written only before `_exact` freezes it.
 
 The binary field format SQF1 is implemented here. The file holds the
 whole box, and neither side holds it: a write rebuilds it from the half
-GRID_BLOCK rows at a time, and a read streams it straight into the half
-it keeps, in pairs of GRID_BLOCK rows k1 <= 0 and their mirrors -k1.
+GRID_BLOCK rows at a time, and a read streams it once straight into the
+half it keeps, in pairs of GRID_BLOCK rows k1 <= 0 and their mirrors -k1.
 
     bytes 0-3   magic ASCII "SQF1"
     u32 LE      version = 1
@@ -83,7 +86,6 @@ import numpy as np
 import scipy.fft
 
 from .errors import GridBudgetExceeded, GridTooSmall, NonZeroMean, NotPositive, ParseError
-from .kernels import hermitian_violation
 
 HERMITIAN_RTOL = 1e-13
 
@@ -108,15 +110,12 @@ class TorusField:
         h = c[:, K:].copy()  # the box itself is only read
         maxc = float(np.abs(c).max())
         _check_finite(maxc)
-        if maxc > 0.0:
-            viol = hermitian_violation(c)
-            _check_hermitian(viol, maxc)
-            if viol > 0.0:
-                # enforce exactly so realness never drifts; a box that is
-                # Hermitian already keeps its bits, signed zeros included,
-                # so an SQF1 read returns the field that was written
-                h += np.conj(c[::-1, K::-1])
-                h *= 0.5
+        # every pair {k, -k} has a member in the half, and |b - conj(a)|
+        # is |a - conj(b)|, so this is the defect over the whole box
+        viol = float(np.abs(h - np.conj(c[::-1, K::-1])).max())
+        _check_hermitian(viol, maxc)
+        if viol > 0.0:
+            _symmetrise(h, c[:, K:], c[::-1, K::-1])
         if mean_zero:
             _zero_mean(h, maxc)
         self._freeze(h)
@@ -255,6 +254,17 @@ def _check_hermitian(viol, maxc):
     if viol > HERMITIAN_RTOL * maxc:
         raise ValueError(f"Hermitian symmetry violated: {viol:.3e} > "
                          f"{HERMITIAN_RTOL:g} * {maxc:.3e}")
+
+
+def _symmetrise(out, x, y):
+    """Average out, a copy of x, with y's conjugate where the two
+    differ: there out = (x + conj(y)) * 0.5, and elsewhere it keeps x's
+    bits, signed zeros included, so a box Hermitian already is kept as
+    it stands and an SQF1 read returns the field that was written. y is
+    x's mirror, read from a buffer out does not share."""
+    y = np.conj(y)
+    d = x != y
+    out[d] = (x[d] + y[d]) * 0.5
 
 
 def _zero_mean(h, maxc):
@@ -527,10 +537,7 @@ def _computed_half(c, scale):
     Hermitian to HERMITIAN_RTOL * scale, scale bounding every coefficient
     (ValueError otherwise), and symmetrising it in place."""
     col = c[:, 0]
-    viol = float(np.abs(col - np.conj(col[::-1])).max())
-    if viol > HERMITIAN_RTOL * scale:
-        raise ValueError(f"Hermitian symmetry violated: {viol:.3e} > "
-                         f"{HERMITIAN_RTOL:g} * {scale:.3e}")
+    _check_hermitian(float(np.abs(col - np.conj(col[::-1])).max()), scale)
     col += np.conj(col[::-1])
     col *= 0.5
     return TorusField._exact(c)
@@ -693,13 +700,13 @@ def read_sqf1(path) -> TorusField:
     symmetry to HERMITIAN_RTOL, and the meanZero flag against c(0)
     (ParseError on any mismatch).
 
-    The box is streamed into the k2 >= 0 half that the field keeps, in
-    pairs of GRID_BLOCK rows k1 <= 0 and their mirror rows -k1, so no
-    whole box is held; max |c| and the Hermitian defect (the formula of
-    `kernels.hermitian_violation`, NaN propagating) are reduced over the
-    pairs. A box Hermitian only to rounding is symmetrised, as in the
-    constructor, over the whole half, on a second pass over the file; a
-    pair that reads differently on that pass raises ParseError."""
+    The box is read in one pass, each byte once, in pairs of GRID_BLOCK
+    rows k1 <= 0 and their mirror rows -k1, straight into the k2 >= 0
+    half that the field keeps, so no whole box is held. Each pair's max
+    |c| and Hermitian defect (the constructor's, NaN propagating) are
+    reduced as it is read, and a pair with a defect and finite entries
+    is written by the constructor's rule, `_symmetrise`, so the half
+    holds the constructor's bits."""
     with open(path, "rb") as fh:
         head = fh.read(20)
         if len(head) < 20:
@@ -720,59 +727,47 @@ def read_sqf1(path) -> TorusField:
         size = os.fstat(fh.fileno()).st_size
         if size != want:
             raise wrong_size(size)
-        blocks = np.empty((2, min(GRID_BLOCK, K + 1), n), dtype="<c16")
+        buf = np.empty((min(2 * GRID_BLOCK, n), n), dtype="<c16")
 
-        def rows(i, a, b):
-            """Rows a..b-1 of the box, read into blocks[i]."""
-            out = blocks[i, :b - a]
+        def rows(out, a):
+            """The len(out) rows a.. of the box, read into out."""
             fh.seek(20 + 16 * n * a)
             if fh.readinto(out) < out.nbytes:  # the file shrank since the fstat
                 raise wrong_size(fh.seek(0, os.SEEK_END))
             return out
 
-        def pairs():
-            """(a, b, top, mirror, stats) for each GRID_BLOCK rows a..b-1
-            (k1 <= 0) of the box: top holds those rows and mirror rows
-            n-b..n-a, so mirror[::-1] holds -k1 in top's order (the pair
-            at k1 = 0 holds that row in both); stats are their max |c|
-            and the pair's Hermitian defect."""
-            for a in range(0, K + 1, GRID_BLOCK):
-                b = min(a + GRID_BLOCK, K + 1)
-                top, mirror = rows(0, a, b), rows(1, n - b, n - a)
-                with np.errstate(invalid="ignore", over="ignore"):  # inf - inf
-                    defect = np.abs(top - np.conj(mirror[::-1, ::-1])).max()
-                yield a, b, top, mirror, (np.abs(top).max(), np.abs(mirror).max(), defect)
-
         h = np.empty((n, K + 1), dtype=np.complex128)
-        stats = []
-        for a, b, top, mirror, s in pairs():
-            h[a:b] = top[:, K:]
-            h[n - b:n - a] = mirror[:, K:]
-            stats.append(s)
+        maxc = viol = 0.0
+        for a in range(0, K + 1, GRID_BLOCK):
+            b = min(a + GRID_BLOCK, K + 1)
+            m = b - a
+            if b <= K:
+                pair = buf[:2 * m]
+                rows(pair[:m], a)
+                rows(pair[m:], n - b)
+            else:  # the last pair's rows a..n-1-a lie together
+                pair = rows(buf[:2 * m - 1], a)
+            # top holds rows a..b-1 and mirror rows n-b..n-a, so
+            # mirror[::-1] holds -k1 in top's order; in the last pair both
+            # hold the k1 = 0 row, read once
+            top, mirror = pair[:m], pair[-m:]
+            pmax = float(np.abs(pair).max())
+            with np.errstate(invalid="ignore", over="ignore"):  # inf - inf
+                defect = float(np.abs(top - np.conj(mirror[::-1, ::-1])).max())
+            h[a:b], h[n - b:n - a] = top[:, K:], mirror[:, K:]
+            if defect > 0.0 and np.isfinite(2.0 * pmax):  # a non-finite pair is refused below
+                _symmetrise(h[a:b], top[:, K:], mirror[::-1, K::-1])
+                _symmetrise(h[n - b:n - a], mirror[:, K:], top[::-1, K::-1])
+            maxc, viol = np.maximum(maxc, pmax), np.maximum(viol, defect)  # NaN propagates
         fh.seek(want)
         if fh.read(1):  # one byte past the box shows a file that grew since the fstat
             raise wrong_size(want + 1)
-        stats = np.array(stats)
-        maxc = float(stats[:, :2].max())  # np.max propagates NaN
-        viol = float(stats[:, 2].max())  # 0 when maxc is
+        maxc, viol = float(maxc), float(viol)  # viol is 0 when maxc is
         try:
             _check_finite(maxc)
             _check_hermitian(viol, maxc)
-            if viol > 0.0:
-                # as in the constructor every pair is symmetrised, not only
-                # those with a defect: the sign of a zero may change
-                again = []
-                for a, b, top, mirror, s in pairs():
-                    for out, x, y in ((h[a:b], top, mirror), (h[n - b:n - a], mirror, top)):
-                        np.add(x[:, K:], np.conj(y[::-1, K::-1]), out=out)
-                        out *= 0.5
-                    again.append(s)
-                if not np.array_equal(again, stats):
-                    raise ParseError(f"{path}: the file changed while it was read")
             if mz:
                 _zero_mean(h, maxc)
-        except ParseError:
-            raise
         except ValueError as e:  # NonZeroMean included
             raise ParseError(f"{path}: {e}") from None
     return TorusField._exact(h)

@@ -1,13 +1,8 @@
 """Low-level lattice kernels in plain numpy.
 
-Three inner loops run outside scipy's FFTs: the smooth cutoff profile
-evaluated on wavenumber grids, the shifted-symbol pair for the
-modulated-wave operators, and the Hermitian symmetry scan. The scan
-runs only in the checked constructor, on the whole boxes of outside
-data (user arrays, `from_modes`, `constant`); SQF1 reads, which hold no
-whole box, apply its formula to each pair of row blocks k1 <= 0 and
--k1 in `fields.read_sqf1`. Fields the program computes, transform reads
-included, skip it.
+Two inner loops run outside scipy's FFTs: the smooth cutoff profile
+evaluated on wavenumber grids, and the shifted-symbol pair for the
+modulated-wave operators.
 """
 
 import numpy as np
@@ -67,14 +62,3 @@ def t_symbols(lam, n1, n2, d, K):
     t1 = 0.5 * (num_p / (A + float(lam)) + num_m / (B + float(lam)))
     t2f = -2.0 * lk * t1 / (A + B)
     return t1, t2f
-
-
-def hermitian_violation(c):
-    """Max |c(k) - conj(c(-k))| over the coefficient array (index
-    [k1+K, k2+K], so -k is the double flip).
-
-    Only the rows k1 <= 0 are scanned: the pair seen from -k is
-    c(-k) - conj(c(k)) = -conj(c(k) - conj(c(-k))), whose modulus is the
-    same float, and the k1 = 0 row meets its own mirror."""
-    K = c.shape[0] // 2
-    return float(np.abs(c[:K + 1] - np.conj(c[::-1, ::-1][:K + 1])).max())

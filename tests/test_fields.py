@@ -8,9 +8,11 @@ Both are O(slow) on purpose.
 from __future__ import annotations
 
 import functools
+import io
 import os
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -966,19 +968,71 @@ def test_read_sqf1_is_the_checked_constructor(sqf1_dir, band, data):
 
 @pytest.mark.parametrize("band", [65, 129])
 def test_read_sqf1_symmetrises_every_pair_like_the_constructor(tmp_path, band):
-    # a rounding defect in the last pair alone makes the constructor
-    # symmetrise the whole half, which flips a zero's sign in the first
-    # pair, whose own defect is 0
+    # a rounding defect on the k2 = 0 column of the last pair averages
+    # that entry and its mirror, and nothing else: the -0 in the first
+    # pair, whose mirror conjugate +0 agrees with it, keeps its sign
     box = random_field(band, np.random.default_rng(band), mean_zero=False).box()
     n = 2 * band + 1
     # c(k2 = K-3) = -0 in the half, its mirror conjugate +0
     box[n - 3, n - 4], box[2, 3] = complex(-0.0, 0.0), complex(0.0, 0.0)
-    box[band - 1, band + 1] *= 1.0 + 2.0 ** -50
+    box[band - 1, band] *= 1.0 + 2.0 ** -50
+    want = box[:, band:].copy()
+    x, y = box[band - 1, band], box[band + 1, band]
+    want[band - 1, 0], want[band + 1, 0] = (x + np.conj(y)) * 0.5, (y + np.conj(x)) * 0.5
+    assert np.count_nonzero(want != box[:, band:]) == 2
     path = str(tmp_path / "f.sqf1")
     _sqf1_file(path, box, False)
-    back = read_sqf1(path)
-    assert back.coeffs.tobytes() == TorusField(box).coeffs.tobytes()
-    assert not np.signbit(back.coeffs[n - 3, band - 3].real)
+    for got in (read_sqf1(path), TorusField(box)):
+        assert got.coeffs.tobytes() == want.tobytes()
+        assert np.signbit(got.coeffs[n - 3, band - 3].real)
+
+
+def test_read_sqf1_refuses_a_non_finite_pair_without_a_warning(tmp_path):
+    # an inf and a rounding defect in one pair: the pair is not averaged,
+    # so no arithmetic warning comes before the constructor's ParseError
+    box = random_field(70, np.random.default_rng(70), mean_zero=False).box()
+    box[69, 72] = np.inf
+    box[69, 70] *= 1.0 + 2.0 ** -50
+    path = str(tmp_path / "f.sqf1")
+    _sqf1_file(path, box, False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        want = _construct_or_error(path, box, False)
+        assert want == f"{path}: non-finite or overflowing coefficient (max |c| = inf)"
+        assert _read_or_error(path) == want
+
+
+class _CountingFile(io.BufferedReader):
+    """A file whose readinto calls add up the bytes they read."""
+
+    read_into = 0
+
+    def readinto(self, buf):
+        got = super().readinto(buf)
+        self.read_into += got
+        return got
+
+
+@pytest.mark.parametrize("band", SQF1_BANDS)
+def test_read_sqf1_reads_the_box_once(tmp_path, monkeypatch, band):
+    # exact or Hermitian only to rounding, the box's bytes are read once
+    f = random_field(band, np.random.default_rng(band), mean_zero=False)
+    box = f.box()
+    box[band, band] += 1j * 2.0 ** -50 * abs(box[band, band])
+    exact, rounded = str(tmp_path / "f.sqf1"), str(tmp_path / "g.sqf1")
+    write_sqf1(f, exact)
+    _sqf1_file(rounded, box, False)
+    opened = []
+
+    def counting_open(*args):
+        opened.append(_CountingFile(io.FileIO(*args)))
+        return opened[-1]
+
+    monkeypatch.setattr(fields, "open", counting_open, raising=False)
+    assert read_sqf1(exact).coeffs.tobytes() == f.coeffs.tobytes()
+    assert read_sqf1(rounded).coeffs.tobytes() == TorusField(box).coeffs.tobytes()
+    assert read_sqf1(rounded).coeffs[band, 0].imag == 0.0
+    assert [fh.read_into for fh in opened] == [16 * (2 * band + 1) ** 2] * 3
 
 
 @pytest.mark.parametrize("band", SQF1_BANDS)
@@ -993,8 +1047,8 @@ def test_write_sqf1_writes_the_header_and_the_box(tmp_path, band):
 def test_sqf1_io_holds_no_whole_box(tmp_path):
     # at band 400 the box takes 9.8 MiB and the half 4.9 MiB: a write
     # holds a few rows of the box, and a read the half it keeps and one
-    # pair of GRID_BLOCK rows, on its first pass and on the second that
-    # a file Hermitian only to rounding takes
+    # pair of GRID_BLOCK rows, whether the file is Hermitian exactly or
+    # only to rounding
     f = random_field(400, np.random.default_rng(40), mean_zero=False)
     path, rounded = str(tmp_path / "f.sqf1"), str(tmp_path / "g.sqf1")
     assert _traced_peak(lambda: write_sqf1(f, path)) <= 8 << 20
@@ -1028,25 +1082,6 @@ def test_read_sqf1_sees_a_file_that_changes_size_after_its_fstat(tmp_path, monke
     monkeypatch.setattr(fields.os, "fstat", resized_after)
     got = min(new, want + 1)
     with pytest.raises(ParseError, match=f"expected {want} bytes for band 65, got {got}$"):
-        read_sqf1(path)
-
-
-def test_read_sqf1_refuses_a_file_changed_between_its_passes(tmp_path, monkeypatch):
-    # the second pass re-reads what the first one checked
-    box = random_field(65, np.random.default_rng(6), mean_zero=False).box()
-    box[70, 3] *= 1.0 + 2.0 ** -50
-    path = str(tmp_path / "f.sqf1")
-    _sqf1_file(path, box, False)
-    check = fields._check_hermitian
-
-    def then_rewrite(viol, maxc):
-        check(viol, maxc)
-        with open(path, "r+b") as fh:
-            fh.seek(20 + 16 * 5)
-            fh.write(struct.pack("<dd", 1e3, 0.0))
-
-    monkeypatch.setattr(fields, "_check_hermitian", then_rewrite)
-    with pytest.raises(ParseError, match="the file changed while it was read$"):
         read_sqf1(path)
 
 

@@ -429,20 +429,20 @@ def test_step_leaves_its_input_alone_and_returns_frozen_fields(nu):
 
 
 def test_step_checks_only_outside_data(monkeypatch):
-    # every field a step computes is frozen unchecked; the Hermitian scan
-    # runs only on the radicand constants c0 of the two amplitudes
-    from sqgci import fields
+    # every field a step computes is frozen unchecked; the checked
+    # constructor runs only on the radicand constants c0 of the two
+    # amplitudes
     st, _ = _seeded_state()
-    scanned = []
-    scan = fields.hermitian_violation
+    checked = []
+    init = TorusField.__init__
 
-    def counting(c):
-        scanned.append(c.shape)
-        return scan(c)
+    def counting(self, coeffs, mean_zero=False):
+        checked.append(np.shape(coeffs))
+        init(self, coeffs, mean_zero)
 
-    monkeypatch.setattr(fields, "hermitian_violation", counting)
+    monkeypatch.setattr(TorusField, "__init__", counting)
     step(st, WORKHORSE, grid_cap=1024)
-    assert scanned == [(1, 1), (1, 1)]
+    assert checked == [(1, 1), (1, 1)]
 
 
 def _box_chain(first, *terms):

@@ -1,4 +1,5 @@
-"""Cutoff profile, carrier symbol grids and the Hermitian scan."""
+"""Cutoff profile, carrier symbol grids, and the Hermitian scan of the
+checked constructor."""
 
 from __future__ import annotations
 
@@ -9,7 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqgci.kernels import cutoff_profile, hermitian_violation, t_symbols
+from sqgci import fields
+from sqgci.fields import TorusField
+from sqgci.kernels import cutoff_profile, t_symbols
 
 
 def test_cutoff_plateau_and_tail():
@@ -93,10 +96,11 @@ def test_hermitian_violation_detects_perturbation():
     raw = rng.normal(size=(2 * K + 1, 2 * K + 1)) \
         + 1j * rng.normal(size=(2 * K + 1, 2 * K + 1))
     sym = 0.5 * (raw + np.conj(raw[::-1, ::-1]))
-    assert hermitian_violation(sym) < 1e-15
+    assert TorusField(sym).coeffs.tobytes() == sym[:, K:].tobytes()
     sym[2, 3] += 4e-7
     # the (2,3)/(−2,−3) pair now disagrees by exactly the bump
-    assert hermitian_violation(sym) == pytest.approx(4e-7, rel=1e-9)
+    with pytest.raises(ValueError, match=r"^Hermitian symmetry violated: 4\.000e-07 > 1e-13 \* "):
+        TorusField(sym)
 
 
 def _full_box_violation(c):
@@ -107,6 +111,8 @@ def _full_box_violation(c):
 @given(K=st.integers(0, 20), kind=st.sampled_from(["exact", "perturbed", "k1=0 row"]),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_half_scan_equals_the_full_box_oracle_bit_for_bit(K, kind, seed):
+    # the constructor scans its own half: each pair {k, -k} meets itself
+    # there, so its defect is the whole box's, and so is its decision
     rng = np.random.default_rng(seed)
     n = 2 * K + 1
     c = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
@@ -116,5 +122,21 @@ def test_half_scan_equals_the_full_box_oracle_bit_for_bit(K, kind, seed):
         c += bump * 10.0 ** rng.uniform(-17, -3, size=(n, n))
     elif kind == "k1=0 row":
         c[K, rng.integers(n)] += complex(*rng.normal(size=2)) * 1e-9
-    got = np.float64(hermitian_violation(c))
-    assert got.view(np.uint64) == np.float64(_full_box_violation(c)).view(np.uint64)
+    want, maxc = _full_box_violation(c), float(np.abs(c).max())
+    seen = []
+    check = fields._check_hermitian
+
+    def recording(viol, m):
+        seen.append(viol)
+        check(viol, m)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fields, "_check_hermitian", recording)
+        if want > 1e-13 * maxc:
+            with pytest.raises(ValueError) as refused:
+                TorusField(c)
+            assert str(refused.value) == (f"Hermitian symmetry violated: {want:.3e} > "
+                                          f"1e-13 * {maxc:.3e}")
+        else:
+            TorusField(c)
+    assert np.float64(seen[0]).view(np.uint64) == np.float64(want).view(np.uint64)

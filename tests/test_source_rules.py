@@ -249,9 +249,6 @@ def _cache_clears(path):
                    and node.func.attr == "cache_clear")
 
 
-CACHED = set()
-
-
 @pytest.mark.parametrize("path", sorted((ROOT / "src" / "sqgci").glob("*.py")),
                          ids=lambda p: p.name)
 def test_the_odd_symbols_are_the_one_cache_and_nothing_clears_it(path):
@@ -260,8 +257,7 @@ def test_the_odd_symbols_are_the_one_cache_and_nothing_clears_it(path):
     # built fresh for the amplitudes; a cached grid would stay alive
     # through a step's memory peak, and a clear would manage a cache
     # from outside its module
-    assert [(line, name) for line, name in _functools_caches(path)
-            if f"{path.stem}.{name}" not in CACHED] == []
+    assert list(_functools_caches(path)) == []
     assert list(_cache_clears(path)) == []
 
 

@@ -24,10 +24,11 @@ coefficient), and then only the half is kept, each entry that differs
 from its mirror's conjugate averaged with it (`_symmetrise`); a
 declared mean-zero c(0) must be negligible and is then zeroed. SQF1
 reads apply the same checks and rule, in the same order and with the
-same messages, to a box read once from the file. Every entry that
-agrees with its mirror keeps its bits, signed zeros included, so a
-Hermitian box is kept as it stands and SQF1 round trips are bit for
-bit.
+same messages, to a box read once from the file: both doors read it
+with one scan, `_scan_box`, which holds no whole-box temporary. Every
+entry that agrees with its mirror keeps its bits, signed zeros
+included, so a Hermitian box is kept as it stands and SQF1 round trips
+are bit for bit.
 Computed halves, transform reads and factored fields
 (`ModulatedField.to_dense`), go through `_computed_half`, which checks
 their k2 = 0 column (1e-13 relative to a bound on every coefficient)
@@ -46,16 +47,16 @@ computed exactly by zero-padding to a grid that holds the full product
 band (N >= 2*(Kf+Kg)+2); the 3/2 rule is never used. `products`
 transforms a factor shared by several products once.
 
-The module owns one thread pool of `_cpu_count()` workers. From a grid
-side of POOLED_GRID_MIN on, `_row_blocks` runs three loops over
-GRID_BLOCK rows on it, in `_cpu_count()` contiguous chunks: the phasing
-of a half into the spectrum, the max-abs axis-1 pass and `products`'
-pointwise multiply; below it, and on one CPU, the same loop runs
-inline. Each block writes only its own rows and every maximum is exact,
-so the bits do not depend on the CPU count. The transforms' own worker
-count, `_workers`, reads the same `_cpu_count()`, so under an affinity
-mask of one CPU (`taskset -c 0`) no transform or loop here uses a
-second thread.
+One rule threads the module: a loop or transform over an N x N grid
+uses `_threads(N)` threads, every CPU of `_cpu_count()` from a grid side
+of THREADED_GRID_MIN on and one below it. Transforms pass it to
+pocketfft as `workers`; `_row_blocks` runs three loops over GRID_BLOCK
+rows in that many chunks on the module's one thread pool: the phasing
+of a half into the spectrum, the max-abs axis-1 pass (one worker per
+block) and `products`' multiply. pocketfft's threads split the lines of
+a pass, each block writes only its own rows and every maximum is exact,
+so the bits do not depend on the thread count, and under `taskset -c 0`
+no transform or loop here uses a second thread.
 
 `Sum` builds a chain of `+` and `-` in one half, with the same bits.
 A half is written only before `_exact` freezes it.
@@ -106,19 +107,8 @@ class TorusField:
         c = np.asarray(coeffs, dtype=np.complex128)
         if c.ndim != 2 or c.shape[0] != c.shape[1] or c.shape[0] % 2 != 1:
             raise ValueError(f"coefficient array must be square odd-sized, got {c.shape}")
-        K = c.shape[0] // 2
-        h = c[:, K:].copy()  # the box itself is only read
-        maxc = float(np.abs(c).max())
-        _check_finite(maxc)
-        # every pair {k, -k} has a member in the half, and |b - conj(a)|
-        # is |a - conj(b)|, so this is the defect over the whole box
-        viol = float(np.abs(h - np.conj(c[::-1, K::-1])).max())
-        _check_hermitian(viol, maxc)
-        if viol > 0.0:
-            _symmetrise(h, c[:, K:], c[::-1, K::-1])
-        if mean_zero:
-            _zero_mean(h, maxc)
-        self._freeze(h)
+        h, maxc, viol = _scan_box(c.shape[0], lambda out, a: np.copyto(out, c[a:a + len(out)]))
+        self._freeze(_checked(h, maxc, viol, mean_zero))
 
     def _freeze(self, c):
         c.flags.writeable = False
@@ -244,16 +234,22 @@ class TorusField:
                 f"max|c|={self.max_abs_coeff():.3e})")
 
 
-def _check_finite(maxc):
-    # 2*maxc bounds every entry of the symmetrization
-    if not np.isfinite(2.0 * maxc):
-        raise ValueError(f"non-finite or overflowing coefficient (max |c| = {maxc})")
-
-
 def _check_hermitian(viol, maxc):
     if viol > HERMITIAN_RTOL * maxc:
         raise ValueError(f"Hermitian symmetry violated: {viol:.3e} > "
                          f"{HERMITIAN_RTOL:g} * {maxc:.3e}")
+
+
+def _checked(h, maxc, viol, mean_zero):
+    """h, a half read by `_scan_box`, after the checked constructor's
+    tests in order: finite coefficients, the Hermitian defect, mean_zero."""
+    # 2*maxc bounds every entry of the symmetrization
+    if not np.isfinite(2.0 * maxc):
+        raise ValueError(f"non-finite or overflowing coefficient (max |c| = {maxc})")
+    _check_hermitian(viol, maxc)
+    if mean_zero:
+        _zero_mean(h, maxc)
+    return h
 
 
 def _symmetrise(out, x, y):
@@ -265,6 +261,43 @@ def _symmetrise(out, x, y):
     y = np.conj(y)
     d = x != y
     out[d] = (x[d] + y[d]) * 0.5
+
+
+def _scan_box(n, rows):
+    """The k2 >= 0 half of an (n, n) box from outside, n = 2K+1, its max
+    |c| and its Hermitian defect max |c(k) - conj(c(-k))|, NaN
+    propagating. rows(out, a) fills out with box rows a.., each read
+    once, in pairs of GRID_BLOCK rows k1 <= 0 and their mirrors -k1; a
+    pair with a defect and finite entries is written by `_symmetrise`."""
+    K = n // 2
+    buf = np.empty((min(2 * GRID_BLOCK, n), n), dtype="<c16")
+    h = np.empty((n, K + 1), dtype=np.complex128)
+    maxc = viol = 0.0
+    for a in range(0, K + 1, GRID_BLOCK):
+        b = min(a + GRID_BLOCK, K + 1)
+        m = b - a
+        if b <= K:
+            pair = buf[:2 * m]
+            rows(pair[:m], a)
+            rows(pair[m:], n - b)
+        else:  # the last pair's rows a..n-1-a lie together
+            pair = buf[:2 * m - 1]
+            rows(pair, a)
+        # top holds rows a..b-1 and mirror rows n-b..n-a, so
+        # mirror[::-1] holds -k1 in top's order; in the last pair both
+        # hold the k1 = 0 row, read once
+        top, mirror = pair[:m], pair[-m:]
+        pmax = float(np.abs(pair).max())
+        # every pair {k, -k} has a member in top, and |b - conj(a)| is
+        # |a - conj(b)|, so this is the defect over the whole box
+        with np.errstate(invalid="ignore", over="ignore"):  # inf - inf
+            defect = float(np.abs(top - np.conj(mirror[::-1, ::-1])).max())
+        h[a:b], h[n - b:n - a] = top[:, K:], mirror[:, K:]
+        if defect > 0.0 and np.isfinite(2.0 * pmax):  # a non-finite pair is refused later
+            _symmetrise(h[a:b], top[:, K:], mirror[::-1, K::-1])
+            _symmetrise(h[n - b:n - a], mirror[:, K:], top[::-1, K::-1])
+        maxc, viol = np.maximum(maxc, pmax), np.maximum(viol, defect)  # NaN propagates
+    return h, float(maxc), float(viol)  # viol is 0 when maxc is
 
 
 def _zero_mean(h, maxc):
@@ -353,12 +386,12 @@ class VectorField:
     __rmul__ = __mul__
 
 
-# Grid side from which the transforms split their lines over every CPU
-# the process may use. Timing the FFT passes alone on a 2-core box, two
-# workers took 1.1-1.5x the one-worker time at N = 160-300, were mixed
-# at N = 320-400, mostly faster at N = 432-600 and took 0.55-0.7x of it
-# from N = 640 on.
-THREADED_GRID_MIN = 432
+# Grid side from which every loop and transform over an N x N grid runs
+# on `_cpu_count()` threads. On a 2-core box, single calls on the pool
+# took 1.06-1.14x their inline time up to N = 1500, where `_fill` has too
+# few rows to pay for the dispatch, and 0.65-1.06x from N = 1600 on;
+# pocketfft's threads below it gained no workload a measurable step.
+THREADED_GRID_MIN = 1600
 
 
 def _cpu_count():
@@ -368,10 +401,9 @@ def _cpu_count():
         return os.cpu_count() or 1
 
 
-def _workers(N):
-    """FFT worker count for an N x N grid. pocketfft's threads split the
-    lines of a pass, so each line's arithmetic and the output bits do
-    not depend on it."""
+def _threads(N):
+    """Threads for a loop or transform over an N x N grid: `_cpu_count()`
+    from THREADED_GRID_MIN on, else 1."""
     return _cpu_count() if N >= THREADED_GRID_MIN else 1
 
 
@@ -402,17 +434,6 @@ def good_grid(n):
 GRID_BLOCK = 64
 
 
-# Grid side from which `_row_blocks` runs its blocks on the pool. Timing
-# single calls on a 2-core box, pooled against inline (medians of 11-15
-# alternations, random fields of band K): the max-abs samplings took
-# 0.7-0.95x the inline time from N = 1000 on, but the whole grid of a
-# field with K <= N/8 took 1.06-1.14x of it up to N = 1500, where
-# `_fill` has too few rows to pay for the dispatch, and a products call
-# 0.9-1.04x. From N = 1600 on every case took 0.65-1.06x; at N = 2000
-# a band-986 max-abs sampling took 47 against 57 ms, and 61 against 85
-# ms with a symbol.
-POOLED_GRID_MIN = 1600
-
 # The pool `_row_blocks` runs on. Its threads start on the first submit,
 # so importing the module starts none.
 _POOL = ThreadPoolExecutor(max_workers=_cpu_count(), thread_name_prefix="sqgci-fields")
@@ -420,15 +441,14 @@ _POOL = ThreadPoolExecutor(max_workers=_cpu_count(), thread_name_prefix="sqgci-f
 
 def _row_blocks(fn, n, N):
     """[fn(a, b) for each GRID_BLOCK rows a..b-1 of n rows], in order, for
-    a loop over an N x N grid. From POOLED_GRID_MIN on, the blocks run on
-    the pool in `_cpu_count()` contiguous chunks, and below it, or on one
-    CPU, inline. fn(a, b) must write only rows a..b-1 of its arrays, so
-    the bits do not depend on the chunks, and must not use the pool
-    itself, which could then wait on its own threads. An exception is
-    raised from the first chunk that raises, once every chunk has
-    finished."""
+    a loop over an N x N grid, run on the pool in `_threads(N)`
+    contiguous chunks, or inline when that is one. fn(a, b) must write
+    only rows a..b-1 of its arrays, so the bits do not depend on the
+    chunks, and must not use the pool itself, which could then wait on
+    its own threads. An exception is raised from the first chunk that
+    raises, once every chunk has finished."""
     bounds = [(a, min(a + GRID_BLOCK, n)) for a in range(0, n, GRID_BLOCK)]
-    chunks = min(_cpu_count() if N >= POOLED_GRID_MIN else 1, len(bounds))
+    chunks = min(_threads(N), len(bounds))
     if chunks <= 1:
         return [fn(a, b) for a, b in bounds]
     size = -(-len(bounds) // chunks)
@@ -486,7 +506,6 @@ def to_grid(f: TorusField, N: int, symbol=None, max_abs: bool = False):
     if N < 2 * K + 2:
         raise GridTooSmall(f"grid {N} < 2*{K}+2 required for band {K}")
     sgn = _signs(K)
-    w = _workers(N)
     H = np.zeros((N, N // 2 + 1), dtype=np.complex128)
     # column k2 is nonempty when filled[k2 + 1]; the edges of its runs of
     # nonempty columns alternate between starts and stops
@@ -497,12 +516,13 @@ def to_grid(f: TorusField, N: int, symbol=None, max_abs: bool = False):
     edges = np.flatnonzero(filled[1:] != filled[:-1]).tolist()
     for a, b in zip(edges[::2], edges[1::2]):
         run = H[:, a:b]
-        out = scipy.fft.ifft(run, axis=0, norm="forward", workers=w, overwrite_x=True)
+        out = scipy.fft.ifft(run, axis=0, norm="forward", workers=_threads(N),
+                             overwrite_x=True)
         if not np.may_share_memory(out, run):  # scipy may decline to work in place
             run[...] = out
     if not max_abs:
-        return scipy.fft.irfft(H, n=N, axis=1, norm="forward", workers=w)
-    # np.max propagates NaN; a block is too small to split its lines
+        return scipy.fft.irfft(H, n=N, axis=1, norm="forward", workers=_threads(N))
+    # np.max propagates NaN; a pooled block keeps to its own thread
     return float(np.max(_row_blocks(lambda a, b: _max_abs(
         scipy.fft.irfft(H[a:b], n=N, axis=1, norm="forward", workers=1)), N, N)))
 
@@ -569,7 +589,7 @@ def products(f: TorusField, gs) -> list:
             scale = float(np.max(_row_blocks(lambda a, b: _max_abs(
                 np.multiply(fvals[a:b], vals[a:b], out=vals[a:b])), N, N)))
             del fvals
-            H = scipy.fft.rfft2(vals, norm="forward", workers=_workers(N))
+            H = scipy.fft.rfft2(vals, norm="forward", workers=_threads(N))
             del vals
             out.append(_truncate(H, scale, f.band + g.band))
             del H
@@ -616,7 +636,7 @@ def sqrt_pointwise(f: TorusField, oversample: int = 4, kout: int | None = None,
     if m <= 0.0:
         raise NotPositive(f"grid minimum {m:.6e} <= 0 on {N}x{N} grid")
     vals = np.sqrt(g)
-    H = scipy.fft.rfft2(vals, norm="forward", workers=_workers(N))
+    H = scipy.fft.rfft2(vals, norm="forward", workers=_threads(N))
     # columns 1..N//2-1 of the half-spectrum stand for a mirrored pair
     b1 = np.arange(N)
     k1 = (b1 + N // 2) % N - N // 2
@@ -700,13 +720,10 @@ def read_sqf1(path) -> TorusField:
     symmetry to HERMITIAN_RTOL, and the meanZero flag against c(0)
     (ParseError on any mismatch).
 
-    The box is read in one pass, each byte once, in pairs of GRID_BLOCK
-    rows k1 <= 0 and their mirror rows -k1, straight into the k2 >= 0
-    half that the field keeps, so no whole box is held. Each pair's max
-    |c| and Hermitian defect (the constructor's, NaN propagating) are
-    reduced as it is read, and a pair with a defect and finite entries
-    is written by the constructor's rule, `_symmetrise`, so the half
-    holds the constructor's bits."""
+    The box is read in one pass, each byte once, by the constructor's
+    own reader, `_scan_box`, straight into the k2 >= 0 half that the
+    field keeps, so no whole box is held and the half holds the
+    constructor's bits."""
     with open(path, "rb") as fh:
         head = fh.read(20)
         if len(head) < 20:
@@ -727,47 +744,17 @@ def read_sqf1(path) -> TorusField:
         size = os.fstat(fh.fileno()).st_size
         if size != want:
             raise wrong_size(size)
-        buf = np.empty((min(2 * GRID_BLOCK, n), n), dtype="<c16")
 
         def rows(out, a):
-            """The len(out) rows a.. of the box, read into out."""
             fh.seek(20 + 16 * n * a)
             if fh.readinto(out) < out.nbytes:  # the file shrank since the fstat
                 raise wrong_size(fh.seek(0, os.SEEK_END))
-            return out
 
-        h = np.empty((n, K + 1), dtype=np.complex128)
-        maxc = viol = 0.0
-        for a in range(0, K + 1, GRID_BLOCK):
-            b = min(a + GRID_BLOCK, K + 1)
-            m = b - a
-            if b <= K:
-                pair = buf[:2 * m]
-                rows(pair[:m], a)
-                rows(pair[m:], n - b)
-            else:  # the last pair's rows a..n-1-a lie together
-                pair = rows(buf[:2 * m - 1], a)
-            # top holds rows a..b-1 and mirror rows n-b..n-a, so
-            # mirror[::-1] holds -k1 in top's order; in the last pair both
-            # hold the k1 = 0 row, read once
-            top, mirror = pair[:m], pair[-m:]
-            pmax = float(np.abs(pair).max())
-            with np.errstate(invalid="ignore", over="ignore"):  # inf - inf
-                defect = float(np.abs(top - np.conj(mirror[::-1, ::-1])).max())
-            h[a:b], h[n - b:n - a] = top[:, K:], mirror[:, K:]
-            if defect > 0.0 and np.isfinite(2.0 * pmax):  # a non-finite pair is refused below
-                _symmetrise(h[a:b], top[:, K:], mirror[::-1, K::-1])
-                _symmetrise(h[n - b:n - a], mirror[:, K:], top[::-1, K::-1])
-            maxc, viol = np.maximum(maxc, pmax), np.maximum(viol, defect)  # NaN propagates
+        h, maxc, viol = _scan_box(n, rows)
         fh.seek(want)
         if fh.read(1):  # one byte past the box shows a file that grew since the fstat
             raise wrong_size(want + 1)
-        maxc, viol = float(maxc), float(viol)  # viol is 0 when maxc is
-        try:
-            _check_finite(maxc)
-            _check_hermitian(viol, maxc)
-            if mz:
-                _zero_mean(h, maxc)
-        except ValueError as e:  # NonZeroMean included
-            raise ParseError(f"{path}: {e}") from None
-    return TorusField._exact(h)
+    try:
+        return TorusField._exact(_checked(h, maxc, viol, mz))
+    except ValueError as e:  # NonZeroMean included
+        raise ParseError(f"{path}: {e}") from None

@@ -214,11 +214,12 @@ def test_cli_run_writes_everything(tmp_path):
 
 
 def test_cli_run_deterministic(tmp_path, monkeypatch):
-    # one CPU, then two with every grid above the pool's crossover: the
-    # row blocks of the samplings and products run inline, then pooled
+    # one CPU, then two with every grid above the crossover: the row
+    # blocks of the samplings and products run inline, then pooled, and
+    # the transforms on one worker, then two
     from sqgci import fields
     cfg = _write(tmp_path, SYNTH.replace("steps = 1", "steps = 2"))
-    monkeypatch.setattr(fields, "POOLED_GRID_MIN", 0)
+    monkeypatch.setattr(fields, "THREADED_GRID_MIN", 0)
     submit = fields._POOL.submit
     outs, submits = [], []
     monkeypatch.setattr(fields._POOL, "submit", lambda *a: submits.append(sub) or submit(*a))

@@ -24,7 +24,6 @@ from sqgci import fields
 from sqgci.errors import GridTooSmall, NonZeroMean, NotPositive, ParseError
 from sqgci.fields import (
     GRID_BLOCK,
-    POOLED_GRID_MIN,
     THREADED_GRID_MIN,
     Sum,
     TorusField,
@@ -106,7 +105,7 @@ def test_cosine_exact_on_nodes():
 def _read(values, K):
     """Band-K read of N x N samples, made as `products` and
     `sqrt_pointwise` make theirs."""
-    H = scipy.fft.rfft2(values, norm="forward", workers=fields._workers(values.shape[0]))
+    H = scipy.fft.rfft2(values, norm="forward", workers=1)
     return fields._truncate(H, fields._max_abs(values), K)
 
 
@@ -156,13 +155,19 @@ def _rfft2_oracle(values: np.ndarray, K: int) -> np.ndarray:
     return c
 
 
+# The crossover kinds sample grids around this side, with
+# fields.THREADED_GRID_MIN monkeypatched to it: grids at the real one
+# would cost tier-1 time and test nothing more.
+CROSSOVER = 432
+
+
 def _grid_side(band, kind, extra):
     return {"minimal": 2 * band + 2,
             "oversampled": 2 * band + 2 + 2 * extra,
             "odd": 2 * band + 3 + 2 * extra,
-            "below_crossover": THREADED_GRID_MIN - 1,
-            "at_crossover": THREADED_GRID_MIN,
-            "above_crossover": THREADED_GRID_MIN + 1 + 2 * extra}[kind]
+            "below_crossover": CROSSOVER - 1,
+            "at_crossover": CROSSOVER,
+            "above_crossover": CROSSOVER + 1 + 2 * extra}[kind]
 
 
 def _test_field(fill, band, rng, mean_zero):
@@ -212,6 +217,7 @@ def test_transforms_equal_the_full_spectrum_oracles(band, kind, extra, seed, fil
     for cpus in (1, 2):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(fields, "_cpu_count", lambda: cpus)
+            mp.setattr(fields, "THREADED_GRID_MIN", CROSSOVER)
             got = to_grid(f, N)
             # the axis-0 pass skips empty columns, so a zero sample may
             # differ from the oracle's in its sign, and only there
@@ -257,7 +263,7 @@ def test_block_reduced_samples_equal_the_grid_maximum(band, kind, extra, seed, f
     for cpus, crossover in ((1, N), (2, N), (2, N + 1)):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(fields, "_cpu_count", lambda: cpus)
-            mp.setattr(fields, "POOLED_GRID_MIN", crossover)
+            mp.setattr(fields, "THREADED_GRID_MIN", crossover)
             want = fields._max_abs(to_grid(f, N))
             assert to_grid(f, N, max_abs=True).hex() == want.hex()
             for j in (1, 2):
@@ -279,13 +285,13 @@ def test_block_reduced_maximum_propagates_nan(monkeypatch):
     pooled[-1, 5] = np.nan
     monkeypatch.setattr(fields, "_cpu_count", lambda: 2)
     for f, N in ((TorusField._exact(c), 8), (TorusField._exact(c), 200),
-                 (TorusField._exact(pooled), POOLED_GRID_MIN)):
+                 (TorusField._exact(pooled), THREADED_GRID_MIN)):
         assert np.isnan(to_grid(f, N, max_abs=True))
         assert np.isnan(to_grid(f, N, symbol=functools.partial(riesz_odd_symbol, 1),
                                 max_abs=True))
     # an exception in a pooled block reaches the caller
     with pytest.raises(ValueError, match="index must be 1 or 2, got 3"):
-        to_grid(random_field(100, np.random.default_rng(0)), POOLED_GRID_MIN,
+        to_grid(random_field(100, np.random.default_rng(0)), THREADED_GRID_MIN,
                 symbol=functools.partial(riesz_odd_symbol, 3), max_abs=True)
 
 
@@ -364,7 +370,7 @@ def test_shared_factor_products_equal_separate_products_bit_for_bit(band_f, band
     for cpus in (1, 2):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(fields, "_cpu_count", lambda: cpus)
-            mp.setattr(fields, "POOLED_GRID_MIN", 0)
+            mp.setattr(fields, "THREADED_GRID_MIN", 0)
             got = products(f, gs)
             assert len(got) == len(gs)
             for g, fg, want in zip(gs, got, wants):
@@ -464,7 +470,7 @@ def test_grid_read_is_checked_at_the_scale_of_its_samples(monkeypatch):
     monkeypatch.setattr(fields, "_truncate",
                         lambda H, scale, K: scales.append(scale) or truncate(H, scale, K))
     monkeypatch.setattr(fields, "_cpu_count", lambda: 2)
-    monkeypatch.setattr(fields, "POOLED_GRID_MIN", 0)
+    monkeypatch.setattr(fields, "THREADED_GRID_MIN", 0)
     multiply(f, g)
     assert scales == [fields._max_abs(samples)]
 
@@ -477,7 +483,7 @@ def test_grid_read_rejects_non_finite_samples(monkeypatch):
             _read(values, 2)
     # a product whose samples overflow, multiplied on the pool
     monkeypatch.setattr(fields, "_cpu_count", lambda: 2)
-    monkeypatch.setattr(fields, "POOLED_GRID_MIN", 0)
+    monkeypatch.setattr(fields, "THREADED_GRID_MIN", 0)
     f = random_field(40, np.random.default_rng(0)) * 1e200
     with pytest.raises(ValueError, match="non-finite or overflowing"):
         with pytest.warns(RuntimeWarning, match="overflow encountered in multiply"):
@@ -1060,6 +1066,18 @@ def test_sqf1_io_holds_no_whole_box(tmp_path):
         assert _traced_peak(lambda: read_sqf1(p)) <= f.coeffs.nbytes + (8 << 20)
     assert read_sqf1(path).coeffs.tobytes() == f.coeffs.tobytes()
     assert read_sqf1(rounded).coeffs.tobytes() != f.coeffs.tobytes()
+
+
+def test_checked_construction_holds_no_whole_box_temporary():
+    # the constructor reads its box with the SQF1 reader's scan: beside
+    # the box it was given, it holds the half it keeps (4.9 MiB at band
+    # 400) and one pair of GRID_BLOCK rows with its temporaries (3.2
+    # MiB), whether the box is Hermitian exactly or only to rounding
+    f = random_field(400, np.random.default_rng(41), mean_zero=False)
+    box = f.box()
+    assert _traced_peak(lambda: TorusField(box)) <= f.coeffs.nbytes + (4 << 20)
+    box[399, 401] *= 1.0 + 2.0 ** -50
+    assert _traced_peak(lambda: TorusField(box)) <= f.coeffs.nbytes + (4 << 20)
 
 
 @pytest.mark.parametrize("new", [20, 20 + 16 * 131 * 10, 20 + 16 * 131 * 128, 20 + 16 * 131 ** 2 - 1,

@@ -46,32 +46,47 @@ def test_the_rule_sees_an_unfreeze(tmp_path):
     assert list(_unfreezes(src)) == [1, 3, 5]
 
 
-def _fft_calls_without_workers(path):
+def _ruled(value):
+    """Whether a `workers=` value is 1 or the one rule's `_threads(...)`."""
+    return ((isinstance(value, ast.Constant) and type(value.value) is int and value.value == 1)
+            or (isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
+                and value.func.id == "_threads"))
+
+
+def _unruled_workers(path):
     """Line of every `scipy.fft.<transform>(...)` call in a source file
-    that passes no `workers=`; `next_fast_len` plans no transform."""
+    that passes no `workers=`, and of every call whose `workers=` is
+    neither 1 nor `_threads(...)`; `next_fast_len` plans no transform."""
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                and ast.unparse(node.func.value) == "scipy.fft"
-                and node.func.attr != "next_fast_len"
-                and not any(k.arg == "workers" for k in node.keywords)):
+        if not isinstance(node, ast.Call):
+            continue
+        workers = [k.value for k in node.keywords if k.arg == "workers"]
+        transform = (isinstance(node.func, ast.Attribute)
+                     and ast.unparse(node.func.value) == "scipy.fft"
+                     and node.func.attr != "next_fast_len")
+        if (transform and not workers) or not all(map(_ruled, workers)):
             yield node.lineno
 
 
 @pytest.mark.parametrize("path", sorted((ROOT / "src" / "sqgci").glob("*.py")),
                          ids=lambda p: p.name)
 def test_every_transform_passes_its_workers(path):
-    # fields._workers is the one threading policy: a transform that left
-    # workers to scipy's default would run on its own count
-    assert list(_fft_calls_without_workers(path)) == []
+    # fields._threads is the one threading rule: a transform that left
+    # workers to scipy's default, or passed a count of its own, would
+    # thread by another rule; a block on the pool passes 1
+    assert list(_unruled_workers(path)) == []
 
 
 def test_the_rule_sees_a_transform_without_workers(tmp_path):
     src = tmp_path / "m.py"
     src.write_text("scipy.fft.ifft(a, axis=0)\nscipy.fft.irfft(a, workers=w)\n"
                    "scipy.fft.next_fast_len(n, real=True)\nscipy.fft.rfft2(a, workers=1)\n"
-                   "numpy.fft.fft(a)\nscipy.fft.fft2(\n    a, norm='forward')\n",
+                   "numpy.fft.fft(a)\nscipy.fft.fft2(\n    a, norm='forward')\n"
+                   "scipy.fft.fft(a, workers=_threads(N))\n"
+                   "scipy.fft.fft(a, workers=os.cpu_count())\npocketfft.c2r(a, workers=2)\n"
+                   "scipy.fft.fft(a, workers=True)\nscipy.fft.fft(a, workers=fields._threads(N))\n",
                    encoding="utf-8")
-    assert list(_fft_calls_without_workers(src)) == [1, 6]
+    assert list(_unruled_workers(src)) == [1, 2, 6, 9, 10, 11, 12]
 
 
 def _scoped(path, hit):

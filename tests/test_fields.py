@@ -295,6 +295,38 @@ def test_block_reduced_maximum_propagates_nan(monkeypatch):
                 symbol=functools.partial(riesz_odd_symbol, 3), max_abs=True)
 
 
+def test_one_rule_threads_every_transform_and_block_loop(monkeypatch):
+    # every call samples or reads on the same 162-point grid: below the
+    # crossover each transform passes one worker and no loop reaches the
+    # pool; from it on, the transforms pass every CPU and the loops run
+    # pooled, each pooled block's transform on one worker
+    rng = np.random.default_rng(7)
+    f, g = random_field(40, rng), random_field(40, rng)
+    positive = TorusField.constant(4.0) + f * 0.01
+    N = good_grid(2 * (f.band + g.band) + 2)
+    assert N == 162
+    calls, submits = [], []
+    for name in ("ifft", "irfft", "rfft2"):
+        monkeypatch.setattr(scipy.fft, name, lambda *a, _fn=getattr(scipy.fft, name), _name=name,
+                            **k: calls.append((_name, k["workers"])) or _fn(*a, **k))
+    submit = fields._POOL.submit
+    monkeypatch.setattr(fields._POOL, "submit", lambda *a: submits.append(a) or submit(*a))
+    monkeypatch.setattr(fields, "_cpu_count", lambda: 2)
+    for crossover, threaded in ((N + 1, False), (N, True)):
+        monkeypatch.setattr(fields, "THREADED_GRID_MIN", crossover)
+        calls.clear()
+        submits.clear()
+        to_grid(f, N)
+        to_grid(f, N, max_abs=True)
+        products(f, (g,))
+        sqrt_pointwise(positive, oversample=1, kout=80)
+        if threaded:
+            assert {"ifft", "irfft", "rfft2"} <= {name for name, w in calls if w == 2}
+            assert {w for _, w in calls} == {1, 2} and submits
+        else:
+            assert {w for _, w in calls} == {1} and not submits
+
+
 def _traced_peak(fn):
     """Peak tracemalloc bytes above the start while fn runs."""
     tracemalloc.start()

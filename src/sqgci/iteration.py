@@ -426,7 +426,7 @@ def step(state: StepState, params: IterationParams, grid_cap: int = 4096):
 
     lam5 = 5 * sc.lambda_next
     band_f1 = lam5 + math.ceil(sc.mu_next)
-    need = 4 * band_f1 + 2  # the self flux's product grid
+    need = good_grid(4 * band_f1 + 2)  # the self flux's product grid
     if need > grid_cap:
         raise GridBudgetExceeded(
             f"step {state.n} needs a {need}-point axis for band {2 * band_f1}, "

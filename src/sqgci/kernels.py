@@ -12,18 +12,15 @@ def cutoff_profile(r):
     """Smooth radial cutoff: 1 for r <= 1/2, 0 for r >= 1, glued by
     g(2(1-r)) / (g(2(1-r)) + g(2(r-1/2))) with g(t) = exp(-1/t)."""
     r = np.asarray(r, dtype=np.float64)
-    shape = r.shape
-    r = np.atleast_1d(r).ravel()
     out = np.ones_like(r)
     out[r >= 1.0] = 0.0
     mid = (r > 0.5) & (r < 1.0)
-    if np.any(mid):
-        rm = r[mid]
-        # g arguments stay in (0, 1]; no overflow possible
-        ga = np.exp(-1.0 / (2.0 * (1.0 - rm)))
-        gb = np.exp(-1.0 / (2.0 * (rm - 0.5)))
-        out[mid] = ga / (ga + gb)
-    return out.reshape(shape)
+    rm = r[mid]
+    # g arguments stay in (0, 1]; no overflow possible
+    ga = np.exp(-1.0 / (2.0 * (1.0 - rm)))
+    gb = np.exp(-1.0 / (2.0 * (rm - 0.5)))
+    out[mid] = ga / (ga + gb)
+    return out
 
 
 def t_symbols(lam, n1, n2, d, K):
@@ -45,10 +42,6 @@ def t_symbols(lam, n1, n2, d, K):
     k = np.arange(-K, K + 1, dtype=np.int64)
     k1 = k[:, None]
     k2 = k[None, K:]
-    lam = np.int64(lam)
-    n1 = np.int64(n1)
-    n2 = np.int64(n2)
-    d = np.int64(d)
     ldk = n1 * k1 + n2 * k2                       # d * (l.k), exact
     ksq = k1 * k1 + k2 * k2                       # |k|^2, exact
     asq = (lam * n1 + d * k1) ** 2 + (lam * n2 + d * k2) ** 2

@@ -32,6 +32,9 @@ and `inv_div` inverts it carrier by carrier.
 `require_mean_zero` is the one mean check, for dense and factored
 fields alike, ahead of every negative-order operator (Lambda^s for
 s < 0, riesz, riesz_odd, inv_div, the commutator's theta).
+Every symbol with |k| in a denominator divides only where |k| > 0
+(`np.divide` or `np.power` with `where=`), so nothing divides by zero;
+only `_inv_div_block` writes k = 0 afterwards, to keep its sign +0.
 
 A dense field stores the k2 >= 0 half of its box, so every symbol grid
 is built on k2 = 0..K alone, fresh for the call that needs it: no
@@ -134,20 +137,16 @@ def lambda_s(f: TorusField, s: float) -> TorusField:
         return f
     if s < 0:
         require_mean_zero(f, f"Lambda^{s:g}")
-    with np.errstate(divide="ignore"):
-        m = _knorm(f.band) ** s
-    m[f.band, 0] = 0.0  # |0|^s is 0 already for s > 0
-    return TorusField._exact(f.coeffs * m)
+    kn = _knorm(f.band)
+    return TorusField._exact(f.coeffs * np.power(kn, s, out=np.zeros_like(kn), where=kn > 0))
 
 
 def _riesz_raw(f: TorusField, j: int) -> TorusField:
     """Riesz multiplier with m(0) = 0; tolerates a mean (drops it)."""
     K = f.band
     k1, k2 = _kgrids(K)
-    kj = k1 if j == 1 else k2
-    with np.errstate(invalid="ignore"):
-        m = kj / _knorm(K)
-    m[K, 0] = 0.0
+    kn = np.hypot(k1, k2)
+    m = np.divide(k1 if j == 1 else k2, kn, out=np.zeros_like(kn), where=kn > 0)
     return TorusField._exact(f.coeffs * (1j * m))
 
 
@@ -167,15 +166,16 @@ def riesz_odd_symbol(j, k1, k2):
     k1 = np.asarray(k1, dtype=np.float64)
     k2 = np.asarray(k2, dtype=np.float64)
     n2 = k1 * k1 + k2 * k2
+    nz = n2 > 0
+    # in place, in the order of 25(k2^2-k1^2)/(12|k|^2) and
+    # 7(k2^2-k1^2)/(12|k|^2) + 4 k1 k2/|k|^2; at k = 0 m keeps its +0 numerator
     m = np.asarray(k2 * k2 - k1 * k1)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        # in place, in the order of 25(k2^2-k1^2)/(12|k|^2) and
-        # 7(k2^2-k1^2)/(12|k|^2) + 4 k1 k2/|k|^2
-        m *= 25.0 if j == 1 else 7.0
-        m /= 12.0 * n2
-        if j == 2:
-            m += 4.0 * k1 * k2 / n2
-    m[n2 == 0.0] = 0.0
+    m *= 25.0 if j == 1 else 7.0
+    np.divide(m, 12.0 * n2, out=m, where=nz)
+    if j == 2:
+        t = np.asarray(4.0 * k1 * k2)
+        np.divide(t, n2, out=t, where=nz)
+        m += t
     return m
 
 
@@ -224,13 +224,10 @@ def _inv_div_block(c1, c2, k1, k2):
     num += k2 * c2
     num *= 1j
     den = -(k1 * k1 + k2 * k2)
+    np.divide(num, den, out=num, where=den < 0)
     origin = (-int(k1[0, 0]), -int(k2[0, 0]))
-    covers_origin = 0 <= origin[0] < den.shape[0] and 0 <= origin[1] < den.shape[1]
-    if covers_origin:
-        den[origin] = 1.0
-    np.divide(num, den, out=num)
-    if covers_origin:
-        num[origin] = 0.0
+    if 0 <= origin[0] < den.shape[0] and 0 <= origin[1] < den.shape[1]:
+        num[origin] = 0.0  # 1j * (0 c1 + 0 c2) takes the signs of c's zeros
     return num
 
 

@@ -72,9 +72,8 @@ def sobolev(f: TorusField, s: float) -> float:
     if s < 0:
         require_mean_zero(f, f"sobolev s={s:g}")
     c = f.coeffs
-    with np.errstate(divide="ignore"):
-        w = _knorm(f.band) ** (2.0 * s)
-    w[f.band, 0] = 0.0
+    kn = _knorm(f.band)
+    w = np.power(kn, 2.0 * s, out=np.zeros_like(kn), where=kn > 0)
     return float(np.sqrt(_half_vdot(c, w * c)))
 
 

@@ -158,9 +158,7 @@ def check_algebraic(kmax: int) -> float:
         lp = l.perp
         lpdk = (lp.n1 * k1 + lp.n2 * k2) / lp.d
         total = total + ldk * lpdk * riesz_odd_symbol(j, k1, k2)
-    defect = np.abs(total - (k1 * k1 + k2 * k2))
-    defect[kmax, kmax] = 0.0
-    return float(defect.max())
+    return float(np.abs(total - (k1 * k1 + k2 * k2)).max())
 
 
 def leibniz_residual(a: TorusField, lam5: int, l) -> float:

@@ -621,6 +621,20 @@ def test_step_checks_the_sqrt_sampling_grid_before_any_stage(monkeypatch):
         step(st, WORKHORSE, grid_cap=700)
 
 
+def test_step_checks_the_self_flux_grid_it_samples_before_any_stage(monkeypatch):
+    # band_f1 = 168 asks for 4 * 168 + 2 = 674 points, and the product
+    # samples on good_grid(674) = 675: a cap of 674 must refuse the step
+    st, _ = _seeded_state()
+
+    def no_stage(*args, **kwargs):
+        raise AssertionError("a stage ran before the grid check")
+
+    monkeypatch.setattr(iteration, "build_f_next", no_stage)
+    with pytest.raises(GridBudgetExceeded, match="needs a 675-point axis for band 336, "
+                                                 "cap is 674"):
+        step(st, WORKHORSE, grid_cap=674)
+
+
 def test_make_base_kinds():
     z = make_base(WORKHORSE, seed=0, kind="zero")
     assert z.f_leq.max_abs_coeff() == 0.0 and z.q.max_abs_coeff() == 0.0

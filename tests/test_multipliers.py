@@ -34,6 +34,12 @@ from sqgci.multipliers import (
 from sqgci.norms import x_norm
 
 
+def _positive_zero(z):
+    """Whether z is +0 + 0j, both parts with a clear sign bit."""
+    z = complex(z)
+    return z == 0 and not np.signbit(z.real) and not np.signbit(z.imag)
+
+
 def test_directions_pythagorean():
     for l in DIRECTIONS:
         assert l.n1 ** 2 + l.n2 ** 2 == l.d ** 2
@@ -57,6 +63,8 @@ def test_lambda_power_single_mode():
     assert abs(g.coeff(3, 4) - 0.1) < 1e-16
     h = lambda_s(f, 1.0)
     assert abs(h.coeff(3, 4) - 2.5) < 1e-15
+    # s > 0 sends a mean to +0
+    assert _positive_zero(lambda_s(f + TorusField.constant(2.0), 0.5).coeff(0, 0))
     assert lambda_s(f, 0.0) is f
 
 
@@ -72,7 +80,10 @@ def test_lambda_power_composes():
         with np.errstate(divide="ignore"):
             m = np.hypot(k[:, None], k[None, 6:]) ** s
         m[6, 0] = 0.0
-        assert lambda_s(f, s).coeffs.tobytes() == (f.coeffs * m).tobytes()
+        with np.errstate(divide="raise", invalid="raise"):
+            g = lambda_s(f, s)
+        assert g.coeffs.tobytes() == (f.coeffs * m).tobytes()
+        assert _positive_zero(g.coeff(0, 0))
 
 
 def test_lambda_negative_power_needs_mean_zero():
@@ -135,6 +146,8 @@ def test_riesz_single_mode_and_skew_symmetry():
         b = random_field(5, rng)
         s = abs(inner(riesz(a, j), b) + inner(a, riesz(b, j)))
         assert s < 1e-12 * max(1.0, abs(inner(a, a)))
+        with np.errstate(divide="raise", invalid="raise"):
+            assert _positive_zero(riesz(a, j).coeff(0, 0))
     with pytest.raises(ValueError, match="Riesz index must be 1 or 2, got 3"):
         riesz(f, 3)
 
@@ -152,7 +165,10 @@ def test_riesz_odd_symbol_hand_values():
     assert abs(riesz_odd_symbol(1, 1.0, 1.0)) < 1e-15
     assert abs(riesz_odd_symbol(2, 1.0, 0.0) + 7.0 / 12.0) < 1e-15
     assert abs(riesz_odd_symbol(2, 1.0, 1.0) - 2.0) < 1e-15
-    assert riesz_odd_symbol(1, 0.0, 0.0) == 0.0
+    with np.errstate(divide="raise", invalid="raise"):
+        for j in (1, 2):
+            for k1 in (0.0, -0.0):
+                assert _positive_zero(riesz_odd_symbol(j, k1, 0.0))
 
 
 def _riesz_odd_symbol_oracle(j, k1, k2):
@@ -172,12 +188,17 @@ def test_riesz_odd_symbol_equals_the_oracle_bit_for_bit(j):
         k = np.arange(-K, K + 1, dtype=np.float64)
         for k1, k2 in ((k[:, None], k[None, :]),
                        tuple(np.meshgrid(k, k, indexing="ij"))):
-            got = riesz_odd_symbol(j, k1, k2)
+            with np.errstate(divide="raise", invalid="raise"):
+                got = riesz_odd_symbol(j, k1, k2)
             want = _riesz_odd_symbol_oracle(j, k1, k2)
             assert got.shape == want.shape
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), K
-    k1, k2 = np.float64(3.0), np.float64(-2.0)
-    assert riesz_odd_symbol(j, k1, k2) == _riesz_odd_symbol_oracle(j, k1, k2)
+            assert _positive_zero(got[K, K])
+    # scalars, the origin with either sign of zero among them
+    for k1, k2 in ((3.0, -2.0), (0.0, 0.0), (-0.0, 0.0), (0.0, -0.0)):
+        k1, k2 = np.float64(k1), np.float64(k2)
+        got = riesz_odd_symbol(j, k1, k2)
+        assert got.tobytes() == _riesz_odd_symbol_oracle(j, k1, k2).tobytes()
     with pytest.raises(ValueError):
         riesz_odd_symbol(3, k1, k2)
 
@@ -191,6 +212,8 @@ def test_riesz_odd_field_real_even():
         for k1, k2 in ((1, 0), (2, 3), (-1, 4)):
             want = riesz_odd_symbol(j, float(k1), float(k2)) * q.coeff(k1, k2)
             assert abs(g.coeff(k1, k2) - want) < 1e-15
+        with np.errstate(divide="raise", invalid="raise"):
+            assert _positive_zero(riesz_odd(q, j).coeff(0, 0))
     with pytest.raises(ValueError, match="index must be 1 or 2, got 3"):
         riesz_odd(q, 3)
 
@@ -320,10 +343,27 @@ def test_inv_div_block_on_halves_is_the_half_of_the_box_result(b1, b2, seed, s1,
     f = random_field(b1, rng, mean_zero=True) * s1
     g = random_field(b2, rng, mean_zero=True) * s2
     K = max(b1, b2)
-    got = inv_div(VectorField(f, g))
+    with np.errstate(divide="raise", invalid="raise"):
+        got = inv_div(VectorField(f, g))
     want = _inv_div_block_oracle(f.box(), g.box(), (0, 0))
     assert got.band == K and got.coeffs.shape == (2 * K + 1, K + 1)
     assert got.coeffs.tobytes() == np.ascontiguousarray(want[:, K:]).tobytes()
+    assert _positive_zero(got.coeff(0, 0))
+
+
+@pytest.mark.parametrize("p", [(1, 0), (0, -2), (5, 3)])
+def test_factored_inv_div_keeps_a_positive_zero_at_the_origin(p):
+    # a band-2 amplitude with no mode at +-p puts no mean on its waves;
+    # a's and b's zeros are -0, so each numerator's origin entry takes
+    # their signs
+    a = TorusField.from_modes(2, {(1, 1): 0.5, (2, -1): -0.25j}, mean_zero=True) * -1.0
+    b = TorusField.from_modes(2, {(0, 1): 0.75}, mean_zero=True) * -0.0
+    with np.errstate(divide="raise", invalid="raise"):
+        q = inv_div(ModulatedField.wave(VectorField(a, b), p, "cos"))
+    if max(abs(p[0]), abs(p[1])) <= 2:  # the blocks at +-p cover k = 0
+        for c in (1, -1):
+            assert _positive_zero(q.blocks[(c * p[0], c * p[1])][2 - c * p[0], 2 - c * p[1]])
+    assert _positive_zero(q.to_dense().coeff(0, 0))
 
 
 def test_inv_div_kills_perp_gradients():
@@ -435,6 +475,8 @@ def test_riesz_commutator_collinear_vanishes():
     theta = TorusField.from_modes(2, {(2, 0): 0.5}, mean_zero=True)
     com = riesz_commutator(phi, theta, 1)
     assert com.max_abs_coeff() < 1e-15
+    # theta^2 carries a mean, which R_1 drops: the symbol is 0 at k = 0
+    assert riesz_commutator(theta, theta, 1).max_abs_coeff() < 1e-15
     with pytest.raises(ValueError, match="Riesz index must be 1 or 2, got 3"):
         riesz_commutator(phi, theta, 3)
 

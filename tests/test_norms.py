@@ -34,6 +34,9 @@ def test_sobolev_hand_values():
     assert abs(sobolev(f, 0.0) - np.sqrt(0.5)) < 1e-15
     g = _cos(3, 4)  # |k| = 5
     assert abs(sobolev(g, -0.5) - np.sqrt(0.5 / 5.0)) < 1e-15
+    # |k|^-1 is formed only where |k| > 0, so k = 0 adds nothing
+    with np.errstate(divide="raise", invalid="raise"):
+        assert np.isfinite(sobolev(random_field(6, np.random.default_rng(2)), -0.5))
     assert abs(sobolev(g, 1.0) - 5.0 * np.sqrt(0.5)) < 1e-14
 
 

@@ -140,6 +140,39 @@ def test_the_rule_sees_a_mean_raise(tmp_path):
                                        (8, "g.h"), (10, "")]
 
 
+ERRSTATE = ("errstate", "seterr")
+
+
+def _error_states(path):
+    """(line, scope) of every reference to numpy's errstate or seterr in
+    a source file, by attribute or imported name."""
+    return _scoped(path, lambda node: (
+        (isinstance(node, ast.Attribute) and node.attr in ERRSTATE)
+        or (isinstance(node, ast.Name) and node.id in ERRSTATE)
+        or (isinstance(node, ast.ImportFrom) and node.module == "numpy"
+            and any(a.name in ERRSTATE for a in node.names))))
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "sqgci").glob("*.py")),
+                         ids=lambda p: p.name)
+def test_only_the_support_scan_silences_floating_point_errors(path):
+    # every symbol divides only where |k| > 0, so no operator meets a
+    # 0/0; _scan_box alone reads outside data, whose inf - inf it takes
+    # as a defect
+    assert [(line, name) for line, name in _error_states(path)
+            if f"{path.stem}.{name}" != "fields._scan_box"] == []
+
+
+def test_the_rule_sees_an_error_state(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text("import numpy as np\nfrom numpy import errstate, seterr as s\n"
+                   "def f():\n    with np.errstate(divide='ignore'):\n        pass\n"
+                   "class C:\n    def g(self):\n        with errstate(all='ignore'):\n"
+                   "            pass\nnp.seterr(all='ignore')\nnp.geterr()\n",
+                   encoding="utf-8")
+    assert list(_error_states(src)) == [(2, ""), (4, "f"), (8, "C.g"), (10, "")]
+
+
 def _is_inverse_transform(node):
     return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
             and ast.unparse(node.func.value) == "scipy.fft"

@@ -44,8 +44,8 @@ from the full pass in its sign); it is the one home of the inverse
 transform. `_truncate` reads the half off the forward transform by
 slices. Products of band-limited fields are band-limited, so they are
 computed exactly by zero-padding to a grid that holds the full product
-band (N >= 2*(Kf+Kg)+2); the 3/2 rule is never used. `products`
-transforms a factor shared by several products once.
+band (N >= 2*(Kf+Kg)+2, `product_grid`); the 3/2 rule is never used.
+`products` transforms a factor shared by several products once.
 
 One rule threads the module: a loop or transform over an N x N grid
 uses `_threads(N)` threads, every CPU of `_cpu_count()` from a grid side
@@ -78,8 +78,8 @@ half it keeps, in pairs of GRID_BLOCK rows k1 <= 0 and their mirrors -k1.
 from __future__ import annotations
 
 import os
+import secrets
 import struct
-import tempfile
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
@@ -336,27 +336,22 @@ class Sum:
         half whose k2 = 0 column is Hermitian."""
         self._c = start.coeffs.copy() if isinstance(start, TorusField) else start
 
-    def _take(self, c):
-        """Take over c, a fresh half of larger band, adding the sum into it."""
-        w = _window(c, self._c.shape[0] // 2)
-        w += self._c
-        self._c = c
-        return self
-
     def add(self, f):
-        c = f._c if isinstance(f, Sum) else f.coeffs
-        if c.shape[0] > self._c.shape[0]:
-            return self._take(c.copy())
-        w = _window(self._c, c.shape[0] // 2)
-        w += c
-        return self
+        return self._insert(f, np.add)
 
     def sub(self, f):
+        return self._insert(f, np.subtract)
+
+    def _insert(self, f, op):
+        """Apply op, np.add or np.subtract, to the sum and the term f."""
         c = f._c if isinstance(f, Sum) else f.coeffs
         if c.shape[0] > self._c.shape[0]:
-            return self._take(-c)
+            # take over a fresh copy of the larger half, negated for a
+            # subtrahend, and add the sum into its window
+            c, self._c = self._c, (c.copy() if op is np.add else -c)
+            op = np.add
         w = _window(self._c, c.shape[0] // 2)
-        w -= c
+        op(w, c, out=w)
         return self
 
     def negate(self):
@@ -434,9 +429,18 @@ def good_grid(n):
 GRID_BLOCK = 64
 
 
-# The pool `_row_blocks` runs on. Its threads start on the first submit,
-# so importing the module starts none.
-_POOL = ThreadPoolExecutor(max_workers=_cpu_count(), thread_name_prefix="sqgci-fields")
+def _start_pool():
+    """Build `_POOL`, the pool `_row_blocks` runs on: at import, and in a
+    forked child, which inherits the parent's pool but none of its
+    threads, so a submit there would wait forever. Its threads start on
+    the first submit, so importing the module starts none."""
+    global _POOL
+    _POOL = ThreadPoolExecutor(max_workers=_cpu_count(), thread_name_prefix="sqgci-fields")
+
+
+_start_pool()
+if hasattr(os, "register_at_fork"):  # platforms with fork
+    os.register_at_fork(after_in_child=_start_pool)
 
 
 def _row_blocks(fn, n, N):
@@ -572,8 +576,7 @@ def products(f: TorusField, gs) -> list:
     last factor that uses it, and each product's samples once their
     forward transform is taken.
     """
-    sides = [good_grid(2 * (f.band + g.band) + 2) if f.band and g.band else None
-             for g in gs]
+    sides = [product_grid(f.band + g.band) if f.band and g.band else None for g in gs]
     last = {N: i for i, N in enumerate(sides)}
     out, grids = [], {}
     for i, (g, N) in enumerate(zip(gs, sides)):
@@ -594,6 +597,17 @@ def products(f: TorusField, gs) -> list:
             out.append(_truncate(H, scale, f.band + g.band))
             del H
     return out
+
+
+def product_grid(band: int, grid_cap: int | None = None, what: str = "a product") -> int:
+    """Side of the grid that holds a product of band `band` exactly, the
+    smallest FFT-friendly size >= 2*band+2. Raises GridBudgetExceeded,
+    naming `what`, if it exceeds grid_cap."""
+    N = good_grid(2 * band + 2)
+    if grid_cap is not None and N > grid_cap:
+        raise GridBudgetExceeded(f"{what} needs a {N}-point axis for band {band}, "
+                                 f"cap is {grid_cap}")
+    return N
 
 
 def multiply(f: TorusField, g: TorusField) -> TorusField:
@@ -684,10 +698,13 @@ def random_field(band, rng, mean_zero=True):
 
 def _write_atomic(path, chunks):
     """Write an iterable of byte chunks to path atomically, drawing one at
-    a time: a temp file in the same directory, then a rename. The temp
-    file is removed on any error."""
+    a time: a temp file in the same directory, then a rename. The file
+    gets the mode open() would give it. The temp file is removed on any
+    error."""
     d = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".part.")
+    tmp = os.path.join(d, f".part.{secrets.token_hex(8)}")
+    # mode 0o666 less the umask, as open() gives; O_EXCL never reuses a file
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             for chunk in chunks:

@@ -36,9 +36,9 @@ from decimal import ROUND_CEILING, Decimal, Overflow, localcontext
 
 import numpy as np
 
-from .errors import GridBudgetExceeded, SeparationViolated
-from .fields import (Sum, TorusField, VectorField, _half_vdot, _window, good_grid,
-                     multiply, products, random_field, sqrt_grid, sqrt_pointwise)
+from .errors import NotPositive, SeparationViolated
+from .fields import (Sum, TorusField, VectorField, _half_vdot, _window, multiply,
+                     product_grid, products, random_field, sqrt_grid, sqrt_pointwise)
 from .multipliers import (
     DIRECTIONS,
     L1,
@@ -150,19 +150,22 @@ class DerivedScales:
     r_n: float
     r_next: float
     mu_next: float
-    alpha: float
+    lam5: int       # the carrier frequency 5 lambda_next
+    amp_band: int   # the amplitudes' band ceil(4 mu_next), what q_m1 needs
 
 
 def scales_for(params: IterationParams, n: int) -> DerivedScales:
     lam_n = lambda_at(params.lambda0, params.b, n)
     lam_1 = lambda_at(params.lambda0, params.b, n + 1)
+    mu = math.sqrt(lam_n * lam_1)
     return DerivedScales(
         lambda_n=lam_n,
         lambda_next=lam_1,
         r_n=lam_n ** (-params.beta),
         r_next=lam_1 ** (-params.beta),
-        mu_next=math.sqrt(lam_n * lam_1),
-        alpha=params.alpha,
+        mu_next=mu,
+        lam5=5 * lam_1,
+        amp_band=math.ceil(4.0 * mu),
     )
 
 
@@ -196,32 +199,30 @@ class Perturbation:
     alias_tail: float
 
 
-def _amplitude_band(scales: DerivedScales) -> int:
-    """Band the amplitudes are read out to: 4*mu_next, what q_m1 needs."""
-    return math.ceil(4.0 * scales.mu_next)
-
-
 def build_f_next(q: TorusField, scales: DerivedScales, c0: float = 2.0,
                  oversample: int = 4, grid_cap=None) -> Perturbation:
     """Perturbation at frequency 5*lambda_next along both directions.
 
     The amplitudes are computed out to band 4*mu_next (what q_m1 needs)
     and keep only frequencies below mu_next, so the result is supported
-    in the annulus 5*lambda_next -/+ mu_next.
+    in the annulus 5*lambda_next -/+ mu_next. A radicand that dips below
+    zero raises NotPositive naming its direction j.
     """
-    lam5 = 5 * scales.lambda_next
-    kout = _amplitude_band(scales)
     ap = []
     tails = []
     for j in (1, 2):
-        amp, tail = perfect_amplitude(q, scales.r_n, scales.lambda_next, c0,
-                                      j, oversample, kout, grid_cap)
+        try:
+            amp, tail = perfect_amplitude(q, scales.r_n, scales.lambda_next, c0,
+                                          j, oversample, scales.amp_band, grid_cap)
+        except NotPositive as e:
+            raise NotPositive(f"direction {j}: {e}") from None
         ap.append(amp)
         tails.append(tail)
     a = tuple(lowpass(amp, scales.mu_next) for amp in ap)
     # the four blocks sit 4 lambda_next apart with bands below mu_next,
     # so each lands on zeros, as separate dense waves would place it
-    w1, w2 = (ModulatedField.wave(amp, l.wave(lam5), "cos") for amp, l in zip(a, DIRECTIONS))
+    w1, w2 = (ModulatedField.wave(amp, l.wave(scales.lam5), "cos")
+              for amp, l in zip(a, DIRECTIONS))
     return Perturbation(f_next=(w1 + w2).to_dense(), a=a, a_perfect=tuple(ap),
                         alias_tail=max(tails))
 
@@ -361,11 +362,7 @@ def make_base(params: IterationParams, seed: int = 0, kind: str = "zero",
     if kind != "synthetic":
         raise ValueError(f"base kind must be zero or synthetic, got {kind!r}")
     band = 2 * int(params.lambda0)
-    need = good_grid(4 * band + 2)  # Lambda f0 grad_perp f0 holds band 2 * band
-    if need > grid_cap:
-        raise GridBudgetExceeded(
-            f"synthetic base needs a {need}-point axis for band {2 * band}, "
-            f"cap is {grid_cap}")
+    product_grid(2 * band, grid_cap, "synthetic base")  # Lambda f0 grad_perp f0
     rng = np.random.default_rng(seed)
     f0 = random_field(band, rng, mean_zero=True)
     f0 = f0 * (1.0 / max(f0.max_abs_coeff(), 1e-300))
@@ -424,17 +421,15 @@ def step(state: StepState, params: IterationParams, grid_cap: int = 4096):
         raise SeparationViolated(
             f"48*lambda_n = {48 * sc.lambda_n} > lambda_next = {sc.lambda_next}")
 
-    lam5 = 5 * sc.lambda_next
-    band_f1 = lam5 + math.ceil(sc.mu_next)
-    need = good_grid(4 * band_f1 + 2)  # the self flux's product grid
-    if need > grid_cap:
-        raise GridBudgetExceeded(
-            f"step {state.n} needs a {need}-point axis for band {2 * band_f1}, "
-            f"cap is {grid_cap}")
+    # the self flux of f_next, of band lam5 + ceil(mu_next)
+    product_grid(2 * (sc.lam5 + math.ceil(sc.mu_next)), grid_cap, f"step {state.n}")
     # the amplitudes sample each radicand c0 + m_j q / r_n, of q's band
-    sqrt_grid(state.q.band, params.oversample, _amplitude_band(sc), grid_cap)
+    sqrt_grid(state.q.band, params.oversample, sc.amp_band, grid_cap)
 
-    pert = build_f_next(state.q, sc, params.c0, params.oversample, grid_cap=grid_cap)
+    try:
+        pert = build_f_next(state.q, sc, params.c0, params.oversample, grid_cap=grid_cap)
+    except NotPositive as e:
+        raise NotPositive(f"step {state.n}, {e}") from None
     f1 = pert.f_next
     a1, a2 = pert.a
     # The self flux S is the step's largest product. It is formed while
@@ -467,8 +462,8 @@ def step(state: StepState, params: IterationParams, grid_cap: int = 4096):
     del flux
 
     qm1 = q_m1(pert.a_perfect[0], pert.a_perfect[1], sc)
-    qm2 = q_m2(a1, a2, lam5)
-    qm3 = q_m3(a1, a2, lam5)
+    qm2 = q_m2(a1, a2, sc.lam5)
+    qm3 = q_m3(a1, a2, sc.lam5)
     qd = q_d(f1, params.nu, params.gamma)
     os = params.oversample
     x_qm3 = x_norm(qm3, os, grid_cap)
@@ -515,7 +510,7 @@ def step(state: StepState, params: IterationParams, grid_cap: int = 4096):
         "r_n": sc.r_n,
         "r_next": sc.r_next,
         "mu_next": sc.mu_next,
-        "alpha": sc.alpha,
+        "alpha": params.alpha,
         "xnorm": {
             "qM1": x_norm(qm1, os, grid_cap),
             "qM2": x_norm(qm2, os, grid_cap),
@@ -527,7 +522,7 @@ def step(state: StepState, params: IterationParams, grid_cap: int = 4096):
         "ratio_q_over_r": xq / sc.r_next,
         "master_residual": master,
         "decomp_residual": decomp,
-        "holder_besov_f": holder_besov(f_total, sc.alpha, os, grid_cap),
+        "holder_besov_f": holder_besov(f_total, params.alpha, os, grid_cap),
         "partial_sum_reg": _partial_sum_reg(params, state.n + 1),
         "separation_ok": sep_ok,
         "alias_tail": pert.alias_tail,

@@ -143,6 +143,8 @@ def lambda_s(f: TorusField, s: float) -> TorusField:
 
 def _riesz_raw(f: TorusField, j: int) -> TorusField:
     """Riesz multiplier with m(0) = 0; tolerates a mean (drops it)."""
+    if j not in (1, 2):
+        raise ValueError(f"Riesz index must be 1 or 2, got {j}")
     K = f.band
     k1, k2 = _kgrids(K)
     kn = np.hypot(k1, k2)
@@ -152,8 +154,6 @@ def _riesz_raw(f: TorusField, j: int) -> TorusField:
 
 def riesz(f: TorusField, j: int) -> TorusField:
     """R_j f, symbol i k_j/|k|. Input must be mean-zero."""
-    if j not in (1, 2):
-        raise ValueError(f"Riesz index must be 1 or 2, got {j}")
     require_mean_zero(f, "riesz")
     return _riesz_raw(f, j)
 
@@ -182,8 +182,6 @@ def riesz_odd_symbol(j, k1, k2):
 def riesz_odd(f: TorusField, j: int) -> TorusField:
     """Apply the even rational multiplier m_j, its symbol built fresh on
     f's half. Input must be mean-zero."""
-    if j not in (1, 2):
-        raise ValueError(f"index must be 1 or 2, got {j}")
     require_mean_zero(f, "riesz_odd")
     return TorusField._exact(f.coeffs * riesz_odd_symbol(j, *_kgrids(f.band)))
 
@@ -271,11 +269,9 @@ def directional_grad(f: TorusField, l: Direction) -> TorusField:
 def riesz_commutator(psi: TorusField, theta: TorusField, j: int) -> TorusField:
     """[R_j, psi] theta = R_j(psi theta) - psi R_j(theta), products exact.
     theta must be mean-zero; psi theta may carry a mean (R_j drops it)."""
-    if j not in (1, 2):
-        raise ValueError(f"Riesz index must be 1 or 2, got {j}")
     require_mean_zero(theta, "riesz_commutator theta")
+    second = multiply(psi, _riesz_raw(theta, j))  # a bad j raises before any product
     first = _riesz_raw(multiply(psi, theta), j)
-    second = multiply(psi, _riesz_raw(theta, j))
     return first - second
 
 

@@ -8,6 +8,7 @@ import math
 import os
 import pathlib
 import random
+import stat
 import subprocess
 import sys
 import time
@@ -475,6 +476,21 @@ def test_each_error_class_maps_to_its_exit_code(tmp_path, capsys, monkeypatch, e
     assert main(["run", "--config", _write(tmp_path, TINY), "--quiet"]) == code
     err = json.loads(capsys.readouterr().err)
     assert err == {"error": type(exc).__name__, "message": str(exc), "exit": code}
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                         ids=["022", "077"])
+def test_every_file_a_run_writes_takes_its_mode_from_the_umask(tmp_path, umask, mode):
+    # 0o666 less the umask, as open() gives, not a temp file's 0o600
+    cfg = _write(tmp_path, TINY.replace("steps = 2", "steps = 1"))
+    out = str(tmp_path / "out")
+    old = os.umask(umask)
+    try:
+        assert main(["run", "--config", cfg, "--out", out, "--quiet"]) == 0
+    finally:
+        os.umask(old)
+    modes = {n: stat.S_IMODE(os.stat(os.path.join(out, n)).st_mode) for n in os.listdir(out)}
+    assert len(modes) > 1 and set(modes.values()) == {mode}, modes
 
 
 def test_synthetic_base_respects_the_grid_cap(tmp_path, capsys, monkeypatch):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import io
+import multiprocessing
 import os
 import struct
 import tracemalloc
@@ -325,6 +326,27 @@ def test_one_rule_threads_every_transform_and_block_loop(monkeypatch):
             assert {w for _, w in calls} == {1, 2} and submits
         else:
             assert {w for _, w in calls} == {1} and not submits
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="the platform has no fork")
+def test_a_forked_child_samples_on_a_pool_of_its_own(monkeypatch):
+    # the parent starts its pool's threads; a forked child inherits the
+    # pool but none of them, so its pooled call would wait forever on a
+    # pool it did not build
+    monkeypatch.setattr(fields, "_cpu_count", lambda: 2)
+    f = random_field(40, np.random.default_rng(0))
+    want = to_grid(f, THREADED_GRID_MIN, max_abs=True)
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=lambda: send.send(to_grid(f, THREADED_GRID_MIN, max_abs=True)))
+    child.start()
+    child.join(timeout=20)
+    if child.is_alive():
+        child.kill()
+        child.join()
+        pytest.fail("the forked child's pooled call never returned")
+    assert child.exitcode == 0 and recv.poll(5) and recv.recv() == want
 
 
 def _traced_peak(fn):

@@ -17,8 +17,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sqgci import iteration
-from sqgci.errors import GridBudgetExceeded, NonZeroMean, SeparationViolated
-from sqgci.fields import TorusField, VectorField, multiply, random_field
+from sqgci.errors import GridBudgetExceeded, NonZeroMean, NotPositive, SeparationViolated
+from sqgci.fields import TorusField, VectorField, multiply, random_field, to_grid
 from sqgci.iteration import (
     IterationParams,
     _scaled_perp,
@@ -49,6 +49,7 @@ from sqgci.multipliers import (
     inv_div,
     lambda_s,
     lowpass,
+    riesz_odd,
     t_ops,
 )
 from sqgci.norms import linf
@@ -97,7 +98,8 @@ def test_scales_arithmetic():
     assert abs(sc.r_n - 2.0 ** -0.25) < 1e-15
     assert abs(sc.r_next - 96.0 ** -0.25) < 1e-15
     assert abs(sc.mu_next - math.sqrt(2.0 * 96.0)) < 1e-12
-    assert abs(sc.alpha - (0.5 + 0.25 / (2.0 * p.b) - 0.01)) < 1e-15
+    assert abs(p.alpha - (0.5 + 0.25 / (2.0 * p.b) - 0.01)) < 1e-15
+    assert sc.lam5 == 480 and sc.amp_band == 56  # ceil(4 sqrt(192)), 4 sqrt(192) = 55.4...
 
 
 def test_validate_collects_every_problem():
@@ -633,6 +635,20 @@ def test_step_checks_the_self_flux_grid_it_samples_before_any_stage(monkeypatch)
     with pytest.raises(GridBudgetExceeded, match="needs a 675-point axis for band 336, "
                                                  "cap is 674"):
         step(st, WORKHORSE, grid_cap=674)
+
+
+def test_a_radicand_below_zero_names_its_step_and_direction():
+    # the seeded q scaled until c0 + m_1 q / r_n dips below zero on the
+    # sampling grid; then a q of the one mode (1, 1), where m_1 vanishes
+    # and m_2 = 2, which leaves direction 1 positive and sinks direction 2
+    st, sc = _seeded_state()
+    low = float(to_grid(riesz_odd(st.q, 1), 64).min())
+    q = st.q * (-4.0 * WORKHORSE.c0 * sc.r_n / low)
+    with pytest.raises(NotPositive, match=r"^step 0, direction 1: grid minimum -"):
+        step(dataclasses.replace(st, q=q), WORKHORSE)
+    q = TorusField.from_modes(1, {(1, 1): -2.0 * WORKHORSE.c0 * sc.r_n}, mean_zero=True)
+    with pytest.raises(NotPositive, match=r"^step 0, direction 2: grid minimum -"):
+        step(dataclasses.replace(st, q=q), WORKHORSE)
 
 
 def test_make_base_kinds():

@@ -362,6 +362,41 @@ def test_the_rule_sees_a_verify_import(tmp_path):
                                           (10, "f")]
 
 
+def _is_good_grid_call(node):
+    return isinstance(node, ast.Call) and (
+        (isinstance(node.func, ast.Name) and node.func.id == "good_grid")
+        or (isinstance(node.func, ast.Attribute) and node.func.attr == "good_grid"))
+
+
+def _good_grid_calls(path):
+    """(line, scope) of every `good_grid(...)` call in a source file, by
+    name or attribute."""
+    return _scoped(path, _is_good_grid_call)
+
+
+GRID_SIZERS = {"fields.product_grid", "fields.sqrt_grid", "norms._grid_side"}
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "sqgci").glob("*.py")),
+                         ids=lambda p: p.name)
+def test_only_the_three_sizing_functions_call_good_grid(path):
+    # product_grid sizes every exact product, sqrt_grid every square
+    # root's sampling and _grid_side every norm's: each rule, and its
+    # check against the grid cap, has one home
+    assert [(line, name) for line, name in _good_grid_calls(path)
+            if f"{path.stem}.{name}" not in GRID_SIZERS] == []
+
+
+def test_the_rule_sees_a_good_grid_call(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text("def product_grid(b):\n    return good_grid(2 * b + 2)\n"
+                   "def step(s):\n    need = fields.good_grid(4 * s + 2)\n"
+                   "class C:\n    def f(self):\n        return [good_grid(n) for n in x]\n"
+                   "good_grid\nnext_fast_len(8)\nN = good_grid(9)\n", encoding="utf-8")
+    assert list(_good_grid_calls(src)) == [(2, "product_grid"), (4, "step"), (7, "C.f"),
+                                           (10, "")]
+
+
 POOLS = ("ThreadPoolExecutor", "ProcessPoolExecutor", "ThreadPool", "Pool", "Thread",
          "Process")
 
@@ -389,7 +424,7 @@ def test_fields_builds_the_one_pool():
     # would run more threads at once than the process has CPUs
     sites = [(path.stem, name) for path in sorted((ROOT / "src" / "sqgci").glob("*.py"))
              for _, name in _pool_constructions(path)]
-    assert sites == [("fields", "")]
+    assert sites == [("fields", "_start_pool")]
 
 
 def test_the_rule_sees_a_pool(tmp_path):
